@@ -2,7 +2,7 @@
 anchors: scenario generation, GCPSO/EKF localizers, anchor lifecycle policies,
 coverage analytics, and a paired-ensemble evaluation harness."""
 
-from .channel import CommZone, GpsMeasurement, NoiseModel, RangeMeasurement
+from .channel import CommZone, NoiseModel
 from .coverage import CoverageReport, TransitArea, coverage_report, dsrc_radius
 from .harness import (
     Algorithm,

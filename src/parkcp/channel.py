@@ -42,21 +42,6 @@ class CommZone:
             raise ValueError("drop_probability must be in [0, 1)")
 
 
-@dataclass(frozen=True)
-class RangeMeasurement:
-    from_id: int
-    to_id: int
-    distance: float
-    step: int
-
-
-@dataclass(frozen=True)
-class GpsMeasurement:
-    vehicle_id: int
-    position: Position2D
-    step: int
-
-
 def neighbors(world: WorldState, vehicle_id: int, zone: CommZone) -> list[int]:
     """Ids of powered-on vehicles within the zone of ``vehicle_id``, ascending.
 
@@ -92,9 +77,7 @@ def measure_gps(
     true_pos: Position2D,
     noise: NoiseModel,
     rng: np.random.Generator,
-    vehicle_id: int = -1,
-    step: int = -1,
-) -> GpsMeasurement:
+) -> Position2D:
     """Noisy GPS fix: independent per-axis Gaussian error."""
     ex, ey = rng.normal(0.0, noise.gps_std, size=2)
-    return GpsMeasurement(vehicle_id, Position2D(true_pos.x + ex, true_pos.y + ey), step)
+    return Position2D(true_pos.x + ex, true_pos.y + ey)

@@ -1,15 +1,17 @@
 """Command-line entry point: scenario generation, simulation, coverage.
 
 Configuration lives in a JSON file whose sections mirror the run-config
-dataclasses; command-line flags override file values. Unknown keys are
-rejected so typos fail fast. All randomness flows from a single seed.
+dataclasses; command-line flags override file values. Unknown keys and
+wrongly typed values are rejected so typos fail fast. All randomness flows
+from a single seed.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import fields, replace
 
 from .channel import CommZone, NoiseModel
 from .coverage import (
@@ -26,6 +28,7 @@ from .harness import (
     ensemble,
     format_results_csv,
     format_steps_csv,
+    make_run_config,
     summary_rows,
 )
 from .localize import EkfParams, GcpsoParams
@@ -40,33 +43,43 @@ from .scenario import (
     serialize_trace,
 )
 
-_TOP_KEYS = {
-    "seed", "n_runs", "algorithm", "zone", "noise", "policy", "gcpso", "ekf",
-    "scenario", "coverage",
+_SECTIONS = {
+    "zone": CommZone, "noise": NoiseModel, "policy": PolicyConfig,
+    "gcpso": GcpsoParams, "ekf": EkfParams, "scenario": ScenarioConfig,
 }
-_ZONE_KEYS = {"radius", "drop_probability"}
-_NOISE_KEYS = {"range_std", "gps_std", "velocity_std"}
-_POLICY_KEYS = {
-    "anchor_accuracy_threshold", "gnss_window", "gps_reset_interval", "mode",
-    "anchors_preloaded",
-}
-_GCPSO_KEYS = {
-    "particles", "iterations", "success_limit", "failure_limit", "initial_radius",
-    "cognitive", "social", "inertia_start", "inertia_end", "fitness_stop",
-}
-_EKF_KEYS = {"range_std", "process_std", "velocity_std", "step_seconds"}
-_SCENARIO_KEYS = {
-    "seed", "kind", "duration", "step_seconds", "area", "n_moving", "n_parked",
-    "n_entering", "entry_interval", "parked_spacing", "parked_offset", "speed",
-    "circuit", "choke_points",
-}
-_COVERAGE_KEYS = {"cell_size"}
+_JSON_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 
 
-def _check_keys(section: dict, allowed: set[str], context: str) -> None:
-    unknown = set(section) - allowed
+def _schema(cls) -> dict[str, type | None]:
+    """Field name -> JSON scalar type (None for structured fields) of a
+    config dataclass."""
+    return {f.name: _JSON_TYPES.get(getattr(f.type, "__name__", f.type)) for f in fields(cls)}
+
+
+_TOP_SCHEMA = {**_schema(RunConfig), "coverage": None}
+_SECTION_SCHEMAS = {
+    **{name: _schema(cls) for name, cls in _SECTIONS.items()},
+    "coverage": {"cell_size": float},
+}
+
+
+def _has_type(value, expected: type) -> bool:
+    """JSON type check: bools only for bool fields, ints also for floats."""
+    if isinstance(value, bool) or expected is bool:
+        return isinstance(value, bool) and expected is bool
+    return isinstance(value, (int, float) if expected is float else expected)
+
+
+def _check_keys(section: dict, schema: dict[str, type | None], context: str) -> None:
+    unknown = set(section) - set(schema)
     if unknown:
         raise ConfigError(f"unknown {context} keys: {', '.join(sorted(unknown))}")
+    for key, value in section.items():
+        expected = schema[key]
+        if expected is not None and not _has_type(value, expected):
+            raise ConfigError(
+                f"{context} key {key!r} must be {expected.__name__}, got {value!r}"
+            )
 
 
 def load_config(path: str) -> dict:
@@ -80,37 +93,57 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "top-level")
-    for key, allowed in (
-        ("zone", _ZONE_KEYS),
-        ("noise", _NOISE_KEYS),
-        ("policy", _POLICY_KEYS),
-        ("gcpso", _GCPSO_KEYS),
-        ("ekf", _EKF_KEYS),
-        ("scenario", _SCENARIO_KEYS),
-        ("coverage", _COVERAGE_KEYS),
-    ):
+    _check_keys(raw, _TOP_SCHEMA, "top-level")
+    for key, schema in _SECTION_SCHEMAS.items():
         if key in raw:
             if not isinstance(raw[key], dict):
                 raise ConfigError(f"config section {key!r} must be an object")
-            _check_keys(raw[key], allowed, key)
+            _check_keys(raw[key], schema, key)
     return raw
+
+
+@contextmanager
+def _section_errors(name: str):
+    """Report a value that a config section's constructor rejects as a
+    ConfigError naming the section."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config section {name!r}: {exc}") from None
 
 
 def scenario_from_config(raw: dict) -> ScenarioConfig:
     section = dict(raw.get("scenario", {}))
-    if "circuit" in section:
-        section["circuit"] = tuple(Position2D(float(x), float(y)) for x, y in section["circuit"])
-    if "area" in section:
-        section["area"] = tuple(float(v) for v in section["area"])
-    if "choke_points" in section:
-        section["choke_points"] = tuple(
-            ChokePoint(float(x), float(y), float(r), int(h))
-            for x, y, r, h in section["choke_points"]
-        )
-    cfg = ScenarioConfig(**section)
+    with _section_errors("scenario"):
+        if "circuit" in section:
+            section["circuit"] = tuple(
+                Position2D(float(x), float(y)) for x, y in section["circuit"]
+            )
+        if "area" in section:
+            section["area"] = tuple(float(v) for v in section["area"])
+        if "choke_points" in section:
+            section["choke_points"] = tuple(
+                ChokePoint(float(x), float(y), float(r), int(h))
+                for x, y, r, h in section["choke_points"]
+            )
+        cfg = ScenarioConfig(**section)
     cfg.validate()
     return cfg
+
+
+def _merged(values: dict, **flags) -> dict:
+    """``values`` overridden by the flags that are given."""
+    return {**values, **{k: v for k, v in flags.items() if v is not None}}
+
+
+def _override(raw: dict, name: str, base, **flags):
+    """``base`` with the keys that config section ``name`` and the given
+    flags name replaced."""
+    values = _merged(raw.get(name, {}), **flags)
+    with _section_errors(name):
+        if "mode" in values:
+            values["mode"] = Mode(values["mode"])
+        return replace(base, **values)
 
 
 def run_config_from_config(
@@ -121,38 +154,25 @@ def run_config_from_config(
     n_runs: int | None,
     seed: int | None,
 ) -> RunConfig:
+    """RunConfig built through make_run_config, so that defaults, including
+    the noise- and scenario-derived EKF ones, have one source; file sections
+    and flags override only the keys they name."""
     scenario = scenario_from_config(raw)
-    noise_section = dict(raw.get("noise", {}))
-    noise_section["range_std"] = range_std
-    noise = NoiseModel(**noise_section)
-    zone_section = dict(raw.get("zone", {}))
-    if zone_radius is not None:
-        zone_section["radius"] = zone_radius
-    zone = CommZone(**zone_section) if zone_section else CommZone(15.0)
-    policy_section = dict(raw.get("policy", {}))
-    if "mode" in policy_section:
-        policy_section["mode"] = Mode(policy_section["mode"])
-    policy = PolicyConfig(**policy_section)
-    gcpso = GcpsoParams(**raw.get("gcpso", {}))
-    ekf_section = dict(raw.get("ekf", {}))
-    if "range_std" not in ekf_section:
-        ekf_section["range_std"] = max(range_std, 1e-3)
-    if "step_seconds" not in ekf_section:
-        ekf_section["step_seconds"] = scenario.step_seconds
-    ekf = EkfParams(**ekf_section)
-    run_seed = seed if seed is not None else int(raw.get("seed", 0))
     if seed is not None:
         scenario = replace(scenario, seed=seed)
-    return RunConfig(
-        scenario=scenario,
-        zone=zone,
-        noise=noise,
+    top = _merged({k: raw[k] for k in ("n_runs", "seed") if k in raw}, n_runs=n_runs, seed=seed)
+    cfg = make_run_config(
         algorithm=algorithm,
-        policy=policy,
-        gcpso=gcpso,
-        ekf=ekf,
-        n_runs=n_runs if n_runs is not None else int(raw.get("n_runs", 40)),
-        seed=run_seed,
+        scenario=scenario,
+        noise=_override(raw, "noise", NoiseModel(), range_std=range_std),
+        **top,
+    )
+    return replace(
+        cfg,
+        zone=_override(raw, "zone", cfg.zone, radius=zone_radius),
+        policy=_override(raw, "policy", cfg.policy),
+        gcpso=_override(raw, "gcpso", cfg.gcpso),
+        ekf=_override(raw, "ekf", cfg.ekf),
     )
 
 
@@ -193,7 +213,7 @@ def cmd_sim(args) -> int:
         if args.algorithm == "both"
         else [Algorithm(args.algorithm)]
     )
-    sigmas = args.sigma_r if args.sigma_r else [float(raw.get("noise", {}).get("range_std", 4.0))]
+    sigmas = args.sigma_r or [float(raw.get("noise", {}).get("range_std", NoiseModel.range_std))]
     modes = _requested_modes(args.mode)
 
     records = None

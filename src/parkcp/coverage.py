@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import Position2D
+from .scenario import csv_rows, parse_fields
 
 DSRC_CLASSES = {"A": 15.0, "B": 100.0, "C": 400.0, "D": 1000.0}
 
@@ -150,52 +151,20 @@ def parse_area(text: str, cell_size: float = 1.0) -> TransitArea:
     """Area file: header ``polygon,x,y``; one vertex per row, grouped by
     polygon id in file order; ``#`` comments allowed."""
     groups: dict[int, list[Position2D]] = {}
-    order: list[int] = []
-    header_seen = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != AREA_HEADER:
-                raise ValueError(f"line {line_no}: expected header {AREA_HEADER!r}")
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"line {line_no}: expected 3 fields")
-        pid = int(parts[0])
-        if pid not in groups:
-            groups[pid] = []
-            order.append(pid)
-        groups[pid].append(Position2D(float(parts[1]), float(parts[2])))
-    if not header_seen or not order:
+    for line_no, parts in csv_rows(text, AREA_HEADER):
+        pid, x, y = parse_fields(line_no, parts, 1)
+        groups.setdefault(pid, []).append(Position2D(x, y))
+    if not groups:
         raise ValueError("area file contains no polygons")
-    return TransitArea(
-        polygons=tuple(tuple(groups[pid]) for pid in order), cell_size=cell_size
-    )
+    return TransitArea(polygons=tuple(map(tuple, groups.values())), cell_size=cell_size)
 
 
 def parse_points(text: str) -> list[Position2D]:
     """Point list file: header ``x,y``, one point per row."""
-    points = []
-    header_seen = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != POINTS_HEADER:
-                raise ValueError(f"line {line_no}: expected header {POINTS_HEADER!r}")
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"line {line_no}: expected 2 fields")
-        points.append(Position2D(float(parts[0]), float(parts[1])))
-    if not header_seen:
-        raise ValueError("point file missing header")
-    return points
+    return [
+        Position2D(*parse_fields(line_no, parts, 0))
+        for line_no, parts in csv_rows(text, POINTS_HEADER)
+    ]
 
 
 def format_coverage_csv(rows: Sequence[tuple[float, CoverageReport]]) -> str:

@@ -9,8 +9,9 @@ class ConfigError(ParkCPError):
     """A configuration value or combination of values is invalid."""
 
 
-class TraceParseError(ParkCPError):
-    """A trace file row could not be parsed; carries the 1-based line number."""
+class TraceParseError(ParkCPError, ValueError):
+    """A row of a trace, area or point CSV file could not be parsed; carries
+    the 1-based line number."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import channel
-from .channel import CommZone, NoiseModel, RangeMeasurement
+from .channel import CommZone, NoiseModel
 from .errors import ConfigError, DegenerateGeometryError, TraceValidationError
 from .localize import (
     EkfParams,
@@ -71,8 +71,8 @@ class RunConfig:
     policy: PolicyConfig
     gcpso: GcpsoParams
     ekf: EkfParams
-    n_runs: int = 40
-    seed: int = 0
+    n_runs: int
+    seed: int
 
     def __post_init__(self):
         if self.n_runs < 1:
@@ -90,14 +90,16 @@ def make_run_config(
     n_runs: int = 40,
     seed: int = 0,
 ) -> RunConfig:
-    """RunConfig with defaults; the EKF's assumed range noise follows the
-    world noise unless given explicitly (floored at 1 mm for noiseless runs)
-    and its step duration follows the scenario."""
+    """RunConfig with defaults; the one place they are set. The EKF's assumed
+    range and velocity noise follow the world noise unless given explicitly
+    (floored at 1e-3 for noiseless runs) and its step duration follows the
+    scenario."""
     noise = noise if noise is not None else NoiseModel()
     scenario = scenario if scenario is not None else ScenarioConfig()
     if ekf is None:
         ekf = EkfParams(
             range_std=max(noise.range_std, 1e-3),
+            velocity_std=max(noise.velocity_std, 1e-3),
             step_seconds=scenario.step_seconds,
         )
     return RunConfig(
@@ -122,8 +124,6 @@ class EpisodeResult:
     errors: dict[int, np.ndarray]
     first_step: dict[int, int]
     anchors_used: dict[int, int]
-    parked_encountered: dict[int, int]
-    travelled_km: dict[int, float]
 
 
 _PURPOSES = {"gps": 1, "vel": 2, "range": 3, "pso": 4, "gnss": 5, "drop": 6}
@@ -185,9 +185,7 @@ def _ranked_candidates(
     for _, _, j, shared, ncls in ranked[:k]:
         true_d = distance(own_true, world.vehicles[j].position)
         measured = channel.measure_range(true_d, noise, stream(vehicle_id, step, "range", j))
-        candidates.append(
-            Candidate(j, ncls, shared, RangeMeasurement(vehicle_id, j, measured, step))
-        )
+        candidates.append(Candidate(j, ncls, shared, measured))
     return select_neighbors(candidates, k), anchors_in_range
 
 
@@ -226,30 +224,24 @@ def run_episode(
     iso: dict[int, int] = {}
     anchors_used: dict[int, int] = {}
     errors: dict[int, list[float]] = {}
-    parked_seen: dict[int, set[int]] = {}
 
     tracked = [r.vehicle_id for r in records if r.kind is MotionKind.MOVING]
-    parked_pos = {
-        r.vehicle_id: r.positions[0] for r in records if r.kind is MotionKind.PARKED
-    }
     for vid in tracked:
         errors[vid] = []
         anchors_used[vid] = 0
-        parked_seen[vid] = set()
 
     gps_cov = cfg.noise.gps_std**2 * np.eye(2)
 
     for t in range(t_begin, t_end):
         active = [r for r in records if r.active_at(t)]
 
-        world = WorldState(t)
+        world = WorldState()
         for rec in active:
             vid = rec.vehicle_id
             if vid not in init_step:
                 continue  # appears this step; broadcasts from the next one
             world.vehicles[vid] = VehicleSnapshot(
                 position=rec.position_at(t),
-                velocity=rec.velocity_at(t),
                 node_class=cls[vid],
                 estimate=est[vid],
             )
@@ -269,19 +261,19 @@ def run_episode(
                     cls[vid] = NodeClass.INACTIVE
                     est[vid] = None
                     gnss_n[vid] = 1
-                    gnss_sum[vid] = (fix.position.x, fix.position.y)
+                    gnss_sum[vid] = (fix.x, fix.y)
                 else:
                     cls[vid] = NodeClass.INACTIVE
                     est[vid] = None
             else:
-                fix = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gps"), vid, t)
+                fix = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gps"))
                 cls[vid] = NodeClass.BLIND
-                est[vid] = fix.position
+                est[vid] = fix
                 cov[vid] = gps_cov.copy()
                 iso[vid] = 0
                 gnss_n[vid] = 0
                 if rec.kind is MotionKind.MOVING:
-                    errors[vid].append(distance(fix.position, truth))
+                    errors[vid].append(distance(fix, truth))
 
         for rec in active:
             vid = rec.vehicle_id
@@ -306,7 +298,7 @@ def run_episode(
                 # stationary bootstrap: GNSS averaging, assisted by anchors
                 fix = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gnss"))
                 sx, sy = gnss_sum.get(vid, (0.0, 0.0))
-                sx, sy = sx + fix.position.x, sy + fix.position.y
+                sx, sy = sx + fix.x, sy + fix.y
                 n = gnss_n.get(vid, 0) + 1
                 gnss_sum[vid] = (sx, sy)
                 gnss_n[vid] = n
@@ -319,15 +311,15 @@ def run_episode(
                 if len(anchor_sel) >= 3:
                     new_est, _ = trilaterate(
                         [c.shared_position for c in anchor_sel[:3]],
-                        [c.range.distance for c in anchor_sel[:3]],
+                        [c.measured_range for c in anchor_sel[:3]],
                     )
                 elif len(anchor_sel) == 2:
                     try:
                         new_est = bilaterate_with_prior(
                             anchor_sel[0].shared_position,
-                            anchor_sel[0].range.distance,
+                            anchor_sel[0].measured_range,
                             anchor_sel[1].shared_position,
-                            anchor_sel[1].range.distance,
+                            anchor_sel[1].measured_range,
                             gnss_mean,
                         )
                     except DegenerateGeometryError:
@@ -361,7 +353,7 @@ def run_episode(
                 new_est, p_cov = ekf_update(pred, p_cov, selected, cfg.ekf)
                 cov[vid] = p_cov
             else:
-                problem = LocalizationProblem(tuple(selected), prior, vel_meas, dt)
+                problem = LocalizationProblem(tuple(selected), prior)
                 new_est = gcpso_localize(problem, cfg.gcpso, stream(vid, t, "pso")).position
 
             if selected:
@@ -369,8 +361,7 @@ def run_episode(
             else:
                 iso[vid] = iso.get(vid, 0) + 1
                 if iso[vid] >= pol.gps_reset_interval:
-                    fix = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gps"), vid, t)
-                    new_est = fix.position
+                    new_est = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gps"))
                     cov[vid] = gps_cov.copy()
                     iso[vid] = 0
 
@@ -382,22 +373,27 @@ def run_episode(
             if kind is MotionKind.MOVING:
                 errors[vid].append(distance(new_est, truth))
 
-        for vid in tracked:
-            rec = by_id[vid]
-            if not rec.active_at(t):
-                continue
-            p = rec.position_at(t)
-            for pid, pp in parked_pos.items():
-                if distance(p, pp) <= cfg.zone.radius:
-                    parked_seen[vid].add(pid)
-
     return EpisodeResult(
         errors={vid: np.asarray(errs) for vid, errs in errors.items()},
         first_step={vid: by_id[vid].start_step for vid in tracked},
         anchors_used=anchors_used,
-        parked_encountered={vid: len(parked_seen[vid]) for vid in tracked},
-        travelled_km={vid: by_id[vid].path_length() / 1000.0 for vid in tracked},
     )
+
+
+def trace_metrics(
+    records: Sequence[VehicleRecord], radius: float
+) -> dict[int, tuple[int, float]]:
+    """(parked vehicles ever within ``radius``, km travelled) of each tracked
+    (moving-kind) vehicle. Both depend only on the trace."""
+    parked = [r.positions[0] for r in records if r.kind is MotionKind.PARKED]
+    return {
+        r.vehicle_id: (
+            sum(1 for q in parked if any(distance(p, q) <= radius for p in r.positions)),
+            r.path_length() / 1000.0,
+        )
+        for r in records
+        if r.kind is MotionKind.MOVING
+    }
 
 
 def rmse(errors: Sequence[float] | np.ndarray) -> float:
@@ -477,8 +473,8 @@ def ensemble(
     Proposed) and summarise per-vehicle RMSE and improvement. Results are
     identical for any ``jobs`` value."""
     modes = (Mode.TRADITIONAL, Mode.PROPOSED)
+    shared = records if records is not None else generate(cfg.scenario)
     if jobs <= 1:
-        shared = records if records is not None else generate(cfg.scenario)
         results = [
             _episode_task((cfg, mode, run, shared))
             for run in range(cfg.n_runs)
@@ -498,21 +494,21 @@ def ensemble(
     by_run: list[tuple[EpisodeResult, EpisodeResult]] = [
         (results[2 * run], results[2 * run + 1]) for run in range(cfg.n_runs)
     ]
-    tracked = sorted(by_run[0][0].errors.keys())
+    per_trace = trace_metrics(shared, cfg.zone.radius)
     vehicles = []
-    for vid in tracked:
+    for vid in sorted(per_trace):
         trad = np.array([rmse(t.errors[vid]) for t, _ in by_run])
         prop = np.array([rmse(p.errors[vid]) for _, p in by_run])
         imps = np.array([_paired_improvement(a, b) for a, b in zip(trad, prop)])
-        first_prop = by_run[0][1]
+        encountered, km = per_trace[vid]
         vehicles.append(
             VehicleSummary(
                 vehicle_id=vid,
                 traditional_rmse=trad,
                 proposed_rmse=prop,
                 improvements=imps,
-                parked_encountered=float(first_prop.parked_encountered[vid]),
-                travelled_km=float(first_prop.travelled_km[vid]),
+                parked_encountered=float(encountered),
+                travelled_km=km,
             )
         )
     episodes = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -72,19 +73,30 @@ class LocalizationProblem:
 
     selected: tuple[Candidate, ...]
     prior: Position2D
-    velocity: Velocity2D = Velocity2D(0.0, 0.0)
-    step_seconds: float = 1.0
+
+
+def _cost_function(problem: LocalizationProblem) -> Callable[[float, float], float]:
+    """The cost of ``problem`` as a function of plain (x, y) floats: squared
+    range mismatches to the selected neighbors plus squared distance to the
+    prior. GCPSO calls it in its inner loop."""
+    ax = [c.shared_position.x for c in problem.selected]
+    ay = [c.shared_position.y for c in problem.selected]
+    ar = [c.measured_range for c in problem.selected]
+    px, py = problem.prior
+
+    def evaluate(x: float, y: float) -> float:
+        f = (x - px) ** 2 + (y - py) ** 2
+        for j in range(len(ax)):
+            m = ar[j] - math.hypot(x - ax[j], y - ay[j])
+            f += m * m
+        return f
+
+    return evaluate
 
 
 def cost(point: Position2D, problem: LocalizationProblem) -> float:
-    """Squared range mismatches to the selected neighbors plus squared
-    distance to the prior."""
-    total = (point.x - problem.prior.x) ** 2 + (point.y - problem.prior.y) ** 2
-    for cand in problem.selected:
-        sp = cand.shared_position
-        mismatch = cand.range.distance - math.hypot(point.x - sp.x, point.y - sp.y)
-        total += mismatch * mismatch
-    return total
+    """The localisation cost of ``problem`` at ``point``."""
+    return _cost_function(problem)(point.x, point.y)
 
 
 @dataclass
@@ -132,20 +144,10 @@ def gcpso_localize(
     box-resampling update instead of the standard velocity rule.
     """
     n = params.particles
-    ax = [c.shared_position.x for c in problem.selected]
-    ay = [c.shared_position.y for c in problem.selected]
-    ar = [c.range.distance for c in problem.selected]
+    evaluate = _cost_function(problem)
     px0, py0 = problem.prior
-
-    def evaluate(x: float, y: float) -> float:
-        f = (x - px0) ** 2 + (y - py0) ** 2
-        for j in range(len(ax)):
-            m = ar[j] - math.hypot(x - ax[j], y - ay[j])
-            f += m * m
-        return f
-
     if problem.selected:
-        bx, by = ax[0], ay[0]
+        bx, by = problem.selected[0].shared_position
         xs = [bx if i < n // 2 else px0 for i in range(n)]
         ys = [by if i < n // 2 else py0 for i in range(n)]
     else:
@@ -248,7 +250,7 @@ def ekf_update(
         if dist < _COINCIDENT:
             continue
         rows.append((dx / dist, dy / dist))
-        innovations.append(cand.range.distance - dist)
+        innovations.append(cand.measured_range - dist)
     if not rows:
         return state, cov
     jac = np.array(rows)

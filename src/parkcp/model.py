@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 
 class Position2D(NamedTuple):
     x: float
@@ -25,9 +23,6 @@ class Position2D(NamedTuple):
 class Velocity2D(NamedTuple):
     vx: float
     vy: float
-
-    def speed(self) -> float:
-        return math.hypot(self.vx, self.vy)
 
     def is_finite(self) -> bool:
         return math.isfinite(self.vx) and math.isfinite(self.vy)
@@ -136,28 +131,12 @@ class VehicleSnapshot:
     """One vehicle's state inside a :class:`WorldState`."""
 
     position: Position2D
-    velocity: Velocity2D
     node_class: NodeClass
     estimate: Position2D | None = None
-    covariance: np.ndarray | None = None
 
 
 @dataclass
 class WorldState:
     """Snapshot of all vehicles at one timestep."""
 
-    time: int
     vehicles: dict[int, VehicleSnapshot] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        for vid, snap in self.vehicles.items():
-            if not snap.position.is_finite() or not snap.velocity.is_finite():
-                raise ValueError(f"vehicle {vid}: non-finite state")
-            if snap.estimate is not None and not snap.estimate.is_finite():
-                raise ValueError(f"vehicle {vid}: non-finite estimate")
-            cov = snap.covariance
-            if cov is not None:
-                if cov.shape != (2, 2) or not np.allclose(cov, cov.T, atol=1e-9):
-                    raise ValueError(f"vehicle {vid}: covariance not symmetric")
-                if np.linalg.eigvalsh(cov).min() < -1e-9:
-                    raise ValueError(f"vehicle {vid}: covariance not PSD")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .channel import RangeMeasurement
 from .model import MotionKind, NodeClass, Position2D, Velocity2D
 
 
@@ -41,12 +40,12 @@ class PolicyConfig:
 @dataclass(frozen=True)
 class Candidate:
     """A neighbor offered to the localizer: its broadcast position plus the
-    measured range to it."""
+    measured range to it, in meters."""
 
     vehicle_id: int
     node_class: NodeClass
     shared_position: Position2D
-    range: RangeMeasurement
+    measured_range: float
 
     def __post_init__(self):
         if self.node_class is NodeClass.INACTIVE:
@@ -69,7 +68,7 @@ def priority(node_class: NodeClass) -> int:
 
 
 def selection_key(candidate: Candidate) -> tuple[int, float, int]:
-    return (priority(candidate.node_class), candidate.range.distance, candidate.vehicle_id)
+    return (priority(candidate.node_class), candidate.measured_range, candidate.vehicle_id)
 
 
 def select_neighbors(candidates: Sequence[Candidate], k: int = 3) -> list[Candidate]:

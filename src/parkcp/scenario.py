@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,6 +92,41 @@ class ScenarioConfig:
 # Trace file parsing / serialization
 
 
+def csv_rows(text: str, header: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each data row of a CSV file in this dialect:
+    blank and ``#`` lines skipped, ``header`` first, every row with as many
+    fields as the header. Raises TraceParseError with the line number."""
+    n_fields = header.count(",") + 1
+    header_seen = False
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            if line != header:
+                raise TraceParseError(line_no, f"expected header {header!r}")
+            header_seen = True
+            continue
+        parts = line.split(",")
+        if len(parts) != n_fields:
+            raise TraceParseError(line_no, f"expected {n_fields} fields, got {len(parts)}")
+        yield line_no, parts
+    if not header_seen:
+        raise TraceParseError(1, "missing header")
+
+
+def parse_fields(line_no: int, fields: Sequence[str], n_ints: int) -> list:
+    """The first ``n_ints`` fields as ints and the rest as finite floats;
+    TraceParseError with the line number otherwise."""
+    try:
+        values = [*map(int, fields[:n_ints]), *map(float, fields[n_ints:])]
+    except ValueError as exc:
+        raise TraceParseError(line_no, str(exc)) from None
+    if not all(map(math.isfinite, values[n_ints:])):
+        raise TraceParseError(line_no, "non-finite value")
+    return values
+
+
 def parse_trace(text: str | bytes) -> list[VehicleRecord]:
     """Parse a trace file into one VehicleRecord per vehicle id.
 
@@ -102,33 +137,12 @@ def parse_trace(text: str | bytes) -> list[VehicleRecord]:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     rows: list[tuple[int, int, float, float, float, float, str]] = []
-    header_seen = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != TRACE_HEADER:
-                raise TraceParseError(line_no, f"expected header {TRACE_HEADER!r}")
-            header_seen = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise TraceParseError(line_no, f"expected 7 fields, got {len(parts)}")
-        try:
-            t = int(parts[0])
-            vid = int(parts[1])
-            x, y, vx, vy = (float(p) for p in parts[2:6])
-        except ValueError as exc:
-            raise TraceParseError(line_no, str(exc)) from None
+    for line_no, parts in csv_rows(text, TRACE_HEADER):
+        t, vid, x, y, vx, vy = parse_fields(line_no, parts[:6], 2)
         kind_name = parts[6].strip()
         if kind_name not in _KIND_BY_NAME:
             raise TraceParseError(line_no, f"unknown kind {kind_name!r}")
-        if not all(math.isfinite(v) for v in (x, y, vx, vy)):
-            raise TraceParseError(line_no, "non-finite value")
         rows.append((t, vid, x, y, vx, vy, kind_name))
-    if not header_seen:
-        raise TraceParseError(1, "missing header")
 
     seen: set[tuple[int, int]] = set()
     prev_key: tuple[int, int] | None = None

@@ -1,6 +1,5 @@
 import pytest
 
-from parkcp.channel import RangeMeasurement
 from parkcp.model import NodeClass, Position2D
 from parkcp.policy import Candidate
 
@@ -15,14 +14,7 @@ def make_candidate():
         x=0.0,
         y=0.0,
         measured=1.0,
-        step=0,
-        target=0,
     ):
-        return Candidate(
-            vehicle_id,
-            node_class,
-            Position2D(x, y),
-            RangeMeasurement(target, vehicle_id, measured, step),
-        )
+        return Candidate(vehicle_id, node_class, Position2D(x, y), measured)
 
     return _make

@@ -35,7 +35,6 @@ from parkcp.localize import (
 )
 from parkcp.model import NodeClass, Position2D, Velocity2D, distance
 from parkcp.policy import Candidate, PolicyConfig
-from parkcp.channel import RangeMeasurement
 from parkcp.scenario import ScenarioConfig, gen_circuit, serialize_trace
 
 JOBS = min(4, os.cpu_count() or 1)
@@ -178,8 +177,7 @@ def _random_instance(rng):
         perturb *= 0.5 / norm
     prior = truth + perturb
     selected = tuple(
-        Candidate(j + 1, NodeClass.ANCHOR, Position2D(*a),
-                  RangeMeasurement(0, j + 1, r, 0))
+        Candidate(j + 1, NodeClass.ANCHOR, Position2D(*a), r)
         for j, (a, r) in enumerate(zip(anchors, ranges))
     )
     return anchors, ranges, truth, LocalizationProblem(selected, Position2D(*prior))
@@ -227,8 +225,7 @@ def test_criterion_5_gcpso_invariants():
         ]
         prior = truth + rng.normal(0.0, 3.0, 2)
         selected = tuple(
-            Candidate(j + 1, NodeClass.ANCHOR, Position2D(*a),
-                      RangeMeasurement(0, j + 1, r, 0))
+            Candidate(j + 1, NodeClass.ANCHOR, Position2D(*a), r)
             for j, (a, r) in enumerate(zip(anchors, ranges))
         )
         problem = LocalizationProblem(selected, Position2D(*prior))
@@ -283,7 +280,7 @@ def test_criterion_6_ekf_invariants():
                 j + 1, NodeClass.ANCHOR,
                 Position2D(state.x + rng.uniform(-30, 30),
                            state.y + rng.uniform(-30, 30)),
-                RangeMeasurement(0, j + 1, float(rng.uniform(0.0, 40.0)), 0),
+                float(rng.uniform(0.0, 40.0)),
             )
             for j in range(n)
         ]

@@ -6,17 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkcp.channel import CommZone, NoiseModel, measure_gps, measure_range, neighbors
-from parkcp.model import NodeClass, Position2D, VehicleSnapshot, Velocity2D, WorldState
-
-STILL = Velocity2D(0.0, 0.0)
+from parkcp.model import NodeClass, Position2D, VehicleSnapshot, WorldState
 
 
 def _world(entries):
     """entries: (id, x, y, node_class)"""
     return WorldState(
-        0,
         {
-            vid: VehicleSnapshot(Position2D(x, y), STILL, ncls, Position2D(x, y))
+            vid: VehicleSnapshot(Position2D(x, y), ncls, Position2D(x, y))
             for vid, x, y, ncls in entries
         },
     )
@@ -116,7 +113,7 @@ def test_measure_range_std_preserved_far_from_clamp():
 def test_measure_gps_noiseless_identity():
     rng = np.random.default_rng(0)
     fix = measure_gps(Position2D(3.0, 4.0), NoiseModel(gps_std=0.0), rng)
-    assert fix.position == Position2D(3.0, 4.0)
+    assert fix == Position2D(3.0, 4.0)
 
 
 def test_measure_gps_radial_rms():
@@ -124,7 +121,7 @@ def test_measure_gps_radial_rms():
     noise = NoiseModel(gps_std=6.0)
     truth = Position2D(0.0, 0.0)
     sq = np.array([
-        (fix.position.x**2 + fix.position.y**2)
+        (fix.x**2 + fix.y**2)
         for fix in (measure_gps(truth, noise, rng) for _ in range(100_000))
     ])
     rms = math.sqrt(sq.mean())
@@ -137,7 +134,7 @@ def test_measure_gps_draws_differ():
     noise = NoiseModel(gps_std=6.0)
     a = measure_gps(Position2D(0, 0), noise, rng)
     b = measure_gps(Position2D(0, 0), noise, rng)
-    assert a.position != b.position
+    assert a != b
 
 
 def test_fixed_seed_reproduces_measurement_stream():
@@ -146,7 +143,7 @@ def test_fixed_seed_reproduces_measurement_stream():
     for _ in range(2):
         rng = np.random.default_rng(42)
         stream = [measure_range(10.0, noise, rng) for _ in range(5)]
-        stream.append(measure_gps(Position2D(1, 2), noise, rng).position)
+        stream.append(measure_gps(Position2D(1, 2), noise, rng))
         out.append(stream)
     assert out[0] == out[1]
 

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from parkcp import cli
+from parkcp.channel import CommZone
 from parkcp.cli import main
 
 CIRCUIT_CONFIG = {
@@ -63,6 +65,92 @@ def test_unknown_config_key_rejected(tmp_path):
     path.write_text(json.dumps(bad))
     code = main(["gen", "--config", str(path), "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "section", ["zone", "noise", "policy", "gcpso", "ekf", "scenario", "coverage"]
+)
+def test_unknown_section_key_rejected(tmp_path, capsys, section):
+    bad = json.loads(json.dumps(CIRCUIT_CONFIG))
+    bad.setdefault(section, {})["tpyo"] = 1
+    path = tmp_path / "bad.cfg"
+    path.write_text(json.dumps(bad))
+    code = main(["gen", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert f"unknown {section} keys: tpyo" in capsys.readouterr().err
+
+
+def sim_configs(tmp_path, monkeypatch, config, *flags):
+    """Run ``parkcp sim`` on ``config``; returns (exit code, RunConfigs used)."""
+    seen = []
+
+    def recording_ensemble(cfg, *args, **kwargs):
+        seen.append(cfg)
+        return real_ensemble(cfg, *args, **kwargs)
+
+    real_ensemble = cli.ensemble
+    monkeypatch.setattr(cli, "ensemble", recording_ensemble)
+    path = tmp_path / "run.cfg"
+    path.write_text(json.dumps(config))
+    code = main(["sim", "--config", str(path), "--out", str(tmp_path / "r.csv"),
+                 "--algorithm", "ekf", "--n-runs", "1", *flags])
+    return code, seen
+
+
+def test_sim_ekf_velocity_noise_follows_world_noise(tmp_path, monkeypatch):
+    config = json.loads(json.dumps(CIRCUIT_CONFIG))
+    config["noise"]["velocity_std"] = 2.0
+    code, seen = sim_configs(tmp_path, monkeypatch, config)
+    assert code == 0
+    assert seen[0].ekf.velocity_std == 2.0
+
+
+def test_sim_partial_ekf_section_overrides_only_its_keys(tmp_path, monkeypatch):
+    config = json.loads(json.dumps(CIRCUIT_CONFIG))
+    config["noise"]["velocity_std"] = 2.0
+    config["scenario"]["step_seconds"] = 0.5
+    config["ekf"] = {"process_std": 3.0}
+    code, seen = sim_configs(tmp_path, monkeypatch, config, "--sigma-r", "0.2")
+    assert code == 0
+    ekf = seen[0].ekf
+    assert (ekf.range_std, ekf.process_std, ekf.velocity_std, ekf.step_seconds) == (
+        0.2, 3.0, 2.0, 0.5
+    )
+    config["ekf"] = {"velocity_std": 0.7}
+    code, seen = sim_configs(tmp_path, monkeypatch, config)
+    assert code == 0
+    assert seen[0].ekf.velocity_std == 0.7
+
+
+def test_sim_zone_section_without_radius_defaults_to_15m(tmp_path, monkeypatch):
+    config = dict(CIRCUIT_CONFIG, zone={"drop_probability": 0.1})
+    code, seen = sim_configs(tmp_path, monkeypatch, config)
+    assert code == 0
+    assert seen[0].zone == CommZone(15.0, drop_probability=0.1)
+    code, seen = sim_configs(tmp_path, monkeypatch, config, "--zone", "100")
+    assert code == 0
+    assert seen[0].zone == CommZone(100.0, drop_probability=0.1)
+
+
+@pytest.mark.parametrize("section, values", [
+    ("gcpso", {"particles": "4"}),
+    ("gcpso", {"particles": 4.5}),
+    ("policy", {"anchors_preloaded": 1}),
+    ("scenario", {"duration": "40"}),
+    ("scenario", {"circuit": 5}),
+    ("policy", {"mode": "bogus"}),
+    ("zone", {"radius": -1.0}),
+], ids=["str-int", "float-int", "int-bool", "str-duration", "int-circuit", "bad-mode",
+        "negative-radius"])
+def test_sim_bad_section_value_is_a_config_error(tmp_path, capsys, section, values):
+    config = json.loads(json.dumps(CIRCUIT_CONFIG))
+    config.setdefault(section, {}).update(values)
+    path = tmp_path / "bad.cfg"
+    path.write_text(json.dumps(config))
+    code = main(["sim", "--config", str(path), "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and section in err
 
 
 def test_sim_row_accounting(tmp_path, config_path, capsys):

@@ -11,6 +11,7 @@ from parkcp.coverage import (
     parse_area,
     parse_points,
 )
+from parkcp.errors import TraceParseError
 from parkcp.model import Position2D
 
 
@@ -149,6 +150,28 @@ def test_parse_area_and_points():
 
     with pytest.raises(ValueError, match="header"):
         parse_area("0,0.0,0.0\n")
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_area, "polygon,x,y\n0,1.0,2.0\n0,abc,2\n"),
+    (parse_area, "polygon,x,y\n# note\n0.5,1.0,2.0\n"),
+    (parse_points, "x,y\n1.0,2.0\n1.0,\n"),
+], ids=["area-text-coordinate", "area-float-polygon-id", "points-missing-field"])
+def test_parsers_name_the_line_of_a_bad_field(parse, text):
+    with pytest.raises(TraceParseError, match="line 3") as exc:
+        parse(text)
+    assert exc.value.line_no == 3
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_area, "polygon,x,y\n0,0.0,0.0\n0,inf,0.0\n0,1.0,1.0\n"),
+    (parse_area, "polygon,x,y\n0,0.0,0.0\n0,1.0,nan\n0,1.0,1.0\n"),
+    (parse_points, "x,y\n1.0,2.0\n-inf,3.0\n"),
+    (parse_points, "x,y\n1.0,2.0\nnan,3.0\n"),
+], ids=["area-inf", "area-nan", "points-minus-inf", "points-nan"])
+def test_parsers_reject_non_finite_coordinates(parse, text):
+    with pytest.raises(TraceParseError, match="line 3: non-finite"):
+        parse(text)
 
 
 def test_format_coverage_csv_layout():

@@ -17,6 +17,7 @@ from parkcp.harness import (
     run_episode,
     substream,
     summary_rows,
+    trace_metrics,
 )
 from parkcp.policy import Mode, PolicyConfig
 from parkcp.scenario import ScenarioConfig, gen_circuit
@@ -91,8 +92,6 @@ def test_episode_deterministic_bit_identical():
     for vid in a.errors:
         assert np.array_equal(a.errors[vid], b.errors[vid])
     assert a.anchors_used == b.anchors_used
-    assert a.parked_encountered == b.parked_encountered
-    assert a.travelled_km == b.travelled_km
 
 
 def test_episode_different_run_seeds_differ():
@@ -169,6 +168,17 @@ def test_gps_reset_interval_controls_resets():
     assert drifting[-100:].mean() > bounded[-100:].mean()
 
 
+def test_ekf_defaults_follow_world_noise_and_scenario():
+    cfg = make_run_config(
+        algorithm=Algorithm.EKF,
+        scenario=ScenarioConfig(step_seconds=0.5),
+        noise=NoiseModel(range_std=0.2, velocity_std=2.0),
+    )
+    assert (cfg.ekf.range_std, cfg.ekf.velocity_std, cfg.ekf.step_seconds) == (0.2, 2.0, 0.5)
+    noiseless = make_run_config(noise=NoiseModel(range_std=0.0, velocity_std=0.0))
+    assert (noiseless.ekf.range_std, noiseless.ekf.velocity_std) == (1e-3, 1e-3)
+
+
 def test_trace_step_mismatch_rejected():
     cfg = circuit_cfg()
     records = gen_circuit(replace(cfg.scenario, step_seconds=2.0))
@@ -178,12 +188,18 @@ def test_trace_step_mismatch_rejected():
 
 def test_episode_tracks_parked_and_distance():
     cfg = circuit_cfg(duration=60, n_parked=12, parked_spacing=40.0)
-    result = run_episode(cfg, 0)
+    records = gen_circuit(cfg.scenario)
     # one lap of the 480 m rectangle at 10 m/s takes 48 steps; 60 steps pass
     # every parked car at least once
-    assert result.parked_encountered[0] == 12
-    assert result.travelled_km[0] == pytest.approx(0.59, abs=0.02)
-    assert result.anchors_used[0] > 0
+    encountered, km = trace_metrics(records, cfg.zone.radius)[0]
+    assert encountered == 12
+    assert km == pytest.approx(0.59, abs=0.02)
+    # the parked cars stand 5 m off the driven line
+    assert trace_metrics(records, 4.0)[0] == (0, km)
+    assert run_episode(cfg, 0).anchors_used[0] > 0
+    summary = ensemble(replace(cfg, n_runs=1))
+    assert summary.vehicles[0].parked_encountered == 12.0
+    assert summary.vehicles[0].travelled_km == km
 
 
 def test_traditional_mode_never_uses_anchors():

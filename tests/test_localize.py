@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkcp.channel import RangeMeasurement
 from parkcp.errors import DegenerateGeometryError
 from parkcp.localize import (
     EkfParams,
@@ -25,7 +24,7 @@ from parkcp.policy import Candidate
 
 def anchored_problem(anchors, ranges, prior, node_class=NodeClass.ANCHOR):
     selected = tuple(
-        Candidate(j + 1, node_class, Position2D(*a), RangeMeasurement(0, j + 1, r, 0))
+        Candidate(j + 1, node_class, Position2D(*a), r)
         for j, (a, r) in enumerate(zip(anchors, ranges))
     )
     return LocalizationProblem(selected, Position2D(*prior))
@@ -237,7 +236,7 @@ def test_ekf_update_never_increases_trace():
         anchors = rng.uniform(0, 50, (2, 2))
         cands = [
             Candidate(j + 1, NodeClass.ANCHOR, Position2D(*a),
-                      RangeMeasurement(0, j + 1, float(rng.uniform(1, 40)), 0))
+                      float(rng.uniform(1, 40)))
             for j, a in enumerate(anchors)
         ]
         _, new_cov = ekf_update(state, cov, cands, params)
@@ -265,7 +264,7 @@ def test_ekf_covariance_stays_psd_through_random_cycles():
         cands = [
             Candidate(j + 1, NodeClass.ANCHOR,
                       Position2D(state.x + rng.uniform(-30, 30), state.y + rng.uniform(-30, 30)),
-                      RangeMeasurement(0, j + 1, float(rng.uniform(0, 40)), 0))
+                      float(rng.uniform(0, 40)))
             for j in range(n)
         ]
         state, cov = ekf_update(state, cov, cands, params)

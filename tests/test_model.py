@@ -1,6 +1,3 @@
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,10 +6,7 @@ from parkcp.model import (
     MotionKind,
     Position2D,
     VehicleRecord,
-    VehicleSnapshot,
     Velocity2D,
-    NodeClass,
-    WorldState,
     distance,
 )
 
@@ -109,27 +103,3 @@ def test_record_helpers():
     assert rec.position_at(6) == Position2D(3, 4)
     assert rec.path_length() == pytest.approx(5.0)
 
-
-def test_world_state_rejects_bad_covariance():
-    good = WorldState(
-        0,
-        {1: VehicleSnapshot(Position2D(0, 0), Velocity2D(0, 0), NodeClass.BLIND,
-                            Position2D(0, 0), np.eye(2))},
-    )
-    good.validate()
-    bad = WorldState(
-        0,
-        {1: VehicleSnapshot(Position2D(0, 0), Velocity2D(0, 0), NodeClass.BLIND,
-                            Position2D(0, 0), np.array([[1.0, 0.0], [0.0, -1.0]]))},
-    )
-    with pytest.raises(ValueError, match="PSD"):
-        bad.validate()
-
-
-def test_world_state_rejects_non_finite():
-    world = WorldState(
-        0,
-        {1: VehicleSnapshot(Position2D(math.nan, 0), Velocity2D(0, 0), NodeClass.BLIND)},
-    )
-    with pytest.raises(ValueError, match="non-finite"):
-        world.validate()

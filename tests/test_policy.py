@@ -63,10 +63,8 @@ _classes = st.sampled_from([NodeClass.ANCHOR, NodeClass.PSEUDO_ANCHOR, NodeClass
     st.integers(min_value=1, max_value=4),
 )
 def test_select_neighbors_optimality(entries, k):
-    from parkcp.channel import RangeMeasurement
-
     cands = [
-        Candidate(i, ncls, Position2D(0, 0), RangeMeasurement(99, i, dist, 0))
+        Candidate(i, ncls, Position2D(0, 0), dist)
         for i, (ncls, dist) in enumerate(entries)
     ]
     chosen = select_neighbors(cands, k)
