@@ -7,11 +7,12 @@ packet loss unless ``drop_probability`` is set.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NodeClass, Position2D, WorldState, distance
+from .model import NodeClass, Position2D, WorldState
 
 
 @dataclass(frozen=True)
@@ -36,30 +37,61 @@ class CommZone:
     drop_probability: float = 0.0
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("communication radius must be > 0")
         if not 0.0 <= self.drop_probability < 1.0:
             raise ValueError("drop_probability must be in [0, 1)")
+
+
+def _index(world: WorldState, radius: float) -> tuple[dict, dict]:
+    """Uniform grid of the world's vehicles for ``radius``: the cell of every
+    vehicle at a finite position, and the powered-on ones as (id, x, y) by
+    cell.
+
+    A pair within ``radius`` has |dx|, |dy| <= radius * (1 + 2**-53), and each
+    division below is off by at most ``big`` * 2**-53 / width cells, so with
+    this width the pair's cells differ by at most one on either axis.
+    """
+    placed = [
+        (vid, snap.position, snap.node_class)
+        for vid, snap in world.vehicles.items()
+        if snap.position.is_finite()
+    ]
+    big = max((abs(c) for _, pos, _ in placed for c in pos), default=0.0)
+    width = radius * (1.0 + 2.0**-30) + big * 2.0**-50
+    cell_of: dict[int, tuple[int, int]] = {}
+    cells: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
+    for vid, (x, y), node_class in placed:
+        cell = cell_of[vid] = (math.floor(x / width), math.floor(y / width))
+        if node_class is not NodeClass.INACTIVE:
+            cells.setdefault(cell, []).append((vid, x, y))
+    return cell_of, cells
 
 
 def neighbors(world: WorldState, vehicle_id: int, zone: CommZone) -> list[int]:
     """Ids of powered-on vehicles within the zone of ``vehicle_id``, ascending.
 
     Inactive nodes never appear in the result (they do not broadcast), but an
-    inactive vehicle may itself query its surroundings.
+    inactive vehicle may itself query its surroundings. The first query of a
+    radius indexes the world; each query scans its own and adjacent cells.
     """
     if vehicle_id not in world.vehicles:
         raise KeyError(f"unknown vehicle id {vehicle_id}")
-    own = world.vehicles[vehicle_id].position
+    radius = zone.radius
+    index = world.neighbor_grids.get(radius)
+    if index is None:
+        index = world.neighbor_grids[radius] = _index(world, radius)
+    cell_of, cells = index
+    if vehicle_id not in cell_of:
+        return []  # a non-finite position is within no distance of anything
+    i, j = cell_of[vehicle_id]
+    ox, oy = world.vehicles[vehicle_id].position
     found = []
-    for vid in world.vehicles:
-        if vid == vehicle_id:
-            continue
-        snap = world.vehicles[vid]
-        if snap.node_class is NodeClass.INACTIVE:
-            continue
-        if distance(own, snap.position) <= zone.radius:
-            found.append(vid)
+    for ci in (i - 1, i, i + 1):
+        for cj in (j - 1, j, j + 1):
+            for vid, x, y in cells.get((ci, cj), ()):
+                if vid != vehicle_id and math.hypot(ox - x, oy - y) <= radius:
+                    found.append(vid)
     found.sort()
     return found
 

@@ -56,7 +56,8 @@ def _schema(cls) -> dict[str, type | None]:
     return {f.name: _JSON_TYPES.get(getattr(f.type, "__name__", f.type)) for f in fields(cls)}
 
 
-_TOP_SCHEMA = {**_schema(RunConfig), "coverage": None}
+_TOP_SCHEMA = {**_schema(RunConfig), "algorithm": str, "coverage": None}
+_ALGORITHMS = ("gcpso", "ekf", "both")
 _SECTION_SCHEMAS = {
     **{name: _schema(cls) for name, cls in _SECTIONS.items()},
     "coverage": {"cell_size": float},
@@ -71,6 +72,8 @@ def _has_type(value, expected: type) -> bool:
 
 
 def _check_keys(section: dict, schema: dict[str, type | None], context: str) -> None:
+    """Reject unknown keys and wrongly typed scalars; JSON ints given for
+    float fields become floats, so ``100`` and ``100.0`` configure alike."""
     unknown = set(section) - set(schema)
     if unknown:
         raise ConfigError(f"unknown {context} keys: {', '.join(sorted(unknown))}")
@@ -80,6 +83,11 @@ def _check_keys(section: dict, schema: dict[str, type | None], context: str) -> 
             raise ConfigError(
                 f"{context} key {key!r} must be {expected.__name__}, got {value!r}"
             )
+        if expected is float:
+            try:
+                section[key] = float(value)
+            except OverflowError:
+                raise ConfigError(f"{context} key {key!r} is out of range: {value}") from None
 
 
 def load_config(path: str) -> dict:
@@ -208,10 +216,15 @@ def _requested_modes(mode_flag: str) -> list[Mode]:
 
 def cmd_sim(args) -> int:
     raw = load_config(args.config)
+    # the flag, else the config's "algorithm", else both
+    algorithm = args.algorithm or raw.get("algorithm", "both")
+    if algorithm not in _ALGORITHMS:
+        raise ConfigError(
+            f"top-level key 'algorithm' must be one of {', '.join(_ALGORITHMS)}, "
+            f"got {algorithm!r}"
+        )
     algorithms = (
-        [Algorithm.GCPSO, Algorithm.EKF]
-        if args.algorithm == "both"
-        else [Algorithm(args.algorithm)]
+        [Algorithm.GCPSO, Algorithm.EKF] if algorithm == "both" else [Algorithm(algorithm)]
     )
     sigmas = args.sigma_r or [float(raw.get("noise", {}).get("range_std", NoiseModel.range_std))]
     modes = _requested_modes(args.mode)
@@ -311,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="JSON config file")
     p_sim.add_argument("--trace", help="trace CSV (generated from config when omitted)")
     p_sim.add_argument("--out", required=True, help="results CSV to write")
-    p_sim.add_argument("--algorithm", choices=("gcpso", "ekf", "both"), default="both")
+    p_sim.add_argument("--algorithm", choices=_ALGORITHMS,
+                       help="default: the config's algorithm, else both")
     p_sim.add_argument("--mode", choices=("traditional", "proposed", "both"), default="both")
     p_sim.add_argument("--sigma-r", type=float, action="append",
                        help="ranging noise std; repeatable")

@@ -14,6 +14,7 @@ for shared events, which is what makes paired improvement comparisons tight.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -138,12 +139,20 @@ def substream(
     purpose: str,
     extra: int = 0,
 ) -> np.random.Generator:
-    """Independent, reproducible generator for one (vehicle, step, purpose)."""
-    entropy = [
-        v & _MASK
-        for v in (base_seed, run_seed, vehicle_id, step, _PURPOSES[purpose], extra)
-    ]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    """Independent, reproducible generator for one (vehicle, step, purpose).
+
+    The SeedSequence entropy is each masked value's 32-bit words, least
+    significant first and at least one per value: the array numpy builds
+    from the list of those values, made here without its per-int coercion.
+    """
+    words = []
+    for v in (base_seed, run_seed, vehicle_id, step, _PURPOSES[purpose], extra):
+        v &= _MASK
+        words.append(v & 0xFFFFFFFF)
+        if v >> 32:
+            words.append(v >> 32)
+    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def _ranked_candidates(
@@ -189,24 +198,52 @@ def _ranked_candidates(
     return select_neighbors(candidates, k), anchors_in_range
 
 
+class _Trace:
+    """Trace records with the records active from each step at which the
+    active set changes, in trace order. Built once per trace and shared by
+    the episodes of an ensemble."""
+
+    def __init__(self, records: Sequence[VehicleRecord]):
+        self.records = records
+        starts: dict[int, list[int]] = defaultdict(list)
+        ends: dict[int, set[int]] = defaultdict(set)
+        for i, r in enumerate(records):
+            starts[r.start_step].append(i)
+            ends[r.end_step].add(i)
+        self.active_from: dict[int, list[VehicleRecord]] = {}
+        live: list[int] = []
+        for t in sorted(starts.keys() | ends.keys()):
+            live = sorted([i for i in live if i not in ends[t]] + starts[t])
+            self.active_from[t] = [records[i] for i in live]
+        self.steps = range(min(starts), max(ends))
+
+
+def _checked_trace(records: Sequence[VehicleRecord], step_seconds: float) -> _Trace:
+    try:
+        validate_records(records, step_seconds)
+    except TraceValidationError as exc:
+        raise ConfigError(f"trace inconsistent with configured step: {exc}") from None
+    return _Trace(records)
+
+
 def run_episode(
     cfg: RunConfig,
     run_seed: int,
     records: Sequence[VehicleRecord] | None = None,
 ) -> EpisodeResult:
-    """Run one episode; deterministic given (cfg, run_seed)."""
+    """Run one episode; deterministic given (cfg, run_seed). Given records
+    are validated against the configured step, except a trace that
+    ``ensemble`` has checked already."""
     scn = cfg.scenario
     if records is None:
-        records = generate(scn)
+        trace = _Trace(generate(scn))
+    elif isinstance(records, _Trace):
+        trace = records
     else:
-        try:
-            validate_records(records, scn.step_seconds)
-        except TraceValidationError as exc:
-            raise ConfigError(f"trace inconsistent with configured step: {exc}") from None
+        trace = _checked_trace(records, scn.step_seconds)
+    records = trace.records
 
     by_id = {r.vehicle_id: r for r in records}
-    t_begin = min(r.start_step for r in records)
-    t_end = max(r.end_step for r in records)
     proposed = cfg.policy.mode is Mode.PROPOSED
     use_ekf = cfg.algorithm is Algorithm.EKF
     dt = scn.step_seconds
@@ -232,8 +269,9 @@ def run_episode(
 
     gps_cov = cfg.noise.gps_std**2 * np.eye(2)
 
-    for t in range(t_begin, t_end):
-        active = [r for r in records if r.active_at(t)]
+    active: list[VehicleRecord] = []
+    for t in trace.steps:
+        active = trace.active_from.get(t, active)
 
         world = WorldState()
         for rec in active:
@@ -474,9 +512,10 @@ def ensemble(
     identical for any ``jobs`` value."""
     modes = (Mode.TRADITIONAL, Mode.PROPOSED)
     shared = records if records is not None else generate(cfg.scenario)
+    trace = _checked_trace(shared, cfg.scenario.step_seconds)
     if jobs <= 1:
         results = [
-            _episode_task((cfg, mode, run, shared))
+            _episode_task((cfg, mode, run, trace))
             for run in range(cfg.n_runs)
             for mode in modes
         ]
@@ -484,7 +523,7 @@ def ensemble(
         # explicit records must travel to the workers; generated ones are
         # rebuilt there (generation is a pure function of the scenario)
         tasks = [
-            (cfg, mode, run, records)
+            (cfg, mode, run, trace if records is not None else None)
             for run in range(cfg.n_runs)
             for mode in modes
         ]

@@ -21,6 +21,8 @@ from .model import Position2D, Velocity2D
 from .policy import Candidate
 
 _COINCIDENT = 1e-6  # meters below which a range row is skipped in the EKF
+_EYE2 = np.eye(2)
+_EYE2.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -165,27 +167,31 @@ def gcpso_localize(
 
     radius = RadiusAdaptation(params.initial_radius, params.success_limit, params.failure_limit)
     span = max(params.iterations - 1, 1)
+    draws = None
     for it in range(params.iterations):
         if gf <= params.fitness_stop:
             break
+        if draws is None:
+            # the generator is sequential: one block holds exactly what one
+            # (n, 4) draw per iteration would
+            draws = rng.random((params.iterations, n, 4)).tolist()
         w = params.inertia_start + (params.inertia_end - params.inertia_start) * (it / span)
-        u = rng.random((n, 4))
-        for i in range(n):
+        for i, u in enumerate(draws[it]):
             if i == g:
-                nx = gx + w * vx[i] + radius.radius * (1.0 - 2.0 * u[i, 0])
-                ny = gy + w * vy[i] + radius.radius * (1.0 - 2.0 * u[i, 1])
+                nx = gx + w * vx[i] + radius.radius * (1.0 - 2.0 * u[0])
+                ny = gy + w * vy[i] + radius.radius * (1.0 - 2.0 * u[1])
                 vx[i], vy[i] = nx - xs[i], ny - ys[i]
                 xs[i], ys[i] = nx, ny
             else:
                 vx[i] = (
                     w * vx[i]
-                    + params.cognitive * u[i, 0] * (best_x[i] - xs[i])
-                    + params.social * u[i, 2] * (gx - xs[i])
+                    + params.cognitive * u[0] * (best_x[i] - xs[i])
+                    + params.social * u[2] * (gx - xs[i])
                 )
                 vy[i] = (
                     w * vy[i]
-                    + params.cognitive * u[i, 1] * (best_y[i] - ys[i])
-                    + params.social * u[i, 3] * (gy - ys[i])
+                    + params.cognitive * u[1] * (best_y[i] - ys[i])
+                    + params.social * u[3] * (gy - ys[i])
                 )
                 xs[i] += vx[i]
                 ys[i] += vy[i]
@@ -202,13 +208,33 @@ def gcpso_localize(
     return GcpsoResult(Position2D(gx, gy), gf, np.asarray(history))
 
 
+def _min_eigenvalue(a: float, b: float, d: float) -> float:
+    """Smaller eigenvalue of the symmetric [[a, b], [b, d]], in the
+    cancellation-free form of LAPACK's 2x2 solver (dlae2)."""
+    total = a + d
+    root = math.hypot(a - d, 2.0 * b)
+    if total < 0.0:
+        return 0.5 * (total - root)
+    if total == 0.0:
+        return -0.5 * root
+    larger = 0.5 * (total + root)
+    big, small = (a, d) if abs(a) > abs(d) else (d, a)
+    return (big / larger) * small - (b / larger) * b
+
+
 def _require_psd(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (2, 2):
         raise ValueError("covariance must be 2x2")
-    if not np.allclose(cov, cov.T, atol=1e-8):
+    (a, b), (c, d) = cov.tolist()
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+        raise ValueError("covariance must be finite")
+    # np.allclose(cov, cov.T, atol=1e-8): |b - c| <= 1e-8 + 1e-5 * |c| and
+    # |c - b| <= 1e-8 + 1e-5 * |b|
+    if abs(b - c) > 1e-8 + 1e-5 * min(abs(b), abs(c)):
         raise ValueError("covariance must be symmetric")
-    if np.linalg.eigvalsh(cov).min() < -1e-9:
+    # the lower triangle, which is what eigvalsh reads
+    if _min_eigenvalue(a, c, d) < -1e-9:
         raise ValueError("covariance must be positive semidefinite")
     return cov
 
@@ -225,7 +251,7 @@ def ekf_predict(
     dt = params.step_seconds
     new_state = Position2D(state.x + dt * velocity.vx, state.y + dt * velocity.vy)
     inflation = params.process_std**2 + (dt * params.velocity_std) ** 2
-    return new_state, cov + inflation * np.eye(2)
+    return new_state, cov + inflation * _EYE2
 
 
 def ekf_update(
@@ -259,7 +285,7 @@ def ekf_update(
     innov_cov = jac @ cov @ jac.T + params.range_std**2 * np.eye(m)
     gain = np.linalg.solve(innov_cov, jac @ cov).T
     delta = gain @ innov
-    new_cov = (np.eye(2) - gain @ jac) @ cov
+    new_cov = (_EYE2 - gain @ jac) @ cov
     new_cov = (new_cov + new_cov.T) / 2.0
     return Position2D(state.x + delta[0], state.y + delta[1]), new_cov
 

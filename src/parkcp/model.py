@@ -77,9 +77,6 @@ class VehicleRecord:
         """First step index after the vehicle's active window."""
         return self.start_step + len(self.positions)
 
-    def active_at(self, step: int) -> bool:
-        return self.start_step <= step < self.end_step
-
     def position_at(self, step: int) -> Position2D:
         return self.positions[step - self.start_step]
 
@@ -137,6 +134,11 @@ class VehicleSnapshot:
 
 @dataclass
 class WorldState:
-    """Snapshot of all vehicles at one timestep."""
+    """Snapshot of all vehicles at one timestep. ``channel.neighbors`` indexes
+    it on its first query of a radius, so fill ``vehicles`` before querying
+    and build a new world for the next step."""
 
     vehicles: dict[int, VehicleSnapshot] = field(default_factory=dict)
+    neighbor_grids: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )

@@ -81,6 +81,80 @@ def test_neighbors_symmetric_between_active_nodes(entries):
                 assert (j in neighbors(world, i, zone)) == (i in neighbors(world, j, zone))
 
 
+def _all_pairs(world, vehicle_id, zone):
+    """Reference neighbor scan: every other vehicle, the same distance test."""
+    own = world.vehicles[vehicle_id].position
+    return sorted(
+        vid for vid, snap in world.vehicles.items()
+        if vid != vehicle_id and snap.node_class is not NodeClass.INACTIVE
+        and math.hypot(own.x - snap.position.x, own.y - snap.position.y) <= zone.radius
+    )
+
+
+def _grid_aligned(spacing, radius):
+    """Points on multiples of ``spacing`` and at exactly ``radius`` from the
+    origin along both axes, both signs, so pairs sit on cell edges."""
+    pts = [(k * spacing, m * spacing) for k in range(-3, 4) for m in range(-2, 3)]
+    pts += [(0.0, 0.0), (radius, 0.0), (-radius, 0.0), (0.0, radius), (0.0, -radius),
+            (2 * radius, 0.0), (-radius, -radius)]
+    return pts
+
+
+coordinate = st.one_of(
+    st.floats(-200, 200, allow_nan=False),
+    st.integers(-12, 12).map(lambda k: k * 12.5),
+    st.sampled_from([0.0, 15.0, -15.0, 24.0, -24.0, 30.0, -30.0, 48.0, -1e-300]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(coordinate, coordinate, st.booleans()), min_size=1, max_size=30),
+    st.sampled_from([15.0, 24.0, 100.0, 0.5]),
+    st.floats(0.01, 250.0),
+)
+def test_neighbors_match_all_pairs_scan(entries, radius_a, radius_b):
+    world = _world(
+        [(i * 3 - 20, x, y, NodeClass.INACTIVE if inactive else NodeClass.BLIND)
+         for i, (x, y, inactive) in enumerate(entries)]
+    )
+    # two radii on one world: each gets its own index
+    for zone in (CommZone(radius_a), CommZone(radius_b), CommZone(radius_a)):
+        for vid in world.vehicles:
+            assert neighbors(world, vid, zone) == _all_pairs(world, vid, zone)
+
+
+@pytest.mark.parametrize("spacing,radius", [(24.0, 15.0), (24.0, 24.0), (15.0, 15.0),
+                                            (12.5, 25.0), (0.1, 0.3)])
+def test_neighbors_match_all_pairs_scan_on_cell_edges(spacing, radius):
+    pts = _grid_aligned(spacing, radius)
+    world = _world(
+        [(i, x, y, NodeClass.INACTIVE if i % 5 == 4 else NodeClass.ANCHOR)
+         for i, (x, y) in enumerate(pts)]
+    )
+    zone = CommZone(radius)
+    for vid in world.vehicles:
+        assert neighbors(world, vid, zone) == _all_pairs(world, vid, zone)
+    origin = next(i for i, p in enumerate(pts) if p == (0.0, 0.0))
+    at_radius = [i for i, p in enumerate(pts)
+                 if p in {(radius, 0.0), (-radius, 0.0), (0.0, radius), (0.0, -radius)}
+                 and world.vehicles[i].node_class is not NodeClass.INACTIVE]
+    assert set(at_radius) <= set(neighbors(world, origin, zone))
+
+
+def test_neighbors_far_from_the_origin_and_unknown_id():
+    # large coordinates widen the cells; the result must not change
+    base = 3.0e7
+    world = _world([(1, base, -base, NodeClass.BLIND),
+                    (2, base + 15.0, -base, NodeClass.BLIND),
+                    (3, base + 15.000001, -base, NodeClass.BLIND)])
+    zone = CommZone(15.0)
+    for vid in world.vehicles:
+        assert neighbors(world, vid, zone) == _all_pairs(world, vid, zone)
+    with pytest.raises(KeyError):
+        neighbors(world, 99, zone)
+
+
 def test_measure_range_noiseless_identity():
     rng = np.random.default_rng(0)
     assert measure_range(12.5, NoiseModel(range_std=0.0), rng) == 12.5
@@ -156,3 +230,5 @@ def test_noise_model_rejects_negative_std():
 def test_comm_zone_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         CommZone(0.0)
+    with pytest.raises(ValueError):
+        CommZone(math.nan)

@@ -174,6 +174,68 @@ def test_sim_algorithm_filter(tmp_path, config_path):
     assert all("gcpso" not in line for line in lines[1:])
 
 
+def _sim_rows(tmp_path, config, *flags):
+    """(exit code, result rows) of ``parkcp sim`` on ``config``."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "results.csv"
+    code = main(["sim", "--config", str(path), "--out", str(out), "--n-runs", "1", *flags])
+    rows = out.read_text().strip().splitlines()[1:] if code == 0 else []
+    return code, rows
+
+
+@pytest.mark.parametrize("in_config,flag,expected", [
+    ("ekf", None, {"ekf"}),
+    ("gcpso", None, {"gcpso"}),
+    ("both", None, {"gcpso", "ekf"}),
+    ("ekf", "gcpso", {"gcpso"}),
+    (None, None, {"gcpso", "ekf"}),
+])
+def test_sim_algorithm_from_flag_then_config_then_both(tmp_path, in_config, flag, expected):
+    config = dict(CIRCUIT_CONFIG)
+    if in_config is not None:
+        config["algorithm"] = in_config
+    code, rows = _sim_rows(tmp_path, config, *(["--algorithm", flag] if flag else []))
+    assert code == 0
+    assert {row.split(",")[2] for row in rows} == expected
+
+
+@pytest.mark.parametrize("value", ["pso", 1, None])
+def test_sim_rejects_bad_config_algorithm(tmp_path, capsys, value):
+    code, _ = _sim_rows(tmp_path, {**CIRCUIT_CONFIG, "algorithm": value})
+    assert code == 2
+    assert "algorithm" in capsys.readouterr().err
+
+
+def test_sim_int_config_values_print_as_floats(tmp_path):
+    config = json.loads(json.dumps(CIRCUIT_CONFIG))
+    config["zone"] = {"radius": 100}
+    config["noise"]["range_std"] = 4
+    code, from_config = _sim_rows(tmp_path, config, "--algorithm", "ekf")
+    assert code == 0
+    assert {tuple(row.split(",")[3:5]) for row in from_config} == {("4.0", "100.0")}
+    code, from_flags = _sim_rows(tmp_path, CIRCUIT_CONFIG, "--algorithm", "ekf",
+                                 "--zone", "100", "--sigma-r", "4")
+    assert code == 0
+    assert from_config == from_flags
+
+
+def test_config_int_too_large_for_a_float_field_is_a_config_error(tmp_path, capsys):
+    code, _ = _sim_rows(tmp_path, {**CIRCUIT_CONFIG, "zone": {"radius": 10**400}})
+    assert code == 2
+    assert "zone key 'radius' is out of range" in capsys.readouterr().err
+
+
+def test_config_ints_become_floats_for_float_fields_only(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CIRCUIT_CONFIG, "coverage": {"cell_size": 2},
+                                "ekf": {"process_std": 3}}))
+    raw = cli.load_config(str(path))
+    assert raw["coverage"]["cell_size"] == 2.0 and type(raw["coverage"]["cell_size"]) is float
+    assert type(raw["ekf"]["process_std"]) is float
+    assert type(raw["scenario"]["duration"]) is int and type(raw["n_runs"]) is int
+
+
 def test_sim_mode_filter(tmp_path, config_path):
     out = tmp_path / "results.csv"
     code = main(["sim", "--config", config_path, "--out", str(out),

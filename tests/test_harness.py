@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from parkcp import harness
 from parkcp.channel import CommZone, NoiseModel
 from parkcp.errors import ConfigError
 from parkcp.harness import (
     Algorithm,
     ensemble,
     format_results_csv,
+    format_steps_csv,
     improvement,
     make_run_config,
     rmse,
@@ -20,7 +22,7 @@ from parkcp.harness import (
     trace_metrics,
 )
 from parkcp.policy import Mode, PolicyConfig
-from parkcp.scenario import ScenarioConfig, gen_circuit
+from parkcp.scenario import ChokePoint, ScenarioConfig, gen_circuit, generate
 from dataclasses import replace
 
 
@@ -332,3 +334,79 @@ def test_substream_independence_and_reproducibility():
     c = substream(1, 2, 3, 4, "range", 6).normal(size=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("entropy", [
+    (0, 0, 0, 0, 0),
+    (2**32, 1, 2, 3, 2**32 - 1),
+    (2**64 + 5, 2**70, 7, 240, 2**64 - 1),
+    (-1, -7, 5, 9, 2**40),
+    (1, 2, -3, 4, -(2**63)),
+    (12345678901234567890, 3, 2**33 + 1, 0, 99),
+])
+@pytest.mark.parametrize("purpose", ["gps", "drop"])
+def test_substream_is_the_seed_sequence_of_the_masked_values(entropy, purpose):
+    base, run, vid, step, extra = entropy
+    values = (base, run, vid, step, harness._PURPOSES[purpose], extra)
+    seq = np.random.SeedSequence([v & ((1 << 64) - 1) for v in values])
+    expected = np.random.Generator(np.random.PCG64(seq)).random(6)
+    assert np.array_equal(substream(base, run, vid, step, purpose, extra).random(6), expected)
+
+
+def golden_town_cfg(algorithm):
+    """The town case of tests/test_golden.py: choke points, staggered entries
+    and no preloaded anchors."""
+    town = ScenarioConfig(
+        seed=1, kind="town", duration=80, area=(0.0, 0.0, 200.0, 160.0),
+        n_moving=4, n_entering=2, n_parked=16, entry_interval=10,
+        choke_points=(ChokePoint(70.0, 60.0, 8.0, 15), ChokePoint(140.0, 100.0, 8.0, 15)),
+    )
+    return make_run_config(
+        algorithm=algorithm, scenario=town, zone=CommZone(15.0),
+        noise=NoiseModel(range_std=4.0), policy=PolicyConfig(anchors_preloaded=False),
+        n_runs=2, seed=1,
+    )
+
+
+@pytest.mark.parametrize("algorithm", [Algorithm.GCPSO, Algorithm.EKF])
+def test_ensemble_explicit_town_trace_same_in_pool(algorithm):
+    cfg = golden_town_cfg(algorithm)
+    records = generate(cfg.scenario)
+
+    def outputs(summary):
+        return (format_results_csv(summary_rows(summary)),
+                format_steps_csv([(algorithm, 4.0, summary)]))
+
+    serial = outputs(ensemble(cfg, records, jobs=1, keep_episodes=True))
+    assert outputs(ensemble(cfg, records, jobs=2, keep_episodes=True)) == serial
+    assert outputs(ensemble(cfg, None, jobs=2, keep_episodes=True)) == serial
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_ensemble_rejects_inconsistent_trace(jobs):
+    cfg = circuit_cfg()
+    records = gen_circuit(replace(cfg.scenario, step_seconds=2.0))
+    with pytest.raises(ConfigError, match="step"):
+        ensemble(cfg, records, jobs=jobs)
+
+
+def test_ensemble_validates_the_trace_once(monkeypatch):
+    validated, episodes = [], []
+    real_validate, real_episode = harness.validate_records, harness.run_episode
+
+    def counting_validate(*args):
+        validated.append(args)
+        return real_validate(*args)
+
+    def counting_episode(*args):
+        episodes.append(args)
+        return real_episode(*args)
+
+    monkeypatch.setattr(harness, "validate_records", counting_validate)
+    monkeypatch.setattr(harness, "run_episode", counting_episode)
+    cfg = circuit_cfg(n_runs=3, duration=30)
+    ensemble(cfg, gen_circuit(cfg.scenario))
+    assert (len(validated), len(episodes)) == (1, 6)
+    # a direct call with records still checks them
+    run_episode(cfg, 0, gen_circuit(cfg.scenario))
+    assert len(validated) == 2

@@ -17,6 +17,7 @@ from parkcp.localize import (
     ekf_update,
     gcpso_localize,
     trilaterate,
+    _require_psd,
 )
 from parkcp.model import NodeClass, Position2D, Velocity2D, distance
 from parkcp.policy import Candidate
@@ -203,6 +204,96 @@ def test_ekf_predict_rejects_non_psd():
     with pytest.raises(ValueError):
         ekf_predict(Position2D(0, 0), np.array([[1.0, 0.0], [0.0, -1.0]]),
                     Velocity2D(0, 0), EkfParams(range_std=1.0))
+
+
+def _former_psd_verdict(cov):
+    """What the numpy predicate that _require_psd replaces said of ``cov``."""
+    cov = np.asarray(cov, dtype=float)
+    if not np.allclose(cov, cov.T, atol=1e-8):
+        return "symmetric"
+    if np.linalg.eigvalsh(cov).min() < -1e-9:
+        return "semidefinite"
+    return None
+
+
+def _psd_verdict(cov):
+    try:
+        _require_psd(cov)
+    except ValueError as exc:
+        return str(exc).rsplit(" ", 1)[-1]
+    return None
+
+
+def _rotated(lo, hi, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    return rot @ np.diag([lo, hi]) @ rot.T
+
+
+def test_require_psd_agrees_with_the_numpy_predicate_on_random_matrices():
+    rng = np.random.default_rng(12)
+    verdicts = []
+    for _ in range(1500):
+        scale = 10.0 ** rng.uniform(-10, 4)
+        a, b, c, d = rng.normal(size=4) * scale
+        tol = 1e-8 + 1e-5 * abs(b)
+        lo = -1e-9 * (1.0 + rng.uniform(-0.5, 0.5))
+        for cov in (
+            np.array([[a, b], [c, d]]),                      # asymmetric
+            np.array([[a, b], [b, d]]),                      # symmetric
+            np.array([[a, b], [b + tol * rng.uniform(0.5, 1.5), d]]),
+            _rotated(lo, rng.uniform(0.01, 100.0), rng.uniform(0, math.pi)),
+            _rotated(rng.uniform(0, 1e-6), 10.0 ** rng.uniform(-3, 3), rng.uniform(0, 3)),
+        ):
+            verdict = _former_psd_verdict(cov)
+            assert _psd_verdict(cov) == verdict, cov
+            verdicts.append(verdict)
+    # every outcome is exercised
+    assert {None, "symmetric", "semidefinite"} <= set(verdicts)
+
+
+@pytest.mark.parametrize("b,c,verdict", [
+    (1.0, 1.0 + (1e-8 + 1e-5) * (1 - 1e-6), None),
+    (1.0, 1.0 + (1e-8 + 1e-5) * (1 + 1e-6), "symmetric"),
+    (-1.0, -1.0 - (1e-8 + 1e-5) * (1 - 1e-6), None),
+    (1.0 + (1e-8 + 1e-5) * (1 + 1e-6), 1.0, "symmetric"),
+    # inside the tolerance taken on |c|, outside the one taken on |b|
+    (1.0, 1.0 + (1e-8 + 1e-5) * (1 + 5e-6), "symmetric"),
+    (0.0, 1e-8 * (1 - 1e-6), None),
+    (0.0, 1e-8 * (1 + 1e-6), "symmetric"),
+])
+def test_require_psd_symmetry_edges(b, c, verdict):
+    cov = np.array([[4.0, b], [c, 4.0]])
+    assert _former_psd_verdict(cov) == verdict
+    assert _psd_verdict(cov) == verdict
+
+
+@pytest.mark.parametrize("lo,verdict", [
+    (-1e-9 * (1 - 1e-3), None), (-1e-9 * (1 + 1e-3), "semidefinite"),
+    (0.0, None), (-1.0, "semidefinite"),
+])
+@pytest.mark.parametrize("angle", [0.0, 0.3, math.pi / 4, 2.0])
+def test_require_psd_eigenvalue_edges(lo, verdict, angle):
+    cov = _rotated(lo, 2.0, angle)
+    cov = (cov + cov.T) / 2.0
+    assert _former_psd_verdict(cov) == verdict
+    assert _psd_verdict(cov) == verdict
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_require_psd_rejects_non_finite_entries(bad, where):
+    cov = np.eye(2)
+    cov[where] = bad
+    with pytest.raises(ValueError):
+        _require_psd(cov)
+    with pytest.raises(ValueError):
+        ekf_update(Position2D(0.0, 0.0), cov, [], EkfParams(range_std=1.0))
+
+
+def test_require_psd_rejects_wrong_shape():
+    with pytest.raises(ValueError, match="2x2"):
+        _require_psd(np.eye(3))
 
 
 def test_ekf_update_empty_is_identity():

@@ -99,7 +99,6 @@ def test_record_helpers():
         start=5,
     )
     assert rec.end_step == 7
-    assert rec.active_at(5) and rec.active_at(6) and not rec.active_at(7)
     assert rec.position_at(6) == Position2D(3, 4)
     assert rec.path_length() == pytest.approx(5.0)
 
