@@ -68,19 +68,36 @@ def _index(world: WorldState, radius: float) -> tuple[dict, dict]:
     return cell_of, cells
 
 
+def _scan(world: WorldState, vehicle_id: int, radius: float) -> list[int]:
+    """``neighbors`` by a test of every vehicle; a non-finite distance is
+    within no radius."""
+    ox, oy = world.vehicles[vehicle_id].position
+    return sorted(
+        vid for vid, snap in world.vehicles.items()
+        if vid != vehicle_id and snap.node_class is not NodeClass.INACTIVE
+        and math.hypot(ox - snap.position.x, oy - snap.position.y) <= radius
+    )
+
+
 def neighbors(world: WorldState, vehicle_id: int, zone: CommZone) -> list[int]:
     """Ids of powered-on vehicles within the zone of ``vehicle_id``, ascending.
 
     Inactive nodes never appear in the result (they do not broadcast), but an
     inactive vehicle may itself query its surroundings. The first query of a
-    radius indexes the world; each query scans its own and adjacent cells.
+    radius scans every vehicle, since a world queried once does not repay an
+    index; the second indexes the world, and each later query scans its own
+    and adjacent cells.
     """
     if vehicle_id not in world.vehicles:
         raise KeyError(f"unknown vehicle id {vehicle_id}")
     radius = zone.radius
-    index = world.neighbor_grids.get(radius)
+    grids = world.neighbor_grids
+    if radius not in grids:
+        grids[radius] = None
+        return _scan(world, vehicle_id, radius)
+    index = grids[radius]
     if index is None:
-        index = world.neighbor_grids[radius] = _index(world, radius)
+        index = grids[radius] = _index(world, radius)
     cell_of, cells = index
     if vehicle_id not in cell_of:
         return []  # a non-finite position is within no distance of anything

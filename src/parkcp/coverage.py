@@ -82,7 +82,8 @@ class CoverageReport:
 
 
 def _raster(area: TransitArea):
-    """Cell-center grid over the polygon bounding box and the inside mask."""
+    """Cell-center coordinates along x and y over the polygon bounding box,
+    and the (y, x) inside mask."""
     xs_all = [p.x for poly in area.polygons for p in poly]
     ys_all = [p.y for poly in area.polygons for p in poly]
     cell = area.cell_size
@@ -90,17 +91,16 @@ def _raster(area: TransitArea):
     ny = max(1, math.ceil((max(ys_all) - min(ys_all)) / cell))
     cx = min(xs_all) + (np.arange(nx) + 0.5) * cell
     cy = min(ys_all) + (np.arange(ny) + 0.5) * cell
-    gx, gy = np.meshgrid(cx, cy)
 
-    inside = np.zeros(gx.shape, dtype=bool)
+    inside = np.zeros((ny, nx), dtype=bool)
     for poly in area.polygons:
         for (x1, y1), (x2, y2) in _segments(poly):
             if y1 == y2:
                 continue
-            crosses = (y1 > gy) != (y2 > gy)
-            x_at = (x2 - x1) * (gy - y1) / (y2 - y1) + x1
-            inside ^= crosses & (gx < x_at)
-    return gx, gy, inside
+            crosses = (y1 > cy) != (y2 > cy)
+            x_at = (x2 - x1) * (cy - y1) / (y2 - y1) + x1
+            inside ^= crosses[:, None] & (cx < x_at[:, None])
+    return cx, cy, inside
 
 
 def coverage_report(
@@ -112,34 +112,33 @@ def coverage_report(
         raise ValueError("radius must be > 0")
     if not area.polygons:
         raise ValueError("transit area is empty")
-    gx, gy, inside = _raster(area)
+    cx, cy, inside = _raster(area)
     total = int(inside.sum())
     if total == 0:
         raise ValueError("transit area contains no raster cells")
 
-    counts = np.zeros(gx.shape, dtype=np.int32)
+    counts = np.zeros(inside.shape, dtype=np.int32)
     cell = area.cell_size
-    x0, y0 = gx[0, 0], gy[0, 0]
+    x0, y0 = cx[0], cy[0]
     r_sq = radius * radius
     for p in parked:
         # only the subgrid around the disk can be covered
         i_lo = max(0, int((p.y - radius - y0) / cell) - 1)
-        i_hi = min(gx.shape[0], int((p.y + radius - y0) / cell) + 2)
+        i_hi = min(len(cy), int((p.y + radius - y0) / cell) + 2)
         j_lo = max(0, int((p.x - radius - x0) / cell) - 1)
-        j_hi = min(gx.shape[1], int((p.x + radius - x0) / cell) + 2)
+        j_hi = min(len(cx), int((p.x + radius - x0) / cell) + 2)
         if i_lo >= i_hi or j_lo >= j_hi:
             continue
-        sub_x = gx[i_lo:i_hi, j_lo:j_hi]
-        sub_y = gy[i_lo:i_hi, j_lo:j_hi]
-        covered = (sub_x - p.x) ** 2 + (sub_y - p.y) ** 2 <= r_sq
-        counts[i_lo:i_hi, j_lo:j_hi] += covered
+        dy2 = (cy[i_lo:i_hi] - p.y) ** 2
+        dx2 = (cx[j_lo:j_hi] - p.x) ** 2
+        counts[i_lo:i_hi, j_lo:j_hi] += dy2[:, None] + dx2 <= r_sq
 
-    c = counts[inside]
+    levels = np.bincount(np.minimum(counts[inside], 3), minlength=4)
     return CoverageReport(
-        fraction_level1=float((c == 1).sum() / total),
-        fraction_level2=float((c == 2).sum() / total),
-        fraction_level3=float((c >= 3).sum() / total),
-        fraction_uncovered=float((c == 0).sum() / total),
+        fraction_level1=float(levels[1] / total),
+        fraction_level2=float(levels[2] / total),
+        fraction_level3=float(levels[3] / total),
+        fraction_uncovered=float(levels[0] / total),
     )
 
 

@@ -424,11 +424,23 @@ def trace_metrics(
     """(parked vehicles ever within ``radius``, km travelled) of each tracked
     (moving-kind) vehicle. Both depend only on the trace."""
     parked = [r.positions[0] for r in records if r.kind is MotionKind.PARKED]
-    return {
-        r.vehicle_id: (
-            sum(1 for q in parked if any(distance(p, q) <= radius for p in r.positions)),
-            r.path_length() / 1000.0,
+    parked_xy = np.array(parked, dtype=float).reshape(-1, 2)
+
+    def encountered(positions: Sequence[Position2D]) -> int:
+        # hypot is never below max(|dx|, |dy|), so the box keeps every pair
+        # within the radius; the exact test then decides as before
+        xy = np.array(positions, dtype=float).reshape(-1, 2)
+        near = (np.abs(xy[:, None, 0] - parked_xy[:, 0]) <= radius) & (
+            np.abs(xy[:, None, 1] - parked_xy[:, 1]) <= radius
         )
+        return sum(
+            1 for k in np.flatnonzero(near.any(axis=0))
+            if any(distance(positions[i], parked[k]) <= radius
+                   for i in np.flatnonzero(near[:, k]))
+        )
+
+    return {
+        r.vehicle_id: (encountered(r.positions), r.path_length() / 1000.0)
         for r in records
         if r.kind is MotionKind.MOVING
     }

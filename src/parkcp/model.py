@@ -135,7 +135,7 @@ class VehicleSnapshot:
 @dataclass
 class WorldState:
     """Snapshot of all vehicles at one timestep. ``channel.neighbors`` indexes
-    it on its first query of a radius, so fill ``vehicles`` before querying
+    it on its second query of a radius, so fill ``vehicles`` before querying
     and build a new world for the next step."""
 
     vehicles: dict[int, VehicleSnapshot] = field(default_factory=dict)

@@ -9,7 +9,10 @@ slack from external mobility tools.
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress, count, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -94,11 +97,12 @@ class ScenarioConfig:
 
 def csv_rows(text: str, header: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each data row of a CSV file in this dialect:
-    blank and ``#`` lines skipped, ``header`` first, every row with as many
-    fields as the header. Raises TraceParseError with the line number."""
+    one leading byte-order mark dropped, blank and ``#`` lines skipped,
+    ``header`` first, every row with as many fields as the header. Raises
+    TraceParseError with the line number."""
     n_fields = header.count(",") + 1
     header_seen = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -127,6 +131,50 @@ def parse_fields(line_no: int, fields: Sequence[str], n_ints: int) -> list:
     return values
 
 
+_N_TRACE_FIELDS = TRACE_HEADER.count(",") + 1
+_STATIONARY_KINDS = frozenset({"parked", "queued"})
+
+
+def _shared_pairs(cls, xs: Sequence[str], ys: Sequence[str]) -> list:
+    """``cls(float(x), float(y))`` of each row, one object per distinct (x, y)
+    text: equal text means equal bits. ValueError if a field is not a finite
+    float."""
+    distinct = list(dict.fromkeys(zip(xs, ys)))
+    values = list(map(float, chain.from_iterable(distinct)))
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite value")
+    pairs = iter(values)
+    object_of = dict(zip(distinct, map(cls, pairs, pairs)))
+    return list(map(object_of.__getitem__, zip(xs, ys)))
+
+
+def _trace_columns(text: str) -> tuple[list, list, list, list, list]:
+    """(t, id, position, velocity, kind name) columns of a trace's rows.
+    Raises ValueError, without a line number, if any row is malformed."""
+    lines = [
+        line for line in map(str.strip, text.removeprefix("\ufeff").splitlines())
+        if line and line[0] != "#"
+    ]
+    if not lines or lines[0] != TRACE_HEADER:
+        raise ValueError("no header")
+    del lines[0]
+    n = _N_TRACE_FIELDS
+    if not set(map(str.count, lines, repeat(","))) <= {n - 1}:
+        raise ValueError("wrong field count")
+    fields = ",".join(lines).split(",") if lines else []
+    del lines
+    kinds = list(map(str.strip, fields[6::n]))
+    if not _KIND_BY_NAME.keys() >= set(kinds):
+        raise ValueError("unknown kind")
+    return (
+        list(map(int, fields[0::n])),
+        list(map(int, fields[1::n])),
+        _shared_pairs(Position2D, fields[2::n], fields[3::n]),
+        _shared_pairs(Velocity2D, fields[4::n], fields[5::n]),
+        kinds,
+    )
+
+
 def parse_trace(text: str | bytes) -> list[VehicleRecord]:
     """Parse a trace file into one VehicleRecord per vehicle id.
 
@@ -136,58 +184,71 @@ def parse_trace(text: str | bytes) -> list[VehicleRecord]:
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    rows: list[tuple[int, int, float, float, float, float, str]] = []
-    for line_no, parts in csv_rows(text, TRACE_HEADER):
-        t, vid, x, y, vx, vy = parse_fields(line_no, parts[:6], 2)
-        kind_name = parts[6].strip()
-        if kind_name not in _KIND_BY_NAME:
-            raise TraceParseError(line_no, f"unknown kind {kind_name!r}")
-        rows.append((t, vid, x, y, vx, vy, kind_name))
+    try:
+        columns = _trace_columns(text)
+    except ValueError:
+        columns = None
+    if columns is None:
+        # the line reader raises the error of the first malformed line
+        for line_no, parts in csv_rows(text, TRACE_HEADER):
+            parse_fields(line_no, parts[:6], 2)
+            kind_name = parts[6].strip()
+            if kind_name not in _KIND_BY_NAME:
+                raise TraceParseError(line_no, f"unknown kind {kind_name!r}")
+        raise AssertionError("the column reader rejected a trace the line reader accepts")
+    ts, ids, positions, velocities, kinds = columns
 
-    seen: set[tuple[int, int]] = set()
-    prev_key: tuple[int, int] | None = None
-    for t, vid, *_ in rows:
-        key = (t, vid)
-        if key in seen:
-            raise TraceValidationError(f"duplicate row for (t={t}, id={vid})")
-        if prev_key is not None and key < prev_key:
-            raise TraceValidationError("rows not sorted by (t, id)")
-        seen.add(key)
-        prev_key = key
+    if not all(map(operator.lt, zip(ts, ids), zip(islice(ts, 1, None), islice(ids, 1, None)))):
+        keys = list(zip(ts, ids))
+        i = next(i for i in range(1, len(keys)) if not keys[i - 1] < keys[i])
+        if keys[i] in set(keys[:i]):
+            raise TraceValidationError(f"duplicate row for (t={ts[i]}, id={ids[i]})")
+        raise TraceValidationError("rows not sorted by (t, id)")
 
-    by_id: dict[int, list[tuple[int, float, float, float, float, str]]] = {}
-    for t, vid, x, y, vx, vy, kind_name in rows:
-        by_id.setdefault(vid, []).append((t, x, y, vx, vy, kind_name))
+    # a stable sort on id keeps each vehicle's rows in step order
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    ts, positions, velocities, kinds = (
+        list(map(column.__getitem__, order)) for column in (ts, positions, velocities, kinds)
+    )
+    del order
+    n_rows = Counter(ids)
 
     records = []
-    for vid in sorted(by_id):
-        samples = by_id[vid]
-        kinds = {s[5] for s in samples}
-        if "parked" in kinds:
-            if kinds != {"parked"}:
+    end = 0
+    for vid in sorted(n_rows):
+        start_row, end = end, end + n_rows[vid]
+        vehicle_kinds = set(kinds[start_row:end])
+        if "parked" in vehicle_kinds:
+            if vehicle_kinds != {"parked"}:
                 raise TraceValidationError(f"vehicle {vid}: mixes parked and driven rows")
             kind = MotionKind.PARKED
-        elif "queued" in kinds:
+        elif "queued" in vehicle_kinds:
             kind = MotionKind.QUEUED
         else:
             kind = MotionKind.MOVING
-        for t, x, y, vx, vy, kind_name in samples:
-            if kind_name in ("parked", "queued") and (vx != 0.0 or vy != 0.0):
-                raise TraceValidationError(
-                    f"vehicle {vid}: {kind_name} row at t={t} with nonzero velocity"
-                )
-        start = samples[0][0]
-        for i, (t, *_rest) in enumerate(samples):
-            if t != start + i:
-                raise TraceValidationError(f"vehicle {vid}: gap in trajectory at t={t}")
-        record = VehicleRecord(
+        stationary_velocities = set(compress(
+            velocities[start_row:end], map(_STATIONARY_KINDS.__contains__, kinds[start_row:end])
+        ))
+        if any(v.vx != 0.0 or v.vy != 0.0 for v in stationary_velocities):
+            for t, v, kind_name in zip(
+                ts[start_row:end], velocities[start_row:end], kinds[start_row:end]
+            ):
+                if kind_name in _STATIONARY_KINDS and (v.vx != 0.0 or v.vy != 0.0):
+                    raise TraceValidationError(
+                        f"vehicle {vid}: {kind_name} row at t={t} with nonzero velocity"
+                    )
+        start = ts[start_row]
+        # rows are strictly increasing in t, so no gap iff the span fits the count
+        if ts[end - 1] - start != end - start_row - 1:
+            t = next(t for i, t in enumerate(ts[start_row:end]) if t != start + i)
+            raise TraceValidationError(f"vehicle {vid}: gap in trajectory at t={t}")
+        records.append(VehicleRecord(
             vehicle_id=vid,
             kind=kind,
             start_step=start,
-            positions=[Position2D(s[1], s[2]) for s in samples],
-            velocities=[Velocity2D(s[3], s[4]) for s in samples],
-        )
-        records.append(record)
+            positions=positions[start_row:end],
+            velocities=velocities[start_row:end],
+        ))
     return records
 
 
@@ -213,18 +274,29 @@ def _row_kind(record: VehicleRecord, v: Velocity2D) -> str:
 
 
 def serialize_trace(records: Sequence[VehicleRecord]) -> str:
-    """Serialize records to trace CSV; round-trips bit-exactly via repr()."""
-    rows = []
-    for record in records:
-        for i, (p, v) in enumerate(zip(record.positions, record.velocities)):
-            t = record.start_step + i
-            rows.append(
-                (t, record.vehicle_id,
-                 f"{t},{record.vehicle_id},{p.x!r},{p.y!r},{v.vx!r},{v.vy!r},"
-                 f"{_row_kind(record, v)}")
-            )
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return "\n".join([TRACE_HEADER] + [r[2] for r in rows]) + "\n"
+    """Serialize records to trace CSV; round-trips bit-exactly via repr().
+
+    Rows are sorted by (t, id), and rows with equal (t, id) keep the order of
+    ``records``.
+    """
+    rows_at: dict[int, list[str]] = {}
+    for record in sorted(records, key=operator.attrgetter("vehicle_id")):
+        vid = record.vehicle_id
+        last_p = last_v = text = None
+        for t, p, v in zip(count(record.start_step), record.positions, record.velocities):
+            # the same objects print the same text; equal values may not (-0.0)
+            if p is not last_p or v is not last_v:
+                last_p, last_v = p, v
+                text = f",{vid},{p.x!r},{p.y!r},{v.vx!r},{v.vy!r},{_row_kind(record, v)}"
+            rows = rows_at.get(t)
+            if rows is None:
+                rows = rows_at[t] = []
+            rows.append(text)
+    out = [TRACE_HEADER]
+    for t in sorted(rows_at):
+        prefix = f"\n{t}"
+        out.append(prefix + prefix.join(rows_at[t]))
+    return "".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -114,14 +114,22 @@ coordinate = st.one_of(
     st.floats(0.01, 250.0),
 )
 def test_neighbors_match_all_pairs_scan(entries, radius_a, radius_b):
-    world = _world(
-        [(i * 3 - 20, x, y, NodeClass.INACTIVE if inactive else NodeClass.BLIND)
-         for i, (x, y, inactive) in enumerate(entries)]
-    )
-    # two radii on one world: each gets its own index
+    vehicles = [(i * 3 - 20, x, y, NodeClass.INACTIVE if inactive else NodeClass.BLIND)
+                for i, (x, y, inactive) in enumerate(entries)]
+    # worlds queried once: the first query of a radius scans every vehicle
+    for vid, *_ in vehicles:
+        world = _world(vehicles)
+        zone = CommZone(radius_a)
+        assert neighbors(world, vid, zone) == _all_pairs(world, vid, zone)
+        assert world.neighbor_grids == {radius_a: None}
+    # one world queried many times, two radii: each gets its own index
+    world = _world(vehicles)
     for zone in (CommZone(radius_a), CommZone(radius_b), CommZone(radius_a)):
         for vid in world.vehicles:
             assert neighbors(world, vid, zone) == _all_pairs(world, vid, zone)
+    if len(vehicles) > 1:
+        assert set(world.neighbor_grids) == {radius_a, radius_b}
+        assert None not in world.neighbor_grids.values()
 
 
 @pytest.mark.parametrize("spacing,radius", [(24.0, 15.0), (24.0, 24.0), (15.0, 15.0),

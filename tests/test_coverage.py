@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parkcp.coverage import (
     CoverageReport,
@@ -180,3 +183,72 @@ def test_format_coverage_csv_layout():
     lines = text.strip().splitlines()
     assert lines[0] == "radius,level3,level2,level1,uncovered"
     assert lines[1].startswith("15.0,0.277800,0.119800,0.148100,0.454300")
+
+
+@pytest.mark.parametrize("parse, text, expected", [
+    (parse_area, "\ufeffpolygon,x,y\n0,0.0,0.0\n0,1.0,0.0\n0,1.0,1.0\n",
+     parse_area("polygon,x,y\n0,0.0,0.0\n0,1.0,0.0\n0,1.0,1.0\n")),
+    (parse_points, "\ufeff# points\r\nx,y\r\n1.5,2.5\r\n", [Position2D(1.5, 2.5)]),
+], ids=["area", "points"])
+def test_parsers_skip_a_byte_order_mark(parse, text, expected):
+    assert parse(text) == expected
+
+
+def _brute_force_report(area, parked, radius):
+    """coverage_report over the full meshgrid of cell centers, every car
+    against every cell: the reference for the windowed raster."""
+    xs = [p.x for poly in area.polygons for p in poly]
+    ys = [p.y for poly in area.polygons for p in poly]
+    cell = area.cell_size
+    nx = max(1, math.ceil((max(xs) - min(xs)) / cell))
+    ny = max(1, math.ceil((max(ys) - min(ys)) / cell))
+    gx, gy = np.meshgrid(min(xs) + (np.arange(nx) + 0.5) * cell,
+                         min(ys) + (np.arange(ny) + 0.5) * cell)
+    inside = np.zeros(gx.shape, dtype=bool)
+    for poly in area.polygons:
+        for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
+            if y1 != y2:
+                x_at = (x2 - x1) * (gy - y1) / (y2 - y1) + x1
+                inside ^= ((y1 > gy) != (y2 > gy)) & (gx < x_at)
+    counts = np.zeros(gx.shape, dtype=np.int64)
+    for p in parked:
+        counts += (gx - p.x) ** 2 + (gy - p.y) ** 2 <= radius * radius
+    c = counts[inside]
+    total = int(inside.sum())
+    return CoverageReport(
+        fraction_level1=float((c == 1).sum() / total),
+        fraction_level2=float((c == 2).sum() / total),
+        fraction_level3=float((c >= 3).sum() / total),
+        fraction_uncovered=float((c == 0).sum() / total),
+    )
+
+
+_AREAS = {
+    "square": (square(40.0),),
+    # the hole's vertical edges pass through cell centers at 0.5 m cells
+    "holed": (square(40.0), square(10.0, origin=(12.25, 15.25))),
+    "triangle": ((Position2D(-3.0, 1.0), Position2D(37.0, 5.0), Position2D(11.0, 33.0)),),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(_AREAS)),
+    st.sampled_from([0.5, 2.0, 0.3]),
+    st.sampled_from([15.0, 4.0, 100.0, 2.5]),
+    st.lists(st.tuples(st.floats(-60.0, 100.0), st.floats(-60.0, 100.0)), max_size=6),
+    st.lists(st.tuples(st.integers(-5, 90), st.integers(-5, 90),
+                       st.sampled_from([(5, 0), (-5, 0), (0, 5), (0, -5),
+                                        (3, 4), (-4, 3), (-3, -4)])), max_size=6),
+)
+def test_coverage_report_equals_the_full_grid(name, cell, radius, free, on_circle):
+    # cars anywhere, including outside the area, plus cars at exactly the
+    # radius from a cell center (3-4-5 offsets keep the arithmetic exact)
+    area = TransitArea(_AREAS[name], cell_size=cell)
+    x0 = min(p.x for poly in area.polygons for p in poly)
+    y0 = min(p.y for poly in area.polygons for p in poly)
+    parked = [Position2D(x, y) for x, y in free] + [
+        Position2D(x0 + (i + 0.5) * cell + a * radius / 5, y0 + (j + 0.5) * cell + b * radius / 5)
+        for i, j, (a, b) in on_circle
+    ]
+    assert coverage_report(area, parked, radius) == _brute_force_report(area, parked, radius)

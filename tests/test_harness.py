@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkcp import harness
@@ -21,6 +21,7 @@ from parkcp.harness import (
     summary_rows,
     trace_metrics,
 )
+from parkcp.model import MotionKind, Position2D, VehicleRecord, Velocity2D, distance
 from parkcp.policy import Mode, PolicyConfig
 from parkcp.scenario import ChokePoint, ScenarioConfig, gen_circuit, generate
 from dataclasses import replace
@@ -202,6 +203,34 @@ def test_episode_tracks_parked_and_distance():
     summary = ensemble(replace(cfg, n_runs=1))
     assert summary.vehicles[0].parked_encountered == 12.0
     assert summary.vehicles[0].travelled_km == km
+
+
+_lattice = st.integers(-8, 8).map(lambda k: k * 0.75)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(st.tuples(_lattice, _lattice), min_size=1, max_size=8),
+             min_size=1, max_size=4),
+    st.lists(st.tuples(_lattice, _lattice), max_size=10),
+    st.sampled_from([3.75, 15.0, 4.5, 0.1]),
+)
+def test_trace_metrics_count_matches_every_pair(paths, stations, radius):
+    # lattice points make distances of exactly the radius (3-4-5 steps) common
+    records = [
+        VehicleRecord(vid, MotionKind.MOVING, 0, [Position2D(*xy) for xy in path],
+                      [Velocity2D(0.0, 0.0)] * len(path))
+        for vid, path in enumerate(paths)
+    ] + [
+        VehicleRecord(100 + k, MotionKind.PARKED, 0, [Position2D(*xy)], [Velocity2D(0.0, 0.0)])
+        for k, xy in enumerate(stations)
+    ]
+    parked = [Position2D(*xy) for xy in stations]
+    for r in records[:len(paths)]:
+        expected = sum(
+            1 for q in parked if any(distance(p, q) <= radius for p in r.positions)
+        )
+        assert trace_metrics(records, radius)[r.vehicle_id][0] == expected
 
 
 def test_traditional_mode_never_uses_anchors():

@@ -1,10 +1,14 @@
+import functools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkcp.errors import ConfigError, TraceParseError, TraceValidationError
-from parkcp.model import MotionKind, Position2D, distance
+from parkcp.model import MotionKind, Position2D, VehicleRecord, Velocity2D, distance
 from parkcp.scenario import (
+    TRACE_HEADER,
     ChokePoint,
     ScenarioConfig,
     circuit_length,
@@ -107,6 +111,324 @@ def test_roundtrip_property_town(seed, n_parked):
     )
     records = gen_town(cfg)
     assert parse_trace(serialize_trace(records)) == records
+
+
+# ---------------------------------------------------------------------------
+# Column reader against the per-line reader
+
+
+def _oracle_parse_trace(text):
+    """The per-line trace reader the column reader replaced, kept as the
+    reference: every row parsed in file order, then the trace checked."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    kind_names = {k.value for k in MotionKind}
+    rows = []
+    header_seen = False
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            if line != TRACE_HEADER:
+                raise TraceParseError(line_no, f"expected header {TRACE_HEADER!r}")
+            header_seen = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 7:
+            raise TraceParseError(line_no, f"expected 7 fields, got {len(parts)}")
+        try:
+            values = [*map(int, parts[:2]), *map(float, parts[2:6])]
+        except ValueError as exc:
+            raise TraceParseError(line_no, str(exc)) from None
+        if not all(map(math.isfinite, values[2:])):
+            raise TraceParseError(line_no, "non-finite value")
+        kind_name = parts[6].strip()
+        if kind_name not in kind_names:
+            raise TraceParseError(line_no, f"unknown kind {kind_name!r}")
+        rows.append((*values, kind_name))
+    if not header_seen:
+        raise TraceParseError(1, "missing header")
+
+    seen = set()
+    prev_key = None
+    for t, vid, *_ in rows:
+        key = (t, vid)
+        if key in seen:
+            raise TraceValidationError(f"duplicate row for (t={t}, id={vid})")
+        if prev_key is not None and key < prev_key:
+            raise TraceValidationError("rows not sorted by (t, id)")
+        seen.add(key)
+        prev_key = key
+
+    by_id = {}
+    for t, vid, x, y, vx, vy, kind_name in rows:
+        by_id.setdefault(vid, []).append((t, x, y, vx, vy, kind_name))
+    records = []
+    for vid in sorted(by_id):
+        samples = by_id[vid]
+        kinds = {s[5] for s in samples}
+        if "parked" in kinds:
+            if kinds != {"parked"}:
+                raise TraceValidationError(f"vehicle {vid}: mixes parked and driven rows")
+            kind = MotionKind.PARKED
+        elif "queued" in kinds:
+            kind = MotionKind.QUEUED
+        else:
+            kind = MotionKind.MOVING
+        for t, x, y, vx, vy, kind_name in samples:
+            if kind_name in ("parked", "queued") and (vx != 0.0 or vy != 0.0):
+                raise TraceValidationError(
+                    f"vehicle {vid}: {kind_name} row at t={t} with nonzero velocity"
+                )
+        start = samples[0][0]
+        for i, (t, *_rest) in enumerate(samples):
+            if t != start + i:
+                raise TraceValidationError(f"vehicle {vid}: gap in trajectory at t={t}")
+        records.append(VehicleRecord(
+            vehicle_id=vid, kind=kind, start_step=start,
+            positions=[Position2D(s[1], s[2]) for s in samples],
+            velocities=[Velocity2D(s[3], s[4]) for s in samples],
+        ))
+    return records
+
+
+def _bits(records):
+    """Every field of every record, floats by their exact hex form (so -0.0
+    and 0.0 differ)."""
+    return [
+        (r.vehicle_id, r.kind, r.start_step,
+         [(p.x.hex(), p.y.hex()) for p in r.positions],
+         [(v.vx.hex(), v.vy.hex()) for v in r.velocities])
+        for r in records
+    ]
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", _bits(parse(text))
+    except TraceParseError as exc:
+        return type(exc), str(exc), exc.line_no
+    except TraceValidationError as exc:
+        return type(exc), str(exc)
+
+
+@functools.lru_cache(maxsize=None)
+def _base_rows(seed):
+    cfg = ScenarioConfig(
+        kind="town", seed=seed, duration=8, n_moving=2, n_entering=2, entry_interval=2,
+        n_parked=3, area=(0.0, 0.0, 60.0, 40.0),
+        choke_points=(ChokePoint(30.0, 20.0, 40.0, 2),),
+    )
+    records = gen_town(cfg)
+    lines = serialize_trace(records).splitlines()
+    assert lines[0] == TRACE_HEADER
+    return tuple(tuple(line.split(",")) for line in lines[1:]), tuple(records)
+
+
+def _row_index(draw, rows):
+    """A row that still has all seven fields (an earlier fault may cut one)."""
+    return draw(st.sampled_from([i for i, row in enumerate(rows) if len(row) == 7]))
+
+
+def _set_field(draw, rows, columns, values):
+    rows[_row_index(draw, rows)][draw(st.sampled_from(columns))] = draw(st.sampled_from(values))
+
+
+def _fault_bad_int(draw, rows):
+    _set_field(draw, rows, [0, 1], ["x", "1.5", "", "--1", "1e3", "0x1"])
+
+
+def _fault_bad_float(draw, rows):
+    _set_field(draw, rows, [2, 3, 4, 5], ["abc", "1..5", "", "0x1p3", "1.0.0", "- 1"])
+
+
+def _fault_non_finite(draw, rows):
+    _set_field(draw, rows, [2, 3, 4, 5], ["inf", "-inf", "nan", "NaN", "1e999", "-Infinity"])
+
+
+def _fault_unknown_kind(draw, rows):
+    _set_field(draw, rows, [6], ["parkd", "Moving", "", "queue d", "stopped"])
+
+
+def _fault_field_count(draw, rows):
+    i = _row_index(draw, rows)
+    rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["0.0"]
+
+
+def _fault_duplicate(draw, rows):
+    i = _row_index(draw, rows)
+    copy = list(rows[i])
+    if draw(st.booleans()):
+        copy[2] = "1.25"  # same (t, id), other values
+    rows.insert(draw(st.integers(i, len(rows))), copy)
+
+
+def _fault_unsorted(draw, rows):
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(rows) - 1))
+    rows[i], rows[j] = rows[j], rows[i]
+
+
+def _fault_gap(draw, rows):
+    del rows[draw(st.integers(0, len(rows) - 1))]
+
+
+def _fault_stationary_velocity(draw, rows):
+    moving = [i for i, row in enumerate(rows) if row[6:] == ["moving"]]
+    if moving and draw(st.booleans()):
+        rows[draw(st.sampled_from(moving))][6] = "queued"  # keeps its velocity
+    else:
+        _set_field(draw, rows, [4, 5], ["0.5", "-1e-300", "2"])
+
+
+def _fault_mixed_kinds(draw, rows):
+    i = _row_index(draw, rows)
+    rows[i][6] = "moving" if rows[i][6] == "parked" else "parked"
+
+
+FAULTS = [
+    _fault_bad_int, _fault_bad_float, _fault_non_finite, _fault_unknown_kind,
+    _fault_field_count, _fault_duplicate, _fault_unsorted, _fault_gap,
+    _fault_stationary_velocity, _fault_mixed_kinds,
+]
+
+
+@st.composite
+def _trace_texts(draw, n_faults):
+    """A generated town's trace with ``n_faults`` faults injected, then laid
+    out with comments, blank lines, padded fields and CRLF line ends."""
+    base, records = _base_rows(draw(st.integers(0, 7)))
+    rows = [list(r) for r in base]
+    for _ in range(draw(n_faults)):
+        draw(st.sampled_from(FAULTS))(draw, rows)
+    for i in draw(st.sets(st.integers(0, len(rows) - 1), max_size=4)):
+        pad = draw(st.sampled_from([" ", "\t", "  "]))
+        rows[i] = [pad + field + pad for field in rows[i]]
+    lines = [TRACE_HEADER] + [",".join(row) for row in rows]
+    for i, extra in draw(st.lists(st.tuples(
+        st.integers(0, len(lines)),
+        st.sampled_from(["", "   ", "# note", "  # x,y,1,2", " \t"]),
+    ), max_size=4)):
+        lines.insert(i, extra)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end])), records
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trace_texts(st.integers(1, 2)))
+def test_parse_trace_errors_match_the_line_reader(case):
+    text, _ = case
+    assert _outcome(parse_trace, text) == _outcome(_oracle_parse_trace, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_trace_texts(st.just(0)))
+def test_parse_trace_reads_laid_out_valid_traces_bit_exactly(case):
+    text, records = case
+    assert _bits(parse_trace(text)) == _bits(records) == _bits(_oracle_parse_trace(text))
+    assert _bits(parse_trace(text.encode())) == _bits(records)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n\n# only comments\n", "t,id,x,y,vx,vy\n", "0,1,0.0,0.0,0.0,0.0,moving\n",
+    "t,id,x,y,vx,vy,kind\n0,1,0.0,0.0,0.0,0.0\n",
+    "t,id,x,y,vx,vy,kind\n0,1,0.0,0.0,0.0,0.0,moving,\n",
+    "t,id,x,y,vx,vy,kind\n0,1,0.0,0.0,0.0,0.0,moving\n\n2,1,0.0,0.0,0.0,0.0,queued\n",
+    "t,id,x,y,vx,vy,kind\n0,1,0.0,0.0,-0.0,0.0,parked\n1,1,0.0,0.0,0.0,-0.0,parked\n",
+    # the first bad row of a vehicle names it, after its driving rows
+    "t,id,x,y,vx,vy,kind\n0,1,0.0,0.0,1.0,0.0,moving\n1,1,1.0,0.0,0.0,0.0,queued\n"
+    "2,1,1.0,0.0,0.0,2.0,queued\n",
+    "t,id,x,y,vx,vy,kind\n0,2,0.0,0.0,0.0,0.0,parked\n1,2,0.0,0.0,0.0,3.0,parked\n",
+    # a duplicate that is not the row before it
+    "t,id,x,y,vx,vy,kind\n0,1,0.0,0.0,0.0,0.0,moving\n0,2,0.0,0.0,0.0,0.0,moving\n"
+    "0,1,0.0,0.0,0.0,0.0,moving\n",
+    # the lowest id with a fault is reported, whatever the order of its rows
+    "t,id,x,y,vx,vy,kind\n0,1,0.0,0.0,0.0,0.0,moving\n0,2,0.0,0.0,0.0,0.0,parked\n"
+    "1,2,0.0,0.0,0.0,0.0,moving\n3,1,0.0,0.0,0.0,0.0,moving\n",
+])
+def test_parse_trace_edge_texts_match_the_line_reader(text):
+    assert _outcome(parse_trace, text) == _outcome(_oracle_parse_trace, text)
+
+
+def test_roundtrip_keeps_negative_zero_next_to_zero():
+    zero, negative = Position2D(0.0, 0.0), Position2D(-0.0, 0.0)
+    still, still_negative = Velocity2D(0.0, 0.0), Velocity2D(0.0, -0.0)
+    records = [
+        VehicleRecord(1, MotionKind.MOVING, 0,
+                      [zero, negative, negative, Position2D(0.0, -0.0), zero],
+                      [still, still, still_negative, still_negative, Velocity2D(-0.0, 1.0)]),
+        VehicleRecord(2, MotionKind.PARKED, 0,
+                      [Position2D(-0.0, -0.0)] * 3 + [Position2D(0.0, 0.0)] * 2,
+                      [still_negative] * 2 + [still] * 3),
+    ]
+    text = serialize_trace(records)
+    assert "0,1,0.0,0.0,0.0,0.0,moving" in text.splitlines()
+    assert "1,1,-0.0,0.0,0.0,0.0,moving" in text.splitlines()
+    assert "0,2,-0.0,-0.0,0.0,-0.0,parked" in text.splitlines()
+    assert _bits(parse_trace(text)) == _bits(records)
+
+
+def _oracle_serialize_trace(records):
+    """The sort-based writer the bucketed one replaced, kept as the reference."""
+    rows = []
+    for record in records:
+        for i, (p, v) in enumerate(zip(record.positions, record.velocities)):
+            t = record.start_step + i
+            if record.kind is MotionKind.PARKED:
+                kind = "parked"
+            elif record.kind is MotionKind.QUEUED and v.vx == 0.0 and v.vy == 0.0:
+                kind = "queued"
+            else:
+                kind = "moving"
+            rows.append((t, record.vehicle_id,
+                         f"{t},{record.vehicle_id},{p.x!r},{p.y!r},{v.vx!r},{v.vy!r},{kind}"))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return "\n".join([TRACE_HEADER] + [r[2] for r in rows]) + "\n"
+
+
+_coordinate = st.sampled_from([0.0, -0.0, 1.5, -2.25, 1e-300, 123456.789])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.integers(-3, 3), st.sampled_from(list(MotionKind)), st.integers(-2, 4),
+        st.lists(st.tuples(_coordinate, _coordinate, _coordinate, _coordinate,
+                           st.booleans()), max_size=5),
+    ),
+    max_size=6,
+))
+def test_serialize_trace_matches_the_row_sort(specs):
+    # duplicate ids, negative steps and empty records included; a sample
+    # flagged True reuses the previous sample's objects
+    records = []
+    for vid, kind, start, samples in specs:
+        positions, velocities = [], []
+        for x, y, vx, vy, reuse in samples:
+            if reuse and positions:
+                positions.append(positions[-1])
+                velocities.append(velocities[-1])
+            else:
+                positions.append(Position2D(x, y))
+                velocities.append(Velocity2D(vx, vy))
+        records.append(VehicleRecord(vid, kind, start, positions, velocities))
+    assert serialize_trace(records) == _oracle_serialize_trace(records)
+
+
+@pytest.mark.parametrize("text", [
+    "\ufefft,id,x,y,vx,vy,kind\n0,1,0.5,0.25,0.0,0.0,moving\n",
+    b"\xef\xbb\xbft,id,x,y,vx,vy,kind\r\n0,1,0.5,0.25,0.0,0.0,moving\r\n",
+    "\ufeff# comment\nt,id,x,y,vx,vy,kind\n0,1,0.5,0.25,0.0,0.0,moving\n",
+])
+def test_parse_trace_skips_a_byte_order_mark(text):
+    assert parse_trace(text) == parse_trace("t,id,x,y,vx,vy,kind\n0,1,0.5,0.25,0.0,0.0,moving\n")
+
+
+def test_parse_trace_skips_only_one_byte_order_mark():
+    with pytest.raises(TraceParseError, match="line 1: expected header") as exc:
+        parse_trace("\ufeff\ufefft,id,x,y,vx,vy,kind\n")
+    assert exc.value.line_no == 1
 
 
 # ---------------------------------------------------------------------------
