@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice, product, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -279,7 +279,7 @@ def serialize_trace(records: Sequence[VehicleRecord]) -> str:
     Rows are sorted by (t, id), and rows with equal (t, id) keep the order of
     ``records``.
     """
-    rows_at: dict[int, list[str]] = {}
+    rows_at: defaultdict[int, list[str]] = defaultdict(list)
     for record in sorted(records, key=operator.attrgetter("vehicle_id")):
         vid = record.vehicle_id
         last_p = last_v = text = None
@@ -288,10 +288,7 @@ def serialize_trace(records: Sequence[VehicleRecord]) -> str:
             if p is not last_p or v is not last_v:
                 last_p, last_v = p, v
                 text = f",{vid},{p.x!r},{p.y!r},{v.vx!r},{v.vy!r},{_row_kind(record, v)}"
-            rows = rows_at.get(t)
-            if rows is None:
-                rows = rows_at[t] = []
-            rows.append(text)
+            rows_at[t].append(text)
     out = [TRACE_HEADER]
     for t in sorted(rows_at):
         prefix = f"\n{t}"
@@ -509,6 +506,9 @@ def gen_town(config: ScenarioConfig) -> list[VehicleRecord]:
         next_id += 1
 
     stations: list[Position2D] = []
+    # stations by 1 m cell: a station less than 1 m away has |dx|, |dy| < 1,
+    # so it lies in the candidate's cell or an adjacent one
+    stations_in: dict[tuple[int, int], list[Position2D]] = {}
     max_tries = 200 * max(1, config.n_parked)
     tries = 0
     while len(stations) < config.n_parked:
@@ -526,8 +526,14 @@ def gen_town(config: ScenarioConfig) -> list[VehicleRecord]:
             )
         else:
             candidate = Position2D(rng.uniform(xmin, xmax), rng.uniform(ymin, ymax))
-        if all(distance(candidate, s) >= 1.0 for s in stations):
+        i, j = math.floor(candidate.x), math.floor(candidate.y)
+        if all(
+            distance(candidate, s) >= 1.0
+            for cell in product((i - 1, i, i + 1), (j - 1, j, j + 1))
+            for s in stations_in.get(cell, ())
+        ):
             stations.append(candidate)
+            stations_in.setdefault((i, j), []).append(candidate)
     records.extend(_parked_records(config, next_id, stations))
     return records
 
