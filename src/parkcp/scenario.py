@@ -1,10 +1,11 @@
 """Trace ingestion and synthetic scenario generation.
 
 Traces use a small CSV dialect: header ``t,id,x,y,vx,vy,kind``, rows sorted
-by (t, id), ``#`` comment lines allowed, UTF-8. Generated trajectories are
-*exactly* consistent (p[t+1] == p[t] + step_seconds * v[t] bit-for-bit);
-parsed traces are validated within a 0.5 m tolerance to absorb discretization
-slack from external mobility tools.
+by (t, id), ``#`` comment lines allowed, UTF-8 (one leading byte-order mark
+is skipped). Generated trajectories are *exactly* consistent
+(p[t+1] == p[t] + step_seconds * v[t] bit-for-bit); parsed traces are
+validated within a 0.5 m tolerance to absorb discretization slack from
+external mobility tools.
 """
 from __future__ import annotations
 
