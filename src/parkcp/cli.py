@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -92,9 +93,17 @@ def _check_keys(section: dict, schema: dict[str, type | None], context: str) -> 
 
 def load_config(path: str) -> dict:
     """Read and structurally validate a JSON config file."""
+
+    def finite(literal: str) -> float:
+        # json reads NaN, Infinity and -Infinity, and overflows 1e999 to inf
+        value = float(literal)
+        if not math.isfinite(value):
+            raise ConfigError(f"config file {path} has a non-finite number: {literal}")
+        return value
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=finite, parse_constant=finite)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
@@ -270,7 +279,7 @@ def cmd_sim(args) -> int:
 def _load_parked(path: str) -> list[Position2D]:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    for raw_line in text.splitlines():
+    for raw_line in text.removeprefix("\ufeff").splitlines():
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -306,6 +315,17 @@ def cmd_coverage(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parkcp",
@@ -327,9 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--algorithm", choices=_ALGORITHMS,
                        help="default: the config's algorithm, else both")
     p_sim.add_argument("--mode", choices=("traditional", "proposed", "both"), default="both")
-    p_sim.add_argument("--sigma-r", type=float, action="append",
+    p_sim.add_argument("--sigma-r", type=_finite_float, action="append",
                        help="ranging noise std; repeatable")
-    p_sim.add_argument("--zone", type=float, help="communication radius in meters")
+    p_sim.add_argument("--zone", type=_finite_float, help="communication radius in meters")
     p_sim.add_argument("--n-runs", type=int)
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--jobs", type=int, default=1)
@@ -340,11 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov = sub.add_parser("coverage", help="stationary-vehicle area coverage report")
     p_cov.add_argument("--area", required=True, help="transit-area polygon CSV")
     p_cov.add_argument("--parked", required=True, help="parked positions (x,y or trace CSV)")
-    p_cov.add_argument("--radius", type=float, action="append", help="repeatable")
+    p_cov.add_argument("--radius", type=_finite_float, action="append", help="repeatable")
     p_cov.add_argument("--class", dest="device_class", choices=tuple("ABCD"),
                        action="append", help="DSRC device class; repeatable")
     p_cov.add_argument("--config", help="JSON config (coverage.cell_size)")
-    p_cov.add_argument("--cell-size", type=float,
+    p_cov.add_argument("--cell-size", type=_finite_float,
                        help="raster cell in meters (default 1.0)")
     p_cov.add_argument("--out", required=True, help="coverage CSV to write")
     p_cov.set_defaults(func=cmd_coverage)

@@ -204,6 +204,10 @@ class _Trace:
     the episodes of an ensemble."""
 
     def __init__(self, records: Sequence[VehicleRecord]):
+        if not records:
+            raise ConfigError("trace has no vehicles")
+        if len({r.vehicle_id for r in records}) < len(records):
+            raise ConfigError("trace has more than one record for a vehicle id")
         self.records = records
         starts: dict[int, list[int]] = defaultdict(list)
         ends: dict[int, set[int]] = defaultdict(set)
@@ -226,6 +230,21 @@ def _checked_trace(records: Sequence[VehicleRecord], step_seconds: float) -> _Tr
     return _Trace(records)
 
 
+@dataclass(slots=True, eq=False)
+class _Node:
+    """One vehicle's episode state from its first active step. ``errors``
+    and ``anchors`` (anchors selected) are read for tracked vehicles only."""
+
+    role: NodeClass
+    est: Position2D | None
+    cov: np.ndarray | None = None
+    iso: int = 0  # steps since a neighbor was last selected
+    gnss_n: int = 0  # GNSS fixes averaged while halted; 0 restarts the sum
+    gnss_sum: tuple[float, float] = (0.0, 0.0)
+    errors: list[float] = field(default_factory=list)
+    anchors: int = 0
+
+
 def run_episode(
     cfg: RunConfig,
     run_seed: int,
@@ -241,9 +260,7 @@ def run_episode(
         trace = records
     else:
         trace = _checked_trace(records, scn.step_seconds)
-    records = trace.records
 
-    by_id = {r.vehicle_id: r for r in records}
     proposed = cfg.policy.mode is Mode.PROPOSED
     use_ekf = cfg.algorithm is Algorithm.EKF
     dt = scn.step_seconds
@@ -252,22 +269,8 @@ def run_episode(
     def stream(vid, step, purpose, extra=0):
         return substream(cfg.seed, run_seed, vid, step, purpose, extra)
 
-    est: dict[int, Position2D | None] = {}
-    cov: dict[int, np.ndarray] = {}
-    cls: dict[int, NodeClass] = {}
-    init_step: dict[int, int] = {}
-    gnss_n: dict[int, int] = {}
-    gnss_sum: dict[int, tuple[float, float]] = {}
-    iso: dict[int, int] = {}
-    anchors_used: dict[int, int] = {}
-    errors: dict[int, list[float]] = {}
-
-    tracked = [r.vehicle_id for r in records if r.kind is MotionKind.MOVING]
-    for vid in tracked:
-        errors[vid] = []
-        anchors_used[vid] = 0
-
     gps_cov = cfg.noise.gps_std**2 * np.eye(2)
+    nodes: dict[int, _Node] = {}
 
     active: list[VehicleRecord] = []
     for t in trace.steps:
@@ -275,71 +278,48 @@ def run_episode(
 
         world = WorldState()
         for rec in active:
-            vid = rec.vehicle_id
-            if vid not in init_step:
-                continue  # appears this step; broadcasts from the next one
-            world.vehicles[vid] = VehicleSnapshot(
-                position=rec.position_at(t),
-                node_class=cls[vid],
-                estimate=est[vid],
-            )
+            node = nodes.get(rec.vehicle_id)
+            if node is not None:  # a vehicle broadcasts from its second step
+                world.vehicles[rec.vehicle_id] = VehicleSnapshot(
+                    position=rec.position_at(t), node_class=node.role, estimate=node.est
+                )
 
         for rec in active:
-            vid = rec.vehicle_id
-            if vid in init_step:
-                continue
-            init_step[vid] = t
+            vid, kind = rec.vehicle_id, rec.kind
             truth = rec.position_at(t)
-            if rec.kind is MotionKind.PARKED:
-                if proposed and pol.anchors_preloaded:
-                    cls[vid] = NodeClass.ANCHOR
-                    est[vid] = truth
+            node = nodes.get(vid)
+            if node is None:  # first active step: initialise only
+                if kind is not MotionKind.PARKED:
+                    fix = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gps"))
+                    node = nodes[vid] = _Node(NodeClass.BLIND, fix, gps_cov.copy())
+                    if kind is MotionKind.MOVING:
+                        node.errors.append(distance(fix, truth))
+                elif proposed and pol.anchors_preloaded:
+                    nodes[vid] = _Node(NodeClass.ANCHOR, truth)
                 elif proposed:
                     fix = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gnss"))
-                    cls[vid] = NodeClass.INACTIVE
-                    est[vid] = None
-                    gnss_n[vid] = 1
-                    gnss_sum[vid] = (fix.x, fix.y)
+                    nodes[vid] = _Node(NodeClass.INACTIVE, None, gnss_n=1, gnss_sum=fix)
                 else:
-                    cls[vid] = NodeClass.INACTIVE
-                    est[vid] = None
-            else:
-                fix = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gps"))
-                cls[vid] = NodeClass.BLIND
-                est[vid] = fix
-                cov[vid] = gps_cov.copy()
-                iso[vid] = 0
-                gnss_n[vid] = 0
-                if rec.kind is MotionKind.MOVING:
-                    errors[vid].append(distance(fix, truth))
-
-        for rec in active:
-            vid = rec.vehicle_id
-            if init_step[vid] == t:
+                    nodes[vid] = _Node(NodeClass.INACTIVE, None)
                 continue
-            kind = rec.kind
             if kind is MotionKind.PARKED and not proposed:
                 continue  # absent from the network in traditional mode
-            truth = rec.position_at(t)
             vel_now = rec.velocity_at(t)
             halted = kind is MotionKind.PARKED or (
                 kind is MotionKind.QUEUED and vel_now.vx == 0.0 and vel_now.vy == 0.0
             )
-            if cls[vid] is NodeClass.ANCHOR:
+            if node.role is NodeClass.ANCHOR:
                 if halted:
                     continue  # keeps serving its precisely known position
-                cls[vid] = NodeClass.BLIND  # pulled back into traffic
-                gnss_n[vid] = 0
-                gnss_sum.pop(vid, None)
+                node.role = NodeClass.BLIND  # pulled back into traffic
 
             if proposed and halted:
                 # stationary bootstrap: GNSS averaging, assisted by anchors
                 fix = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gnss"))
-                sx, sy = gnss_sum.get(vid, (0.0, 0.0))
+                n = node.gnss_n + 1
+                sx, sy = node.gnss_sum if n > 1 else (0.0, 0.0)
                 sx, sy = sx + fix.x, sy + fix.y
-                n = gnss_n.get(vid, 0) + 1
-                gnss_sum[vid] = (sx, sy)
-                gnss_n[vid] = n
+                node.gnss_n, node.gnss_sum = n, (sx, sy)
                 gnss_mean = Position2D(sx / n, sy / n)
 
                 selected, anchors_in_range = _ranked_candidates(
@@ -364,57 +344,52 @@ def run_episode(
                         new_est = gnss_mean
                 else:
                     new_est = gnss_mean
-                new_cls = classify_stationary(
+                node.role = classify_stationary(
                     kind, anchors_in_range, n, distance(new_est, truth), pol
                 )
-                if new_cls is NodeClass.ANCHOR:
-                    new_est = truth
-                est[vid] = new_est
-                cls[vid] = new_cls
-                cov[vid] = (cfg.noise.gps_std**2 / n) * np.eye(2)
+                node.est = truth if node.role is NodeClass.ANCHOR else new_est
+                node.cov = (cfg.noise.gps_std**2 / n) * np.eye(2)
                 continue
 
             # driving (or halted in traditional mode, where nothing is promoted)
-            gnss_n[vid] = 0
-            gnss_sum.pop(vid, None)
+            node.gnss_n = 0
             vel_true = rec.velocity_at(t - 1)  # motion from t-1 to t
             g = stream(vid, t, "vel")
             noise_v = g.normal(0.0, cfg.noise.velocity_std, size=2)
             vel_meas = Velocity2D(vel_true.vx + noise_v[0], vel_true.vy + noise_v[1])
-            prior = dead_reckon(est[vid], vel_meas, dt)
+            prior = dead_reckon(node.est, vel_meas, dt)
 
             selected, _ = _ranked_candidates(
                 world, vid, prior, cfg.zone, cfg.noise, stream, t
             )
             if use_ekf:
-                pred, p_cov = ekf_predict(est[vid], cov[vid], vel_meas, cfg.ekf)
-                new_est, p_cov = ekf_update(pred, p_cov, selected, cfg.ekf)
-                cov[vid] = p_cov
+                pred, p_cov = ekf_predict(node.est, node.cov, vel_meas, cfg.ekf)
+                new_est, node.cov = ekf_update(pred, p_cov, selected, cfg.ekf)
             else:
                 problem = LocalizationProblem(tuple(selected), prior)
                 new_est = gcpso_localize(problem, cfg.gcpso, stream(vid, t, "pso")).position
 
             if selected:
-                iso[vid] = 0
+                node.iso = 0
             else:
-                iso[vid] = iso.get(vid, 0) + 1
-                if iso[vid] >= pol.gps_reset_interval:
+                node.iso += 1
+                if node.iso >= pol.gps_reset_interval:
                     new_est = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gps"))
-                    cov[vid] = gps_cov.copy()
-                    iso[vid] = 0
+                    node.cov = gps_cov.copy()
+                    node.iso = 0
 
             n_anch = sum(1 for c in selected if c.node_class is NodeClass.ANCHOR)
-            if vid in anchors_used:
-                anchors_used[vid] += n_anch
-            cls[vid] = classify_moving(n_anch)
-            est[vid] = new_est
+            node.role = classify_moving(n_anch)
+            node.est = new_est
             if kind is MotionKind.MOVING:
-                errors[vid].append(distance(new_est, truth))
+                node.anchors += n_anch
+                node.errors.append(distance(new_est, truth))
 
+    tracked = [r for r in trace.records if r.kind is MotionKind.MOVING]
     return EpisodeResult(
-        errors={vid: np.asarray(errs) for vid, errs in errors.items()},
-        first_step={vid: by_id[vid].start_step for vid in tracked},
-        anchors_used=anchors_used,
+        errors={r.vehicle_id: np.asarray(nodes[r.vehicle_id].errors) for r in tracked},
+        first_step={r.vehicle_id: r.start_step for r in tracked},
+        anchors_used={r.vehicle_id: nodes[r.vehicle_id].anchors for r in tracked},
     )
 
 
@@ -525,20 +500,10 @@ def ensemble(
     modes = (Mode.TRADITIONAL, Mode.PROPOSED)
     shared = records if records is not None else generate(cfg.scenario)
     trace = _checked_trace(shared, cfg.scenario.step_seconds)
+    tasks = [(cfg, mode, run, trace) for run in range(cfg.n_runs) for mode in modes]
     if jobs <= 1:
-        results = [
-            _episode_task((cfg, mode, run, trace))
-            for run in range(cfg.n_runs)
-            for mode in modes
-        ]
+        results = list(map(_episode_task, tasks))
     else:
-        # explicit records must travel to the workers; generated ones are
-        # rebuilt there (generation is a pure function of the scenario)
-        tasks = [
-            (cfg, mode, run, trace if records is not None else None)
-            for run in range(cfg.n_runs)
-            for mode in modes
-        ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_episode_task, tasks, chunksize=1))
 
@@ -562,12 +527,8 @@ def ensemble(
                 travelled_km=km,
             )
         )
-    episodes = []
-    if keep_episodes:
-        for run, (trad_ep, prop_ep) in enumerate(by_run):
-            episodes.append((run, Mode.TRADITIONAL, trad_ep))
-            episodes.append((run, Mode.PROPOSED, prop_ep))
-    return EnsembleSummary(config=cfg, vehicles=vehicles, episodes=episodes)
+    episodes = [(run, mode, ep) for (_, mode, run, _), ep in zip(tasks, results)]
+    return EnsembleSummary(cfg, vehicles, episodes if keep_episodes else [])
 
 
 # ---------------------------------------------------------------------------

@@ -469,42 +469,27 @@ def gen_town(config: ScenarioConfig) -> list[VehicleRecord]:
     rng = np.random.default_rng(config.seed)
 
     records: list[VehicleRecord] = []
-    next_id = 0
     corridors: list[Position2D] = []
-
-    for _ in range(config.n_moving):
+    starts = [0] * config.n_moving + [
+        k * config.entry_interval
+        for k in range(config.n_entering)
+        if k * config.entry_interval < config.duration
+    ]
+    for vid, start in enumerate(starts):
         positions, velocities, queued = _random_waypoint_walk(
-            rng, config, 0, list(config.choke_points)
+            rng, config, start, list(config.choke_points)
         )
         records.append(
             VehicleRecord(
-                vehicle_id=next_id,
+                vehicle_id=vid,
                 kind=MotionKind.QUEUED if queued else MotionKind.MOVING,
-                start_step=0,
+                start_step=start,
                 positions=positions,
                 velocities=velocities,
             )
         )
-        corridors.extend(positions[:: max(1, len(positions) // 16)])
-        next_id += 1
-
-    for k in range(config.n_entering):
-        entry = k * config.entry_interval
-        if entry >= config.duration:
-            break
-        positions, velocities, queued = _random_waypoint_walk(
-            rng, config, entry, list(config.choke_points)
-        )
-        records.append(
-            VehicleRecord(
-                vehicle_id=next_id,
-                kind=MotionKind.QUEUED if queued else MotionKind.MOVING,
-                start_step=entry,
-                positions=positions,
-                velocities=velocities,
-            )
-        )
-        next_id += 1
+        if vid < config.n_moving:  # parked cars cluster near the initial walkers
+            corridors.extend(positions[:: max(1, len(positions) // 16)])
 
     stations: list[Position2D] = []
     # stations by 1 m cell: a station less than 1 m away has |dx|, |dy| < 1,
@@ -535,7 +520,7 @@ def gen_town(config: ScenarioConfig) -> list[VehicleRecord]:
         ):
             stations.append(candidate)
             stations_in.setdefault((i, j), []).append(candidate)
-    records.extend(_parked_records(config, next_id, stations))
+    records.extend(_parked_records(config, len(starts), stations))
     return records
 
 

@@ -377,3 +377,55 @@ def test_help_lists_flags(capsys):
     for flag in ("--config", "--out", "--seed", "--jobs", "--algorithm",
                  "--mode", "--sigma-r", "--zone", "--n-runs", "--dump-steps"):
         assert flag in out
+
+
+def test_sim_header_only_trace_is_a_config_error(tmp_path, config_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,id,x,y,vx,vy,kind\n")
+    code = main(["sim", "--config", config_path, "--trace", str(trace),
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert "error: trace has no vehicles" in capsys.readouterr().err
+
+
+def test_coverage_accepts_trace_with_byte_order_mark_as_parked_source(tmp_path, config_path):
+    trace = tmp_path / "trace.csv"
+    assert main(["gen", "--config", config_path, "--out", str(trace)]) == 0
+    bom_trace = tmp_path / "bom.csv"
+    bom_trace.write_text("\ufeff" + trace.read_text(encoding="utf-8"), encoding="utf-8")
+    area = tmp_path / "area.csv"
+    area.write_text(AREA_CSV)
+    outputs = []
+    for parked in (trace, bom_trace):
+        out = tmp_path / f"cov-{parked.stem}.csv"
+        assert main(["coverage", "--area", str(area), "--parked", str(parked),
+                     "--radius", "15", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_config_non_finite_number_is_a_config_error(tmp_path, capsys, literal):
+    path = tmp_path / "run.cfg"
+    path.write_text(json.dumps(CIRCUIT_CONFIG)[:-1] + f', "zone": {{"radius": {literal}}}}}')
+    code = main(["gen", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert f"config file {path} has a non-finite number: {literal}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", [
+    ("sim", "--sigma-r"), ("sim", "--zone"), ("coverage", "--radius"),
+    ("coverage", "--cell-size"),
+])
+def test_float_flags_reject_non_finite_values(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: not a finite number: {value!r}" in capsys.readouterr().err
+
+
+def test_float_flags_keep_the_message_for_text(capsys):
+    with pytest.raises(SystemExit):
+        main(["sim", "--zone", "wide"])
+    assert "argument --zone: invalid float value: 'wide'" in capsys.readouterr().err

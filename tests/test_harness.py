@@ -439,3 +439,63 @@ def test_ensemble_validates_the_trace_once(monkeypatch):
     # a direct call with records still checks them
     run_episode(cfg, 0, gen_circuit(cfg.scenario))
     assert len(validated) == 2
+
+
+@pytest.mark.parametrize("mode, preloaded", [
+    (Mode.TRADITIONAL, True), (Mode.PROPOSED, True), (Mode.PROPOSED, False),
+])
+@pytest.mark.parametrize("algorithm", [Algorithm.GCPSO, Algorithm.EKF])
+def test_episode_does_not_depend_on_record_order(algorithm, mode, preloaded):
+    cfg = golden_town_cfg(algorithm)
+    cfg = replace(cfg, policy=replace(cfg.policy, mode=mode, anchors_preloaded=preloaded))
+    records = generate(cfg.scenario)
+    expected = run_episode(cfg, 1, records)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        shuffled = [records[i] for i in rng.permutation(len(records))]
+        result = run_episode(cfg, 1, shuffled)
+        assert result.errors.keys() == expected.errors.keys()
+        for vid, errs in expected.errors.items():
+            assert np.array_equal(result.errors[vid], errs)
+        assert result.anchors_used == expected.anchors_used
+        assert result.first_step == expected.first_step
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_ensemble_rejects_a_trace_without_vehicles(jobs):
+    cfg = circuit_cfg()
+    with pytest.raises(ConfigError, match="trace has no vehicles"):
+        ensemble(cfg, [], jobs=jobs)
+    empty_town = replace(cfg, scenario=ScenarioConfig(kind="town", n_moving=0, n_parked=0))
+    with pytest.raises(ConfigError, match="trace has no vehicles"):
+        ensemble(empty_town, jobs=jobs)
+
+
+def test_episode_rejects_a_trace_without_vehicles():
+    cfg = circuit_cfg()
+    with pytest.raises(ConfigError, match="trace has no vehicles"):
+        run_episode(cfg, 0, [])
+    empty_town = replace(cfg, scenario=ScenarioConfig(kind="town", n_moving=0, n_parked=0))
+    with pytest.raises(ConfigError, match="trace has no vehicles"):
+        run_episode(empty_town, 0)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_vehicle_id_with_two_records_is_rejected(jobs):
+    cfg = circuit_cfg(duration=30)
+    records = gen_circuit(cfg.scenario)
+    records.append(replace(records[0]))
+    with pytest.raises(ConfigError, match="more than one record for a vehicle id"):
+        ensemble(cfg, records, jobs=jobs)
+    with pytest.raises(ConfigError, match="more than one record for a vehicle id"):
+        run_episode(cfg, 0, records)
+
+
+def test_ensemble_of_parked_cars_only_has_no_rows():
+    cfg = circuit_cfg()
+    parked = [r for r in gen_circuit(cfg.scenario) if r.kind is MotionKind.PARKED]
+    summary = ensemble(cfg, parked)
+    assert summary.vehicles == []
+    assert format_results_csv(summary_rows(summary)) == (
+        "vehicle,mode,algorithm,sigma_r,zone,rmse_mean,rmse_std,improvement_pct\n"
+    )
