@@ -167,14 +167,12 @@ def gcpso_localize(
 
     radius = RadiusAdaptation(params.initial_radius, params.success_limit, params.failure_limit)
     span = max(params.iterations - 1, 1)
-    draws = None
+    # one block holds exactly what one (n, 4) draw per iteration would; a
+    # swarm that starts at fitness_stop (no neighbor, cost 0) needs none
+    draws = rng.random((params.iterations, n, 4)).tolist() if gf > params.fitness_stop else []
     for it in range(params.iterations):
         if gf <= params.fitness_stop:
             break
-        if draws is None:
-            # the generator is sequential: one block holds exactly what one
-            # (n, 4) draw per iteration would
-            draws = rng.random((params.iterations, n, 4)).tolist()
         w = params.inertia_start + (params.inertia_end - params.inertia_start) * (it / span)
         for i, u in enumerate(draws[it]):
             if i == g:

@@ -354,18 +354,16 @@ def _exact_trajectory(
 def _parked_records(
     config: ScenarioConfig, first_id: int, stations: Sequence[Position2D]
 ) -> list[VehicleRecord]:
-    records = []
-    for i, pos in enumerate(stations):
-        records.append(
-            VehicleRecord(
-                vehicle_id=first_id + i,
-                kind=MotionKind.PARKED,
-                start_step=0,
-                positions=[pos] * config.duration,
-                velocities=[ZERO_VELOCITY] * config.duration,
-            )
+    return [
+        VehicleRecord(
+            vehicle_id=vid,
+            kind=MotionKind.PARKED,
+            start_step=0,
+            positions=[pos] * config.duration,
+            velocities=[ZERO_VELOCITY] * config.duration,
         )
-    return records
+        for vid, pos in enumerate(stations, start=first_id)
+    ]
 
 
 # ---------------------------------------------------------------------------

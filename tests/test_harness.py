@@ -365,21 +365,57 @@ def test_substream_independence_and_reproducibility():
     assert not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("entropy", [
+ENTROPY = [
     (0, 0, 0, 0, 0),
     (2**32, 1, 2, 3, 2**32 - 1),
     (2**64 + 5, 2**70, 7, 240, 2**64 - 1),
     (-1, -7, 5, 9, 2**40),
     (1, 2, -3, 4, -(2**63)),
     (12345678901234567890, 3, 2**33 + 1, 0, 99),
-])
-@pytest.mark.parametrize("purpose", ["gps", "drop"])
-def test_substream_is_the_seed_sequence_of_the_masked_values(entropy, purpose):
+]
+
+
+def fresh_philox(base, run, vid, step, purpose, extra=0):
+    """The generator of the documented substream layout, built from scratch."""
+    mask = (1 << 64) - 1
+    key = np.array([base & mask, run & mask], dtype=np.uint64)
+    counter = np.array(
+        [harness._PURPOSES[purpose] << 56, vid & mask, step & mask, extra & mask],
+        dtype=np.uint64,
+    )
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+@pytest.mark.parametrize("entropy", ENTROPY)
+@pytest.mark.parametrize("purpose", list(harness._PURPOSES))
+def test_substream_is_the_philox_of_the_masked_values(entropy, purpose):
     base, run, vid, step, extra = entropy
-    values = (base, run, vid, step, harness._PURPOSES[purpose], extra)
-    seq = np.random.SeedSequence([v & ((1 << 64) - 1) for v in values])
-    expected = np.random.Generator(np.random.PCG64(seq)).random(6)
-    assert np.array_equal(substream(base, run, vid, step, purpose, extra).random(6), expected)
+    expected = fresh_philox(base, run, vid, step, purpose, extra)
+    assert np.array_equal(
+        substream(base, run, vid, step, purpose, extra).random(6), expected.random(6)
+    )
+    expected = fresh_philox(base, run, vid, step, purpose, extra)
+    assert np.array_equal(
+        substream(base, run, vid, step, purpose, extra).normal(size=6), expected.normal(size=6)
+    )
+
+
+@pytest.mark.parametrize("leftover", [
+    lambda g: g.random(3),  # three of a block's four words used
+    lambda g: g.integers(0, 10, dtype=np.uint32),  # a 32-bit half word pending
+    lambda g: g.integers(0, 2**32, size=5, dtype=np.uint32),
+    lambda g: g.normal(size=7),
+], ids=["half-block", "pending-uint32", "uint32s", "normals"])
+@pytest.mark.parametrize("same_stream", [False, True])
+def test_substream_draws_as_fresh_after_a_partial_draw(leftover, same_stream):
+    args = (1, 2, 3, 4, "range", 5)
+    leftover(substream(*args) if same_stream else substream(9, 8, 7, 6, "pso", 1))
+    assert np.array_equal(substream(*args).random(6), fresh_philox(*args).random(6))
+    leftover(substream(*args))
+    assert np.array_equal(
+        substream(*args).integers(0, 2**32, size=7, dtype=np.uint32),
+        fresh_philox(*args).integers(0, 2**32, size=7, dtype=np.uint32),
+    )
 
 
 def golden_town_cfg(algorithm):
@@ -459,6 +495,44 @@ def test_episode_does_not_depend_on_record_order(algorithm, mode, preloaded):
             assert np.array_equal(result.errors[vid], errs)
         assert result.anchors_used == expected.anchors_used
         assert result.first_step == expected.first_step
+
+
+def test_no_caller_draws_from_a_superseded_stream(monkeypatch):
+    """substream hands out one shared generator, so each caller must draw
+    before the next stream is opened."""
+    real = harness.substream
+    opened, purposes = [0], set()
+
+    class OneStream:
+        def __init__(self, generator, ticket):
+            self._generator, self._ticket = generator, ticket
+
+        def __getattr__(self, name):
+            method = getattr(self._generator, name)
+
+            def draw(*args, **kwargs):
+                if opened[0] != self._ticket:
+                    raise AssertionError(f"{name}() after a later substream call")
+                return method(*args, **kwargs)
+
+            return draw
+
+    def guarded(*args):
+        opened[0] += 1
+        purposes.add(args[4])
+        return OneStream(real(*args), opened[0])
+
+    monkeypatch.setattr(harness, "substream", guarded)
+    for algorithm in (Algorithm.GCPSO, Algorithm.EKF):
+        town = golden_town_cfg(algorithm)
+        for mode, preloaded in (
+            (Mode.TRADITIONAL, True), (Mode.PROPOSED, True), (Mode.PROPOSED, False)
+        ):
+            cfg = replace(town, policy=replace(town.policy, mode=mode, anchors_preloaded=preloaded))
+            run_episode(cfg, 1)
+    lossy = circuit_cfg(Algorithm.GCPSO, duration=80, n_parked=20, parked_spacing=24.0)
+    run_episode(replace(lossy, zone=CommZone(100.0, drop_probability=0.3)), 1)
+    assert purposes == set(harness._PURPOSES)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
