@@ -388,7 +388,9 @@ def fresh_philox(base, run, vid, step, purpose, extra=0):
 
 @pytest.mark.parametrize("entropy", ENTROPY)
 @pytest.mark.parametrize("purpose", list(harness._PURPOSES))
-def test_substream_is_the_philox_of_the_masked_values(entropy, purpose):
+def test_substream_is_the_seed_sequence_of_the_masked_values(entropy, purpose):
+    """The stream is seeded by the sequence of the masked values alone: key
+    (base, run) and counter (purpose code << 56, vehicle, step, extra)."""
     base, run, vid, step, extra = entropy
     expected = fresh_philox(base, run, vid, step, purpose, extra)
     assert np.array_equal(
