@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -575,3 +576,40 @@ def test_ensemble_of_parked_cars_only_has_no_rows():
     assert format_results_csv(summary_rows(summary)) == (
         "vehicle,mode,algorithm,sigma_r,zone,rmse_mean,rmse_std,improvement_pct\n"
     )
+
+
+def _jittered(records, dx=0.2):
+    """``records`` with every parked car's x shifted by ``dx`` at every other
+    step: a parked car that an ingested trace moves within INGEST_TOLERANCE."""
+    return [
+        replace(r, positions=[Position2D(p.x + dx * (i % 2), p.y)
+                              for i, p in enumerate(r.positions)])
+        if r.kind is MotionKind.PARKED else r
+        for r in records
+    ]
+
+
+# sha256 of the per-step error dump (6 decimals, both modes) of the golden
+# town with jittering parked cars; a parked car that moves must be
+# re-broadcast at every step, so these must not move when settled cars skip it
+JITTER_STEPS = {
+    (Algorithm.GCPSO, True):
+        "83ad81ce8b6467af4efb6ca9b0f25426898c309ce0a85923f923bedd0ad0d91b",
+    (Algorithm.GCPSO, False):
+        "edc644eb81b7eef6f62cae1d8d8a8b6ac4d6d06886922514b7075c3670cb018e",
+    (Algorithm.EKF, True):
+        "5e1800867ae442b66f146589e3cd6ca246d5486eaf167dbf61c94ea1f8b4e57d",
+    (Algorithm.EKF, False):
+        "c2df9d3fbd1c81093e7aa49cb0e25c6f436cf821843dfec7c733b5d65f6b5228",
+}
+
+
+@pytest.mark.parametrize("algorithm, preloaded", list(JITTER_STEPS))
+def test_parked_cars_that_jitter_keep_their_per_step_errors(algorithm, preloaded):
+    cfg = golden_town_cfg(algorithm)
+    cfg = replace(cfg, policy=replace(cfg.policy, anchors_preloaded=preloaded))
+    records = _jittered(generate(cfg.scenario))
+    summary = ensemble(cfg, records, keep_episodes=True)
+    dump = format_steps_csv([(algorithm, 4.0, summary)])
+    assert {mode for _, mode, _ in summary.episodes} == set(Mode)
+    assert hashlib.sha256(dump.encode()).hexdigest() == JITTER_STEPS[algorithm, preloaded]
