@@ -25,7 +25,7 @@ class NoiseModel:
     velocity_std: float = 0.5
 
     def __post_init__(self):
-        if min(self.range_std, self.gps_std, self.velocity_std) < 0:
+        if not all(s >= 0 for s in (self.range_std, self.gps_std, self.velocity_std)):
             raise ValueError("noise standard deviations must be >= 0")
 
 

@@ -27,6 +27,7 @@ from . import channel
 from .channel import CommZone, NoiseModel
 from .errors import ConfigError, DegenerateGeometryError, TraceValidationError
 from .localize import (
+    Covariance,
     EkfParams,
     GcpsoParams,
     LocalizationProblem,
@@ -203,8 +204,9 @@ def _ranked_candidates(
 
 class _Trace:
     """Trace records with the records active from each step at which the
-    active set changes, in trace order. Built once per trace and shared by
-    the episodes of an ensemble."""
+    active set changes, in trace order, and the ids of the parked vehicles
+    with one position over their whole window. Built once per trace and
+    shared by the episodes of an ensemble."""
 
     def __init__(self, records: Sequence[VehicleRecord]):
         if not records:
@@ -223,6 +225,10 @@ class _Trace:
             live = sorted([i for i in live if i not in ends[t]] + starts[t])
             self.active_from[t] = [records[i] for i in live]
         self.steps = range(min(starts), max(ends))
+        self.still_parked = {
+            r.vehicle_id for r in records
+            if r.kind is MotionKind.PARKED and r.positions.count(r.positions[0]) == len(r.positions)
+        }
 
 
 def _checked_trace(records: Sequence[VehicleRecord], step_seconds: float) -> _Trace:
@@ -240,7 +246,7 @@ class _Node:
 
     role: NodeClass
     est: Position2D | None
-    cov: np.ndarray | None = None
+    cov: Covariance | None = None
     iso: int = 0  # steps since a neighbor was last selected
     gnss_n: int = 0  # GNSS fixes averaged while halted; 0 restarts the sum
     gnss_sum: tuple[float, float] = (0.0, 0.0)
@@ -272,29 +278,43 @@ def run_episode(
     def stream(vid, step, purpose, extra=0):
         return substream(cfg.seed, run_seed, vid, step, purpose, extra)
 
-    gps_cov = cfg.noise.gps_std**2 * np.eye(2)
+    gps_var = cfg.noise.gps_std**2
+    gps_cov = (gps_var, 0.0, gps_var)
     nodes: dict[int, _Node] = {}
+    # A still parked car that is inactive in traditional mode or an anchor in
+    # proposed mode is halted for good, so its step is a no-op and its
+    # broadcast never changes: it settles, and each step copies its snapshot.
+    settled: dict[int, VehicleSnapshot] = {}
 
     active: list[VehicleRecord] = []
+    split = None  # (snapshots of the settled active cars, the other records)
     for t in trace.steps:
-        active = trace.active_from.get(t, active)
+        if t in trace.active_from:
+            active, split = trace.active_from[t], None
+        if split is None:
+            split = (
+                {r.vehicle_id: settled[r.vehicle_id] for r in active if r.vehicle_id in settled},
+                [r for r in active if r.vehicle_id not in settled],
+            )
+        base, others = split
 
-        world = WorldState()
-        for rec in active:
-            node = nodes.get(rec.vehicle_id)
+        world = WorldState(dict(base))
+        for rec in others:
+            vid = rec.vehicle_id
+            node = nodes.get(vid)
             if node is not None:  # a vehicle broadcasts from its second step
-                world.vehicles[rec.vehicle_id] = VehicleSnapshot(
-                    position=rec.position_at(t), node_class=node.role, estimate=node.est
-                )
+                snap = world.vehicles[vid] = VehicleSnapshot(rec.position_at(t), node.role, node.est)
+                if vid in trace.still_parked and (not proposed or node.role is NodeClass.ANCHOR):
+                    settled[vid], split = snap, None
 
-        for rec in active:
+        for rec in others:
             vid, kind = rec.vehicle_id, rec.kind
             truth = rec.position_at(t)
             node = nodes.get(vid)
             if node is None:  # first active step: initialise only
                 if kind is not MotionKind.PARKED:
                     fix = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gps"))
-                    node = nodes[vid] = _Node(NodeClass.BLIND, fix, gps_cov.copy())
+                    node = nodes[vid] = _Node(NodeClass.BLIND, fix, gps_cov)
                     if kind is MotionKind.MOVING:
                         node.errors.append(distance(fix, truth))
                 elif proposed and pol.anchors_preloaded:
@@ -351,7 +371,7 @@ def run_episode(
                     kind, anchors_in_range, n, distance(new_est, truth), pol
                 )
                 node.est = truth if node.role is NodeClass.ANCHOR else new_est
-                node.cov = (cfg.noise.gps_std**2 / n) * np.eye(2)
+                node.cov = (gps_var / n, 0.0, gps_var / n)
                 continue
 
             # driving (or halted in traditional mode, where nothing is promoted)
@@ -378,7 +398,7 @@ def run_episode(
                 node.iso += 1
                 if node.iso >= pol.gps_reset_interval:
                     new_est = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gps"))
-                    node.cov = gps_cov.copy()
+                    node.cov = gps_cov
                     node.iso = 0
 
             n_anch = sum(1 for c in selected if c.node_class is NodeClass.ANCHOR)

@@ -6,7 +6,10 @@ The cost a swarm minimises is the sum of squared range mismatches to the
 selected neighbors plus the squared displacement from the dead-reckoned
 prior. The EKF keeps a 2D position state; velocity enters as a known noisy
 input, so the prediction inflates the covariance by
-process_std^2 + (step_seconds * velocity_std)^2 per axis.
+process_std^2 + (step_seconds * velocity_std)^2 per axis. The covariance is
+the float triple (a, b, d) of [[a, b], [b, d]]. The update applies the range
+rows as scalar updates, all linearised at the predicted state, which equals
+the joint update (Bar-Shalom, Li & Kirubarajan, 2001).
 """
 from __future__ import annotations
 
@@ -21,8 +24,7 @@ from .model import Position2D, Velocity2D
 from .policy import Candidate
 
 _COINCIDENT = 1e-6  # meters below which a range row is skipped in the EKF
-_EYE2 = np.eye(2)
-_EYE2.flags.writeable = False
+Covariance = tuple[float, float, float]  # (a, b, d) of the symmetric [[a, b], [b, d]]
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class GcpsoParams:
             raise ValueError("particles and iterations must be >= 1")
         if self.success_limit < 1 or self.failure_limit < 1:
             raise ValueError("success_limit and failure_limit must be >= 1")
-        if self.initial_radius <= 0:
+        if not self.initial_radius > 0:
             raise ValueError("initial_radius must be > 0")
         if not self.inertia_start >= self.inertia_end >= 0:
             raise ValueError("inertia must decrease to a non-negative value")
@@ -64,7 +66,8 @@ class EkfParams:
     step_seconds: float = 1.0
 
     def __post_init__(self):
-        if min(self.range_std, self.process_std, self.velocity_std, self.step_seconds) <= 0:
+        if not all(v > 0 for v in (self.range_std, self.process_std, self.velocity_std,
+                                   self.step_seconds)):
             raise ValueError("EKF parameters must be > 0")
 
 
@@ -143,8 +146,12 @@ def gcpso_localize(
     neighbor's shared position and half on the prior (all on the prior when
     there is no neighbor), with zero initial velocities. Inertia decreases
     linearly across iterations; the globally best particle performs the
-    box-resampling update instead of the standard velocity rule.
+    box-resampling update instead of the standard velocity rule. With no
+    neighbor the cost at the prior is exactly 0, so a swarm that would stop
+    there is not run.
     """
+    if not problem.selected and params.fitness_stop >= 0.0 and problem.prior.is_finite():
+        return GcpsoResult(problem.prior, 0.0, np.zeros(1))
     n = params.particles
     evaluate = _cost_function(problem)
     px0, py0 = problem.prior
@@ -168,7 +175,7 @@ def gcpso_localize(
     radius = RadiusAdaptation(params.initial_radius, params.success_limit, params.failure_limit)
     span = max(params.iterations - 1, 1)
     # one block holds exactly what one (n, 4) draw per iteration would; a
-    # swarm that starts at fitness_stop (no neighbor, cost 0) needs none
+    # swarm that starts at fitness_stop needs none
     draws = rng.random((params.iterations, n, 4)).tolist() if gf > params.fitness_stop else []
     for it in range(params.iterations):
         if gf <= params.fitness_stop:
@@ -220,72 +227,57 @@ def _min_eigenvalue(a: float, b: float, d: float) -> float:
     return (big / larger) * small - (b / larger) * b
 
 
-def _require_psd(cov: np.ndarray) -> np.ndarray:
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (2, 2):
-        raise ValueError("covariance must be 2x2")
-    (a, b), (c, d) = cov.tolist()
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+def _require_psd(cov: Covariance) -> Covariance:
+    a, b, d = cov
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
         raise ValueError("covariance must be finite")
-    # np.allclose(cov, cov.T, atol=1e-8): |b - c| <= 1e-8 + 1e-5 * |c| and
-    # |c - b| <= 1e-8 + 1e-5 * |b|
-    if abs(b - c) > 1e-8 + 1e-5 * min(abs(b), abs(c)):
-        raise ValueError("covariance must be symmetric")
-    # the lower triangle, which is what eigvalsh reads
-    if _min_eigenvalue(a, c, d) < -1e-9:
+    if _min_eigenvalue(a, b, d) < -1e-9:
         raise ValueError("covariance must be positive semidefinite")
-    return cov
+    return a, b, d
 
 
 def ekf_predict(
     state: Position2D,
-    cov: np.ndarray,
+    cov: Covariance,
     velocity: Velocity2D,
     params: EkfParams,
-) -> tuple[Position2D, np.ndarray]:
+) -> tuple[Position2D, Covariance]:
     """Propagate the position with the measured velocity and inflate the
     covariance by the process and velocity-input noise."""
-    cov = _require_psd(cov)
+    a, b, d = _require_psd(cov)
     dt = params.step_seconds
     new_state = Position2D(state.x + dt * velocity.vx, state.y + dt * velocity.vy)
-    inflation = params.process_std**2 + (dt * params.velocity_std) ** 2
-    return new_state, cov + inflation * _EYE2
+    q = params.process_std**2 + (dt * params.velocity_std) ** 2
+    return new_state, (a + q, b, d + q)
 
 
 def ekf_update(
     state: Position2D,
-    cov: np.ndarray,
+    cov: Covariance,
     selected: list[Candidate] | tuple[Candidate, ...],
     params: EkfParams,
-) -> tuple[Position2D, np.ndarray]:
-    """Joint EKF update over the selected range measurements.
-
-    Each neighbor contributes h_j(x) = ||x - x_j|| with Jacobian row
-    (x - x_j)^T / ||x - x_j||; neighbors coincident with the state are
-    skipped. The returned covariance is explicitly symmetrized.
-    """
-    cov = _require_psd(cov)
-    rows = []
-    innovations = []
+) -> tuple[Position2D, Covariance]:
+    """EKF update over the selected range measurements, one scalar update
+    per row. Row j, h_j(x) = ||x - x_j||, is linearised at the predicted
+    state x0 as u_j = (x0 - x_j)^T / ||x0 - x_j|| (rows coincident with x0
+    are skipped), and its innovation is corrected by -u_j (x - x0)."""
+    a, b, d = _require_psd(cov)
+    x0, y0 = state
+    x, y = x0, y0
+    r2 = params.range_std**2
     for cand in selected:
-        sp = cand.shared_position
-        dx, dy = state.x - sp.x, state.y - sp.y
-        dist = math.hypot(dx, dy)
+        sx, sy = cand.shared_position
+        dist = math.hypot(x0 - sx, y0 - sy)
         if dist < _COINCIDENT:
             continue
-        rows.append((dx / dist, dy / dist))
-        innovations.append(cand.measured_range - dist)
-    if not rows:
-        return state, cov
-    jac = np.array(rows)
-    innov = np.array(innovations)
-    m = len(rows)
-    innov_cov = jac @ cov @ jac.T + params.range_std**2 * np.eye(m)
-    gain = np.linalg.solve(innov_cov, jac @ cov).T
-    delta = gain @ innov
-    new_cov = (_EYE2 - gain @ jac) @ cov
-    new_cov = (new_cov + new_cov.T) / 2.0
-    return Position2D(state.x + delta[0], state.y + delta[1]), new_cov
+        ux, uy = (x0 - sx) / dist, (y0 - sy) / dist
+        pu_x, pu_y = a * ux + b * uy, b * ux + d * uy  # P u
+        s = ux * pu_x + uy * pu_y + r2
+        gx, gy = pu_x / s, pu_y / s
+        innov = cand.measured_range - dist - ux * (x - x0) - uy * (y - y0)
+        x, y = x + gx * innov, y + gy * innov
+        a, b, d = a - gx * pu_x, b - gx * pu_y, d - gy * pu_y
+    return Position2D(x, y), (a, b, d)
 
 
 def trilaterate(

@@ -31,7 +31,7 @@ class PolicyConfig:
     anchors_preloaded: bool = True          # parked vehicles are anchors from t=0
 
     def __post_init__(self):
-        if self.anchor_accuracy_threshold <= 0:
+        if not self.anchor_accuracy_threshold > 0:
             raise ValueError("anchor_accuracy_threshold must be > 0")
         if self.gnss_window <= 0 or self.gps_reset_interval <= 0:
             raise ValueError("windows must be > 0")

@@ -198,7 +198,7 @@ def test_criterion_4_oracle_equivalence():
                              np.random.default_rng(int(rng.integers(2**32))))
         worst_pso = max(worst_pso, distance(pso.position, oracle))
 
-        state, cov = problem.prior, 100.0 * np.eye(2)
+        state, cov = problem.prior, (100.0, 0.0, 100.0)
         for _ in range(3):
             state, cov = ekf_update(state, cov, list(problem.selected), params_ekf)
         worst_ekf = max(worst_ekf, distance(state, oracle))
@@ -260,15 +260,16 @@ def test_criterion_5_gcpso_invariants():
 def test_criterion_6_ekf_invariants():
     params = EkfParams(range_std=0.5, process_std=2.0, velocity_std=0.5,
                        step_seconds=1.0)
-    # exact trace inflation: 2 * (2^2 + (1*0.5)^2) = 8.5 on exact inputs
-    _, cov1 = ekf_predict(Position2D(0, 0), np.eye(2), Velocity2D(1, 1), params)
-    exact_ok = np.trace(cov1) - np.trace(np.eye(2)) == 8.5
-    _, cov2 = ekf_predict(Position2D(0, 0), np.diag([2.0, 3.0]), Velocity2D(0, 0), params)
-    exact_ok = exact_ok and np.trace(cov2) - 5.0 == 8.5
+    # exact trace inflation: 2 * (2^2 + (1*0.5)^2) = 8.5 on exact inputs;
+    # a covariance is the triple (a, b, d) of [[a, b], [b, d]]
+    _, cov1 = ekf_predict(Position2D(0, 0), (1.0, 0.0, 1.0), Velocity2D(1, 1), params)
+    exact_ok = cov1[0] + cov1[2] - 2.0 == 8.5
+    _, cov2 = ekf_predict(Position2D(0, 0), (2.0, 0.0, 3.0), Velocity2D(0, 0), params)
+    exact_ok = exact_ok and cov2[0] + cov2[2] - 5.0 == 8.5
 
     rng = np.random.default_rng(SEED + 2)
     state = Position2D(20.0, 20.0)
-    cov = 36.0 * np.eye(2)
+    cov = (36.0, 0.0, 36.0)
     psd_ok = True
     min_eig = np.inf
     for _ in range(10_000):
@@ -285,17 +286,19 @@ def test_criterion_6_ekf_invariants():
             for j in range(n)
         ]
         state, cov = ekf_update(state, cov, cands, params)
-        if not np.allclose(cov, cov.T):
+        # symmetric by construction: a finite triple is a symmetric matrix
+        if len(cov) != 3 or not all(math.isfinite(v) for v in cov):
             psd_ok = False
             break
-        eig = float(np.linalg.eigvalsh(cov).min())
+        a, b, d = cov
+        eig = float(np.linalg.eigvalsh(np.array([[a, b], [b, d]])).min())
         min_eig = min(min_eig, eig)
         if eig < -1e-9:
             psd_ok = False
             break
         # keep the filter from collapsing to a numerically trivial state
-        if np.trace(cov) < 1e-6:
-            cov = cov + 0.1 * np.eye(2)
+        if a + d < 1e-6:
+            cov = (a + 0.1, b, d + 0.1)
     ok = exact_ok and psd_ok
     report(
         "criterion 6 (EKF invariants)",

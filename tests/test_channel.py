@@ -235,6 +235,12 @@ def test_noise_model_rejects_negative_std():
         NoiseModel(range_std=-1.0)
 
 
+@pytest.mark.parametrize("field", ["range_std", "gps_std", "velocity_std"])
+def test_noise_model_rejects_nan(field):
+    with pytest.raises(ValueError):
+        NoiseModel(**{field: math.nan})
+
+
 def test_comm_zone_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         CommZone(0.0)

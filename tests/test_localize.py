@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +97,36 @@ def test_gcpso_no_neighbors_returns_prior():
     assert res.fitness == 0.0
 
 
+class _UntouchableRng:
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used")
+
+
+@pytest.mark.parametrize("fitness_stop", [0.0, 0.5])
+def test_gcpso_without_neighbors_returns_the_prior_without_a_swarm(fitness_stop):
+    prior = Position2D(0.1 + 0.2, -0.0)
+    res = gcpso_localize(LocalizationProblem((), prior), GcpsoParams(fitness_stop=fitness_stop),
+                         _UntouchableRng())
+    assert (res.position.x, res.position.y) == (prior.x, prior.y)
+    assert math.copysign(1.0, res.position.y) == -1.0
+    assert res.fitness == 0.0
+    assert res.history.tolist() == [0.0]
+
+
+def test_gcpso_without_neighbors_runs_the_swarm_below_a_negative_fitness_stop():
+    params = GcpsoParams(fitness_stop=-1.0)
+    used = []
+
+    class CountingRng:
+        def __getattr__(self, name):
+            used.append(name)
+            return getattr(np.random.default_rng(3), name)
+
+    res = gcpso_localize(LocalizationProblem((), Position2D(4.5, -2.25)), params, CountingRng())
+    assert used
+    assert len(res.history) == params.iterations + 1
+
+
 def test_gcpso_history_monotone_nonincreasing():
     rng_master = np.random.default_rng(12)
     for _ in range(200):
@@ -175,9 +206,21 @@ def test_radius_counters_reset_on_alternation():
 # EKF
 
 
+EYE = (1.0, 0.0, 1.0)  # the identity covariance as (a, b, d)
+
+
+def _matrix(cov):
+    a, b, d = cov
+    return np.array([[a, b], [b, d]])
+
+
+def _trace(cov):
+    return cov[0] + cov[2]
+
+
 def test_ekf_predict_moves_state():
     state, cov = ekf_predict(
-        Position2D(0.0, 0.0), np.eye(2), Velocity2D(1.0, 2.0),
+        Position2D(0.0, 0.0), EYE, Velocity2D(1.0, 2.0),
         EkfParams(range_std=0.2),
     )
     assert state == Position2D(1.0, 2.0)
@@ -186,32 +229,29 @@ def test_ekf_predict_moves_state():
 def test_ekf_predict_inflates_covariance_exactly():
     # process_std=2, velocity_std=0.5, dt=1: per-axis inflation 4 + 0.25
     _, cov = ekf_predict(
-        Position2D(0, 0), np.eye(2), Velocity2D(0, 0),
+        Position2D(0, 0), EYE, Velocity2D(0, 0),
         EkfParams(range_std=0.2, process_std=2.0, velocity_std=0.5, step_seconds=1.0),
     )
-    assert np.array_equal(cov, 5.25 * np.eye(2))
+    assert cov == (5.25, 0.0, 5.25)
 
 
 def test_ekf_predict_zero_velocity_keeps_state():
     state, cov = ekf_predict(
-        Position2D(3.0, 4.0), np.eye(2), Velocity2D(0.0, 0.0), EkfParams(range_std=1.0)
+        Position2D(3.0, 4.0), EYE, Velocity2D(0.0, 0.0), EkfParams(range_std=1.0)
     )
     assert state == Position2D(3.0, 4.0)
-    assert cov[0, 0] > 1.0
+    assert cov[0] > 1.0
 
 
 def test_ekf_predict_rejects_non_psd():
     with pytest.raises(ValueError):
-        ekf_predict(Position2D(0, 0), np.array([[1.0, 0.0], [0.0, -1.0]]),
+        ekf_predict(Position2D(0, 0), (1.0, 0.0, -1.0),
                     Velocity2D(0, 0), EkfParams(range_std=1.0))
 
 
 def _former_psd_verdict(cov):
-    """What the numpy predicate that _require_psd replaces said of ``cov``."""
-    cov = np.asarray(cov, dtype=float)
-    if not np.allclose(cov, cov.T, atol=1e-8):
-        return "symmetric"
-    if np.linalg.eigvalsh(cov).min() < -1e-9:
+    """What numpy's eigvalsh says of the matrix of the triple ``cov``."""
+    if np.linalg.eigvalsh(_matrix(cov)).min() < -1e-9:
         return "semidefinite"
     return None
 
@@ -230,42 +270,28 @@ def _rotated(lo, hi, angle):
     return rot @ np.diag([lo, hi]) @ rot.T
 
 
+def _lower(matrix):
+    """The triple of a 2x2 matrix's lower triangle, which eigvalsh reads."""
+    return (float(matrix[0, 0]), float(matrix[1, 0]), float(matrix[1, 1]))
+
+
 def test_require_psd_agrees_with_the_numpy_predicate_on_random_matrices():
     rng = np.random.default_rng(12)
     verdicts = []
     for _ in range(1500):
         scale = 10.0 ** rng.uniform(-10, 4)
-        a, b, c, d = rng.normal(size=4) * scale
-        tol = 1e-8 + 1e-5 * abs(b)
+        a, b, d = rng.normal(size=3) * scale
         lo = -1e-9 * (1.0 + rng.uniform(-0.5, 0.5))
         for cov in (
-            np.array([[a, b], [c, d]]),                      # asymmetric
-            np.array([[a, b], [b, d]]),                      # symmetric
-            np.array([[a, b], [b + tol * rng.uniform(0.5, 1.5), d]]),
-            _rotated(lo, rng.uniform(0.01, 100.0), rng.uniform(0, math.pi)),
-            _rotated(rng.uniform(0, 1e-6), 10.0 ** rng.uniform(-3, 3), rng.uniform(0, 3)),
+            (a, b, d),
+            _lower(_rotated(lo, rng.uniform(0.01, 100.0), rng.uniform(0, math.pi))),
+            _lower(_rotated(rng.uniform(0, 1e-6), 10.0 ** rng.uniform(-3, 3), rng.uniform(0, 3))),
         ):
             verdict = _former_psd_verdict(cov)
             assert _psd_verdict(cov) == verdict, cov
             verdicts.append(verdict)
     # every outcome is exercised
-    assert {None, "symmetric", "semidefinite"} <= set(verdicts)
-
-
-@pytest.mark.parametrize("b,c,verdict", [
-    (1.0, 1.0 + (1e-8 + 1e-5) * (1 - 1e-6), None),
-    (1.0, 1.0 + (1e-8 + 1e-5) * (1 + 1e-6), "symmetric"),
-    (-1.0, -1.0 - (1e-8 + 1e-5) * (1 - 1e-6), None),
-    (1.0 + (1e-8 + 1e-5) * (1 + 1e-6), 1.0, "symmetric"),
-    # inside the tolerance taken on |c|, outside the one taken on |b|
-    (1.0, 1.0 + (1e-8 + 1e-5) * (1 + 5e-6), "symmetric"),
-    (0.0, 1e-8 * (1 - 1e-6), None),
-    (0.0, 1e-8 * (1 + 1e-6), "symmetric"),
-])
-def test_require_psd_symmetry_edges(b, c, verdict):
-    cov = np.array([[4.0, b], [c, 4.0]])
-    assert _former_psd_verdict(cov) == verdict
-    assert _psd_verdict(cov) == verdict
+    assert {None, "semidefinite"} <= set(verdicts)
 
 
 @pytest.mark.parametrize("lo,verdict", [
@@ -275,7 +301,7 @@ def test_require_psd_symmetry_edges(b, c, verdict):
 @pytest.mark.parametrize("angle", [0.0, 0.3, math.pi / 4, 2.0])
 def test_require_psd_eigenvalue_edges(lo, verdict, angle):
     cov = _rotated(lo, 2.0, angle)
-    cov = (cov + cov.T) / 2.0
+    cov = _lower((cov + cov.T) / 2.0)
     assert _former_psd_verdict(cov) == verdict
     assert _psd_verdict(cov) == verdict
 
@@ -283,25 +309,28 @@ def test_require_psd_eigenvalue_edges(lo, verdict, angle):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_require_psd_rejects_non_finite_entries(bad, where):
-    cov = np.eye(2)
-    cov[where] = bad
+    cov = list(EYE)
+    cov[where[0] + where[1]] = bad  # both off-diagonal entries are b
     with pytest.raises(ValueError):
-        _require_psd(cov)
+        _require_psd(tuple(cov))
     with pytest.raises(ValueError):
-        ekf_update(Position2D(0.0, 0.0), cov, [], EkfParams(range_std=1.0))
+        ekf_update(Position2D(0.0, 0.0), tuple(cov), [], EkfParams(range_std=1.0))
 
 
 def test_require_psd_rejects_wrong_shape():
-    with pytest.raises(ValueError, match="2x2"):
-        _require_psd(np.eye(3))
+    # a covariance is the triple (a, b, d); a 2x2 array or four entries
+    # do not unpack into one
+    for cov in (np.eye(2), (1.0, 0.0, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="values to unpack"):
+            _require_psd(cov)
 
 
 def test_ekf_update_empty_is_identity():
     state = Position2D(1.0, 2.0)
-    cov = 3.0 * np.eye(2)
+    cov = (3.0, 0.0, 3.0)
     new_state, new_cov = ekf_update(state, cov, [], EkfParams(range_std=0.2))
     assert new_state == state
-    assert np.array_equal(new_cov, cov)
+    assert new_cov == cov
 
 
 def test_ekf_update_converges_to_trilateration():
@@ -311,7 +340,7 @@ def test_ekf_update_converges_to_trilateration():
     prob = anchored_problem(anchors, ranges, prior=truth)
     oracle, _ = trilaterate([Position2D(*a) for a in anchors], ranges)
     state = Position2D(9.0, 10.0)
-    cov = 100.0 * np.eye(2)
+    cov = (100.0, 0.0, 100.0)
     params = EkfParams(range_std=0.2)
     for _ in range(3):
         state, cov = ekf_update(state, cov, list(prob.selected), params)
@@ -323,7 +352,8 @@ def test_ekf_update_never_increases_trace():
     params = EkfParams(range_std=1.0)
     for _ in range(100):
         state = Position2D(*rng.uniform(0, 50, 2))
-        cov = np.eye(2) * rng.uniform(0.5, 50)
+        var = float(rng.uniform(0.5, 50))
+        cov = (var, 0.0, var)
         anchors = rng.uniform(0, 50, (2, 2))
         cands = [
             Candidate(j + 1, NodeClass.ANCHOR, Position2D(*a),
@@ -331,23 +361,23 @@ def test_ekf_update_never_increases_trace():
             for j, a in enumerate(anchors)
         ]
         _, new_cov = ekf_update(state, cov, cands, params)
-        assert np.trace(new_cov) <= np.trace(cov) + 1e-9
+        assert _trace(new_cov) <= _trace(cov) + 1e-9
 
 
 def test_ekf_update_skips_coincident_candidate(make_candidate):
     state = Position2D(5.0, 5.0)
-    cov = 4.0 * np.eye(2)
+    cov = (4.0, 0.0, 4.0)
     coincident = make_candidate(vehicle_id=1, x=5.0, y=5.0, measured=3.0)
     new_state, new_cov = ekf_update(state, cov, [coincident], EkfParams(range_std=0.2))
     assert new_state == state
-    assert np.array_equal(new_cov, cov)
+    assert new_cov == cov
 
 
 def test_ekf_covariance_stays_psd_through_random_cycles():
     rng = np.random.default_rng(4)
     params = EkfParams(range_std=0.5)
     state = Position2D(10.0, 10.0)
-    cov = 36.0 * np.eye(2)
+    cov = (36.0, 0.0, 36.0)
     for _ in range(500):
         vel = Velocity2D(*rng.normal(0, 3, 2))
         state, cov = ekf_predict(state, cov, vel, params)
@@ -359,8 +389,81 @@ def test_ekf_covariance_stays_psd_through_random_cycles():
             for j in range(n)
         ]
         state, cov = ekf_update(state, cov, cands, params)
-        assert np.allclose(cov, cov.T)
-        assert np.linalg.eigvalsh(cov).min() >= -1e-9
+        assert len(cov) == 3 and all(math.isfinite(v) for v in cov)
+        assert np.linalg.eigvalsh(_matrix(cov)).min() >= -1e-9
+
+
+def _joint_update(state, cov, selected, params):
+    """The joint EKF update over all range rows at once, through LAPACK's
+    solve: the oracle for ekf_update's scalar updates."""
+    matrix = _matrix(cov)
+    rows, innovations = [], []
+    for cand in selected:
+        sp = cand.shared_position
+        dx, dy = state.x - sp.x, state.y - sp.y
+        dist = math.hypot(dx, dy)
+        if dist < 1e-6:
+            continue
+        rows.append((dx / dist, dy / dist))
+        innovations.append(cand.measured_range - dist)
+    if not rows:
+        return state, cov
+    jac = np.array(rows)
+    innov_cov = jac @ matrix @ jac.T + params.range_std**2 * np.eye(len(rows))
+    gain = np.linalg.solve(innov_cov, jac @ matrix).T
+    delta = gain @ np.array(innovations)
+    new = (np.eye(2) - gain @ jac) @ matrix
+    new = (new + new.T) / 2.0
+    return Position2D(state.x + delta[0], state.y + delta[1]), _lower(new)
+
+
+_eigenvalue = st.one_of(
+    st.just(0.0),
+    st.floats(1e-12, 1e-6),
+    st.floats(0.0, 400.0),
+)
+_coordinate = st.floats(-60.0, 60.0)
+
+
+@st.composite
+def _update_instances(draw):
+    lo, hi = sorted((draw(_eigenvalue), draw(_eigenvalue)))
+    cov = _lower(_rotated(lo, hi, draw(st.floats(0.0, math.pi))))
+    state = Position2D(draw(_coordinate), draw(_coordinate))
+    shared = []
+    for j in range(draw(st.integers(0, 3))):
+        where = draw(st.sampled_from(["free", "coincident", "near", "duplicate"]))
+        if where == "coincident":
+            pos = state
+        elif where == "near":
+            pos = Position2D(state.x + draw(st.floats(-2e-6, 2e-6)), state.y)
+        elif where == "duplicate" and shared:
+            pos = draw(st.sampled_from(shared))
+        else:
+            pos = Position2D(draw(_coordinate), draw(_coordinate))
+        shared.append(pos)
+    cands = [
+        Candidate(j + 1, NodeClass.ANCHOR, pos, draw(st.floats(0.0, 90.0)))
+        for j, pos in enumerate(shared)
+    ]
+    params = EkfParams(range_std=draw(st.floats(1e-3, 10.0)))
+    return state, cov, cands, params
+
+
+@settings(max_examples=400, deadline=None)
+@given(_update_instances())
+def test_ekf_update_agrees_with_the_joint_update(instance):
+    state, cov, cands, params = instance
+    got_state, got_cov = ekf_update(state, cov, cands, params)
+    want_state, want_cov = _joint_update(state, cov, cands, params)
+    # Both forms subtract P u u^T P / s from P, and so lose about eps * kappa
+    # to cancellation, kappa = 1 + tr(P) / r^2. A singular P ranged at
+    # range_std = 1e-3 reaches kappa = 1e9, where neither form holds 1e-9;
+    # wherever that loss is below 1e-9, they agree to 1e-9.
+    kappa = 1.0 + _trace(cov) / params.range_std**2
+    tol = max(1e-9, 64 * sys.float_info.epsilon * kappa)
+    for got, want in zip((*got_state, *got_cov), (*want_state, *want_cov)):
+        assert abs(got - want) <= tol * (abs(want) + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +570,7 @@ def test_localizers_agree_with_trilateration_on_random_instances():
         assert distance(pso.position, oracle) < 0.5
 
         state = Position2D(*prior)
-        cov = 100.0 * np.eye(2)
+        cov = (100.0, 0.0, 100.0)
         for _ in range(3):
             state, cov = ekf_update(state, cov, list(prob.selected), params_ekf)
         assert distance(state, oracle) < 0.5
@@ -480,3 +583,14 @@ def test_params_validation():
         GcpsoParams(inertia_start=0.1, inertia_end=0.5)
     with pytest.raises(ValueError):
         EkfParams(range_std=0.0)
+
+
+@pytest.mark.parametrize("field", ["range_std", "process_std", "velocity_std", "step_seconds"])
+def test_ekf_params_reject_nan(field):
+    with pytest.raises(ValueError):
+        EkfParams(**{"range_std": 1.0, field: math.nan})
+
+
+def test_gcpso_params_reject_nan_initial_radius():
+    with pytest.raises(ValueError):
+        GcpsoParams(initial_radius=math.nan)

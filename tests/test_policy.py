@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,11 @@ def test_dead_reckon_composes_additively():
     two = dead_reckon(p0, Velocity2D(2 * v.vx, 2 * v.vy), 1.0)
     assert one.x == pytest.approx(two.x)
     assert one.y == pytest.approx(two.y)
+
+
+def test_policy_config_rejects_nan_threshold():
+    with pytest.raises(ValueError):
+        PolicyConfig(anchor_accuracy_threshold=math.nan)
 
 
 def test_policy_config_validation():
