@@ -249,7 +249,7 @@ def test_ekf_predict_rejects_non_psd():
                     Velocity2D(0, 0), EkfParams(range_std=1.0))
 
 
-def _former_psd_verdict(cov):
+def _numpy_psd_verdict(cov):
     """What numpy's eigvalsh says of the matrix of the triple ``cov``."""
     if np.linalg.eigvalsh(_matrix(cov)).min() < -1e-9:
         return "semidefinite"
@@ -287,7 +287,7 @@ def test_require_psd_agrees_with_the_numpy_predicate_on_random_matrices():
             _lower(_rotated(lo, rng.uniform(0.01, 100.0), rng.uniform(0, math.pi))),
             _lower(_rotated(rng.uniform(0, 1e-6), 10.0 ** rng.uniform(-3, 3), rng.uniform(0, 3))),
         ):
-            verdict = _former_psd_verdict(cov)
+            verdict = _numpy_psd_verdict(cov)
             assert _psd_verdict(cov) == verdict, cov
             verdicts.append(verdict)
     # every outcome is exercised
@@ -302,7 +302,7 @@ def test_require_psd_agrees_with_the_numpy_predicate_on_random_matrices():
 def test_require_psd_eigenvalue_edges(lo, verdict, angle):
     cov = _rotated(lo, 2.0, angle)
     cov = _lower((cov + cov.T) / 2.0)
-    assert _former_psd_verdict(cov) == verdict
+    assert _numpy_psd_verdict(cov) == verdict
     assert _psd_verdict(cov) == verdict
 
 
