@@ -267,10 +267,11 @@ def ekf_update(
     r2 = params.range_std**2
     for cand in selected:
         sx, sy = cand.shared_position
-        dist = math.hypot(x0 - sx, y0 - sy)
+        dx, dy = x0 - sx, y0 - sy
+        dist = math.hypot(dx, dy)
         if dist < _COINCIDENT:
             continue
-        ux, uy = (x0 - sx) / dist, (y0 - sy) / dist
+        ux, uy = dx / dist, dy / dist
         pu_x, pu_y = a * ux + b * uy, b * ux + d * uy  # P u
         s = ux * pu_x + uy * pu_y + r2
         gx, gy = pu_x / s, pu_y / s

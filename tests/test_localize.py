@@ -18,6 +18,7 @@ from parkcp.localize import (
     ekf_update,
     gcpso_localize,
     trilaterate,
+    _COINCIDENT,
     _require_psd,
 )
 from parkcp.model import NodeClass, Position2D, Velocity2D, distance
@@ -402,7 +403,7 @@ def _joint_update(state, cov, selected, params):
         sp = cand.shared_position
         dx, dy = state.x - sp.x, state.y - sp.y
         dist = math.hypot(dx, dy)
-        if dist < 1e-6:
+        if dist < _COINCIDENT:
             continue
         rows.append((dx / dist, dy / dist))
         innovations.append(cand.measured_range - dist)
