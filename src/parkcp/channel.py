@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -43,29 +44,63 @@ class CommZone:
             raise ValueError("drop_probability must be in [0, 1)")
 
 
-def _index(world: WorldState, radius: float) -> tuple[dict, dict]:
-    """Uniform grid of the world's vehicles for ``radius``: the cell of every
-    vehicle at a finite position, and the powered-on ones as (id, x, y) by
-    cell.
+def cell_width(radius: float, extent: float) -> float:
+    """Width of the grid cells for ``radius`` when no coordinate put in or
+    looked up on the grid exceeds ``extent`` in magnitude.
 
     A pair within ``radius`` has |dx|, |dy| <= radius * (1 + 2**-53), and each
-    division below is off by at most ``big`` * 2**-53 / width cells, so with
-    this width the pair's cells differ by at most one on either axis.
+    division in ``cell`` is off by at most ``extent`` * 2**-53 / width cells,
+    so with this width the pair's cells differ by at most one on either axis.
     """
+    return radius * (1.0 + 2.0**-30) + extent * 2.0**-50
+
+
+def cell(x: float, y: float, width: float) -> tuple[int, int]:
+    """The grid cell of a finite point."""
+    return math.floor(x / width), math.floor(y / width)
+
+
+def grid(
+    entries: Iterable[tuple], width: float, base: dict | None = None
+) -> dict[tuple[int, int], list[tuple]]:
+    """Entries (id, x, y, ...) at finite points, by cell, added to a copy of
+    ``base``, a grid of the same width, which stays unchanged."""
+    cells = dict(base) if base else {}
+    for entry in entries:
+        key = cell(entry[1], entry[2], width)
+        cells[key] = [*cells.get(key, ()), entry]
+    return cells
+
+
+def within(
+    cells: dict, x: float, y: float, width: float, radius: float
+) -> list[tuple]:
+    """Entries of the grid ``cells`` of cell ``width`` within ``radius`` of
+    the finite point (x, y): a scan of its own and the 8 adjacent cells,
+    each entry decided by the exact ``hypot <= radius`` test."""
+    i, j = cell(x, y, width)
+    found = []
+    for ci in (i - 1, i, i + 1):
+        for cj in (j - 1, j, j + 1):
+            for entry in cells.get((ci, cj), ()):
+                if math.hypot(x - entry[1], y - entry[2]) <= radius:
+                    found.append(entry)
+    return found
+
+
+def _index(world: WorldState, radius: float) -> tuple[float, dict]:
+    """Cell width and grid of the world's powered-on vehicles at finite
+    positions, as (id, x, y)."""
     placed = [
-        (vid, snap.position, snap.node_class)
+        (vid, snap.position.x, snap.position.y, snap.node_class)
         for vid, snap in world.vehicles.items()
         if snap.position.is_finite()
     ]
-    big = max((abs(c) for _, pos, _ in placed for c in pos), default=0.0)
-    width = radius * (1.0 + 2.0**-30) + big * 2.0**-50
-    cell_of: dict[int, tuple[int, int]] = {}
-    cells: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
-    for vid, (x, y), node_class in placed:
-        cell = cell_of[vid] = (math.floor(x / width), math.floor(y / width))
-        if node_class is not NodeClass.INACTIVE:
-            cells.setdefault(cell, []).append((vid, x, y))
-    return cell_of, cells
+    big = max((max(abs(x), abs(y)) for _, x, y, _ in placed), default=0.0)
+    width = cell_width(radius, big)
+    return width, grid(
+        (entry[:3] for entry in placed if entry[3] is not NodeClass.INACTIVE), width
+    )
 
 
 def _scan(world: WorldState, vehicle_id: int, radius: float) -> list[int]:
@@ -85,8 +120,8 @@ def neighbors(world: WorldState, vehicle_id: int, zone: CommZone) -> list[int]:
     Inactive nodes never appear in the result (they do not broadcast), but an
     inactive vehicle may itself query its surroundings. The first query of a
     radius scans every vehicle, since a world queried once does not repay an
-    index; the second indexes the world, and each later query scans its own
-    and adjacent cells.
+    index; the second indexes the world with ``grid``, and each later query
+    scans its own and adjacent cells with ``within``.
     """
     if vehicle_id not in world.vehicles:
         raise KeyError(f"unknown vehicle id {vehicle_id}")
@@ -98,19 +133,14 @@ def neighbors(world: WorldState, vehicle_id: int, zone: CommZone) -> list[int]:
     index = grids[radius]
     if index is None:
         index = grids[radius] = _index(world, radius)
-    cell_of, cells = index
-    if vehicle_id not in cell_of:
+    own = world.vehicles[vehicle_id].position
+    if not own.is_finite():
         return []  # a non-finite position is within no distance of anything
-    i, j = cell_of[vehicle_id]
-    ox, oy = world.vehicles[vehicle_id].position
-    found = []
-    for ci in (i - 1, i, i + 1):
-        for cj in (j - 1, j, j + 1):
-            for vid, x, y in cells.get((ci, cj), ()):
-                if vid != vehicle_id and math.hypot(ox - x, oy - y) <= radius:
-                    found.append(vid)
-    found.sort()
-    return found
+    width, cells = index
+    return sorted(
+        entry[0] for entry in within(cells, own.x, own.y, width, radius)
+        if entry[0] != vehicle_id
+    )
 
 
 def measure_range(
@@ -128,5 +158,5 @@ def measure_gps(
     rng: np.random.Generator,
 ) -> Position2D:
     """Noisy GPS fix: independent per-axis Gaussian error."""
-    ex, ey = rng.normal(0.0, noise.gps_std, size=2)
+    ex, ey = rng.normal(0.0, noise.gps_std, size=2).tolist()
     return Position2D(true_pos.x + ex, true_pos.y + ey)

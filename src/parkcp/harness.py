@@ -42,9 +42,7 @@ from .model import (
     NodeClass,
     Position2D,
     VehicleRecord,
-    VehicleSnapshot,
     Velocity2D,
-    WorldState,
     distance,
 )
 from .policy import (
@@ -160,8 +158,10 @@ def substream(
 
 
 def _ranked_candidates(
-    world: WorldState,
+    cells: dict,
+    width: float,
     vehicle_id: int,
+    own_true: Position2D,
     reference: Position2D,
     zone: CommZone,
     noise: NoiseModel,
@@ -171,42 +171,56 @@ def _ranked_candidates(
 ) -> tuple[list[Candidate], int]:
     """Neighbor discovery, broadcast-data pre-ranking, and ranging.
 
-    Ranges are only measured for the top-k neighbors under
-    (priority, distance from own reference to the shared position, id);
-    the final order is then fixed by select_neighbors on measured ranges.
-    Returns (selected candidates, anchors among all neighbors in range).
+    ``cells`` is the grid (``channel.grid`` of cell ``width``) of this step's
+    broadcasts, see ``_broadcast``. Ranges are only measured for the top-k
+    neighbors under (priority, distance from own reference to the shared
+    position, id); the final order is then fixed by select_neighbors on
+    measured ranges. Returns (selected candidates, anchors among all
+    neighbors in range).
     """
     ranked = []
     anchors_in_range = 0
-    for j in channel.neighbors(world, vehicle_id, zone):
+    for j, _, _, true_pos, ncls, shared, prio in channel.within(
+        cells, own_true.x, own_true.y, width, zone.radius
+    ):
+        if j == vehicle_id:
+            continue
         if zone.drop_probability > 0.0:
             if stream(vehicle_id, step, "drop", j).random() < zone.drop_probability:
                 continue  # broadcast lost this step
-        snap = world.vehicles[j]
-        if snap.node_class is NodeClass.ANCHOR:
+        if ncls is NodeClass.ANCHOR:
             anchors_in_range += 1
-            shared = snap.position
-        else:
-            shared = snap.estimate
         if shared is None:
             continue
         gap = math.hypot(reference.x - shared.x, reference.y - shared.y)
-        ranked.append((priority(snap.node_class), gap, j, shared, snap.node_class))
+        ranked.append((prio, gap, j, shared, ncls, true_pos))
     ranked.sort(key=lambda r: r[:3])
-    own_true = world.vehicles[vehicle_id].position
     candidates = []
-    for _, _, j, shared, ncls in ranked[:k]:
-        true_d = distance(own_true, world.vehicles[j].position)
+    for _, _, j, shared, ncls, true_pos in ranked[:k]:
+        true_d = distance(own_true, true_pos)
         measured = channel.measure_range(true_d, noise, stream(vehicle_id, step, "range", j))
         candidates.append(Candidate(j, ncls, shared, measured))
     return select_neighbors(candidates, k), anchors_in_range
 
 
+def _broadcast(
+    vehicle_id: int, position: Position2D, role: NodeClass, est: Position2D | None
+) -> tuple | None:
+    """A vehicle's broadcast as a grid entry (id, x, y, true position, role,
+    shared position, priority); None for an inactive vehicle, which does not
+    broadcast. An anchor shares its position, any other role its estimate."""
+    if role is NodeClass.INACTIVE:
+        return None
+    shared = position if role is NodeClass.ANCHOR else est
+    return (vehicle_id, position.x, position.y, position, role, shared, priority(role))
+
+
 class _Trace:
     """Trace records with the records active from each step at which the
-    active set changes, in trace order, and the ids of the parked vehicles
-    with one position over their whole window. Built once per trace and
-    shared by the episodes of an ensemble."""
+    active set changes, in trace order, the ids of the parked vehicles with
+    one position over their whole window, and the largest coordinate
+    magnitude, which fixes the neighbor grid's cell width. Built once per
+    trace and shared by the episodes of an ensemble."""
 
     def __init__(self, records: Sequence[VehicleRecord]):
         if not records:
@@ -229,6 +243,7 @@ class _Trace:
             r.vehicle_id for r in records
             if r.kind is MotionKind.PARKED and r.positions.count(r.positions[0]) == len(r.positions)
         }
+        self.extent = max(abs(c) for r in records for p in set(r.positions) for c in p)
 
 
 def _checked_trace(records: Sequence[VehicleRecord], step_seconds: float) -> _Trace:
@@ -280,32 +295,37 @@ def run_episode(
 
     gps_var = cfg.noise.gps_std**2
     gps_cov = (gps_var, 0.0, gps_var)
+    width = channel.cell_width(cfg.zone.radius, trace.extent)
     nodes: dict[int, _Node] = {}
     # A still parked car that is inactive in traditional mode or an anchor in
     # proposed mode is halted for good, so its step is a no-op and its
-    # broadcast never changes: it settles, and each step copies its snapshot.
-    settled: dict[int, VehicleSnapshot] = {}
+    # broadcast never changes: it settles, and its broadcast is kept.
+    settled: dict[int, tuple | None] = {}
 
     active: list[VehicleRecord] = []
-    split = None  # (snapshots of the settled active cars, the other records)
+    split = None  # (grid of the settled active cars' broadcasts, the other records)
     for t in trace.steps:
         if t in trace.active_from:
             active, split = trace.active_from[t], None
         if split is None:
             split = (
-                {r.vehicle_id: settled[r.vehicle_id] for r in active if r.vehicle_id in settled},
+                channel.grid((settled[r.vehicle_id] for r in active
+                              if settled.get(r.vehicle_id) is not None), width),
                 [r for r in active if r.vehicle_id not in settled],
             )
-        base, others = split
+        fixed, others = split
 
-        world = WorldState(dict(base))
+        sent = []
         for rec in others:
             vid = rec.vehicle_id
             node = nodes.get(vid)
             if node is not None:  # a vehicle broadcasts from its second step
-                snap = world.vehicles[vid] = VehicleSnapshot(rec.position_at(t), node.role, node.est)
+                entry = _broadcast(vid, rec.position_at(t), node.role, node.est)
+                if entry is not None:
+                    sent.append(entry)
                 if vid in trace.still_parked and (not proposed or node.role is NodeClass.ANCHOR):
-                    settled[vid], split = snap, None
+                    settled[vid], split = entry, None
+        cells = channel.grid(sent, width, fixed)
 
         for rec in others:
             vid, kind = rec.vehicle_id, rec.kind
@@ -346,7 +366,7 @@ def run_episode(
                 gnss_mean = Position2D(sx / n, sy / n)
 
                 selected, anchors_in_range = _ranked_candidates(
-                    world, vid, gnss_mean, cfg.zone, cfg.noise, stream, t
+                    cells, width, vid, truth, gnss_mean, cfg.zone, cfg.noise, stream, t
                 )
                 anchor_sel = [c for c in selected if c.node_class is NodeClass.ANCHOR]
                 if len(anchor_sel) >= 3:
@@ -378,12 +398,12 @@ def run_episode(
             node.gnss_n = 0
             vel_true = rec.velocity_at(t - 1)  # motion from t-1 to t
             g = stream(vid, t, "vel")
-            noise_v = g.normal(0.0, cfg.noise.velocity_std, size=2)
+            noise_v = g.normal(0.0, cfg.noise.velocity_std, size=2).tolist()
             vel_meas = Velocity2D(vel_true.vx + noise_v[0], vel_true.vy + noise_v[1])
             prior = dead_reckon(node.est, vel_meas, dt)
 
             selected, _ = _ranked_candidates(
-                world, vid, prior, cfg.zone, cfg.noise, stream, t
+                cells, width, vid, truth, prior, cfg.zone, cfg.noise, stream, t
             )
             if use_ekf:
                 pred, p_cov = ekf_predict(node.est, node.cov, vel_meas, cfg.ekf)
@@ -453,7 +473,13 @@ def rmse(errors: Sequence[float] | np.ndarray) -> float:
 
 
 def improvement(traditional_rmse: float, proposed_rmse: float) -> float:
-    """Relative RMSE improvement, in percent."""
+    """Relative RMSE improvement, in percent.
+
+    Undefined for a Traditional RMSE of 0, which raises. An ensemble reports
+    0 for a paired run whose two RMSEs are equal, and NaN for one whose
+    Traditional RMSE is 0 and Proposed RMSE above 0 (the results CSV prints
+    ``nan``), so the vehicle's average improvement is NaN.
+    """
     if traditional_rmse <= 0:
         raise ValueError("traditional RMSE must be > 0")
     return 100.0 * (traditional_rmse - proposed_rmse) / traditional_rmse
@@ -462,6 +488,8 @@ def improvement(traditional_rmse: float, proposed_rmse: float) -> float:
 def _paired_improvement(trad: float, prop: float) -> float:
     if trad == prop:  # identical paired runs, including the all-zero-noise case
         return 0.0
+    if trad == 0.0:  # exact Traditional run, inexact Proposed one: no ratio
+        return math.nan
     return improvement(trad, prop)
 
 

@@ -84,15 +84,13 @@ def _cost_function(problem: LocalizationProblem) -> Callable[[float, float], flo
     """The cost of ``problem`` as a function of plain (x, y) floats: squared
     range mismatches to the selected neighbors plus squared distance to the
     prior. GCPSO calls it in its inner loop."""
-    ax = [c.shared_position.x for c in problem.selected]
-    ay = [c.shared_position.y for c in problem.selected]
-    ar = [c.measured_range for c in problem.selected]
+    rows = tuple((*c.shared_position, c.measured_range) for c in problem.selected)
     px, py = problem.prior
 
     def evaluate(x: float, y: float) -> float:
         f = (x - px) ** 2 + (y - py) ** 2
-        for j in range(len(ax)):
-            m = ar[j] - math.hypot(x - ax[j], y - ay[j])
+        for ax, ay, r in rows:
+            m = r - math.hypot(x - ax, y - ay)
             f += m * m
         return f
 
@@ -168,43 +166,39 @@ def gcpso_localize(
     best_x = list(xs)
     best_y = list(ys)
     best_f = [evaluate(x, y) for x, y in zip(xs, ys)]
-    g = min(range(n), key=lambda i: best_f[i])
+    g = min(range(n), key=best_f.__getitem__)
     gx, gy, gf = best_x[g], best_y[g], best_f[g]
     history = [gf]
 
     radius = RadiusAdaptation(params.initial_radius, params.success_limit, params.failure_limit)
-    span = max(params.iterations - 1, 1)
+    iterations, stop = params.iterations, params.fitness_stop
+    w_start, w_end = params.inertia_start, params.inertia_end
+    c1, c2 = params.cognitive, params.social
+    span = max(iterations - 1, 1)
     # one block holds exactly what one (n, 4) draw per iteration would; a
     # swarm that starts at fitness_stop needs none
-    draws = rng.random((params.iterations, n, 4)).tolist() if gf > params.fitness_stop else []
-    for it in range(params.iterations):
-        if gf <= params.fitness_stop:
+    draws = rng.random((iterations, n, 4)).tolist() if gf > stop else []
+    for it in range(iterations):
+        if gf <= stop:
             break
-        w = params.inertia_start + (params.inertia_end - params.inertia_start) * (it / span)
-        for i, u in enumerate(draws[it]):
+        w = w_start + (w_end - w_start) * (it / span)
+        rho = radius.radius
+        for i, (u0, u1, u2, u3) in enumerate(draws[it]):
+            x, y = xs[i], ys[i]
             if i == g:
-                nx = gx + w * vx[i] + radius.radius * (1.0 - 2.0 * u[0])
-                ny = gy + w * vy[i] + radius.radius * (1.0 - 2.0 * u[1])
-                vx[i], vy[i] = nx - xs[i], ny - ys[i]
-                xs[i], ys[i] = nx, ny
+                nx = gx + w * vx[i] + rho * (1.0 - 2.0 * u0)
+                ny = gy + w * vy[i] + rho * (1.0 - 2.0 * u1)
+                vx[i], vy[i] = nx - x, ny - y
             else:
-                vx[i] = (
-                    w * vx[i]
-                    + params.cognitive * u[0] * (best_x[i] - xs[i])
-                    + params.social * u[2] * (gx - xs[i])
-                )
-                vy[i] = (
-                    w * vy[i]
-                    + params.cognitive * u[1] * (best_y[i] - ys[i])
-                    + params.social * u[3] * (gy - ys[i])
-                )
-                xs[i] += vx[i]
-                ys[i] += vy[i]
-            f = evaluate(xs[i], ys[i])
+                vxi = w * vx[i] + c1 * u0 * (best_x[i] - x) + c2 * u2 * (gx - x)
+                vyi = w * vy[i] + c1 * u1 * (best_y[i] - y) + c2 * u3 * (gy - y)
+                vx[i], vy[i] = vxi, vyi
+                nx, ny = x + vxi, y + vyi
+            xs[i], ys[i] = nx, ny
+            f = evaluate(nx, ny)
             if f < best_f[i]:
-                best_f[i] = f
-                best_x[i], best_y[i] = xs[i], ys[i]
-        g = min(range(n), key=lambda i: best_f[i])
+                best_f[i], best_x[i], best_y[i] = f, nx, ny
+        g = min(range(n), key=best_f.__getitem__)
         improved = best_f[g] < gf
         gx, gy, gf = best_x[g], best_y[g], best_f[g]
         radius.update(improved)

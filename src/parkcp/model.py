@@ -134,9 +134,10 @@ class VehicleSnapshot:
 
 @dataclass
 class WorldState:
-    """Snapshot of all vehicles at one timestep. ``channel.neighbors`` indexes
-    it on its second query of a radius, so fill ``vehicles`` before querying
-    and build a new world for the next step."""
+    """Snapshot of all vehicles at one timestep, the input of
+    ``channel.neighbors``. That indexes it on its second query of a radius,
+    so fill ``vehicles`` before querying and build a new world for the next
+    step. Episodes do not build worlds: they grid each step's broadcasts."""
 
     vehicles: dict[int, VehicleSnapshot] = field(default_factory=dict)
     neighbor_grids: dict = field(

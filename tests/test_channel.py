@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkcp.channel import CommZone, NoiseModel, measure_gps, measure_range, neighbors
+from parkcp.channel import (
+    CommZone,
+    NoiseModel,
+    cell_width,
+    grid,
+    measure_gps,
+    measure_range,
+    neighbors,
+    within,
+)
+from parkcp.harness import _broadcast
 from parkcp.model import NodeClass, Position2D, VehicleSnapshot, WorldState
 
 
@@ -161,6 +171,66 @@ def test_neighbors_far_from_the_origin_and_unknown_id():
         assert neighbors(world, vid, zone) == _all_pairs(world, vid, zone)
     with pytest.raises(KeyError):
         neighbors(world, 99, zone)
+
+
+far_coordinate = st.one_of(
+    coordinate,
+    st.floats(-1e6 - 300.0, -1e6 + 300.0),
+    st.floats(1e6 - 300.0, 1e6 + 300.0),
+)
+# a second car at exactly the radius along an axis, or at about it diagonally
+partner = st.sampled_from([None, (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (0.6, 0.8)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(far_coordinate, far_coordinate, st.sampled_from(list(NodeClass)),
+                  st.booleans(), partner),
+        min_size=1, max_size=12,
+    ),
+    st.sampled_from([15.0, 24.0, 100.0, 0.5]),
+    st.tuples(st.floats(-30, 30), st.floats(-30, 30)),
+    st.integers(0, 4),
+)
+def test_settled_and_moving_grids_find_what_neighbors_finds(cars, radius, velocity, stop):
+    """The episode's lookup: a grid of the settled cars' broadcasts, built
+    when the settled set changes, copied and extended by the other cars'
+    broadcasts each step. Car 0 drives until step ``stop``, halts there, and
+    settles from the next step; the other cars either stand settled or
+    drive. Every car of every step finds what ``channel.neighbors`` finds."""
+    placed = []
+    for x, y, ncls, still, offset in cars:
+        placed.append((x, y, ncls, still))
+        if offset is not None:
+            placed.append((x + offset[0] * radius, y + offset[1] * radius, ncls, still))
+    vx, vy = velocity
+
+    def position(i, t):
+        x, y, _, still = placed[i]
+        moves = min(t, stop) if i == 0 else (0 if still else t)
+        return Position2D(x + moves * vx, y + moves * vy)
+
+    steps = range(6)
+    extent = max(abs(c) for i in range(len(placed)) for t in steps for c in position(i, t))
+    width = cell_width(radius, extent)
+    zone = CommZone(radius)
+    fixed, fixed_ids = None, None
+    for t in steps:
+        settled = {i for i, (*_, still) in enumerate(placed) if still and i > 0}
+        settled |= {0} if t > stop else set()
+        entries = {i: _broadcast(i, position(i, t), ncls, position(i, t))
+                   for i, (_, _, ncls, _) in enumerate(placed)}
+        if settled != fixed_ids:
+            fixed_ids = settled
+            fixed = grid((entries[i] for i in settled if entries[i] is not None), width)
+        cells = grid((e for i, e in entries.items() if i not in settled and e is not None),
+                     width, fixed)
+        world = _world([(i, *position(i, t), ncls) for i, (_, _, ncls, _) in enumerate(placed)])
+        for vid in world.vehicles:
+            own = world.vehicles[vid].position
+            found = sorted(e[0] for e in within(cells, own.x, own.y, width, radius) if e[0] != vid)
+            assert found == neighbors(world, vid, zone) == _all_pairs(world, vid, zone)
 
 
 def test_measure_range_noiseless_identity():

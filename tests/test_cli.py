@@ -220,6 +220,16 @@ def test_sim_int_config_values_print_as_floats(tmp_path):
     assert from_config == from_flags
 
 
+def test_sim_exact_traditional_runs_print_a_nan_improvement(tmp_path):
+    config = {**CIRCUIT_CONFIG, "noise": {"range_std": 4, "gps_std": 0, "velocity_std": 0}}
+    code, rows = _sim_rows(tmp_path, config)
+    assert code == 0
+    fields = [row.split(",") for row in rows]
+    assert {f[2] for f in fields} == {"gcpso", "ekf"}
+    assert all(f[7] == "nan" for f in fields if f[1] == "proposed")
+    assert all(f[5] == "0.000000" for f in fields if f[1] == "traditional")
+
+
 def test_config_int_too_large_for_a_float_field_is_a_config_error(tmp_path, capsys):
     code, _ = _sim_rows(tmp_path, {**CIRCUIT_CONFIG, "zone": {"radius": 10**400}})
     assert code == 2

@@ -336,6 +336,22 @@ def test_ensemble_without_parked_cars_gives_zero_improvement():
     assert np.array_equal(summary.vehicles[0].improvements, np.zeros(3))
 
 
+@pytest.mark.parametrize("algorithm", [Algorithm.GCPSO, Algorithm.EKF])
+def test_exact_traditional_runs_give_a_nan_improvement(algorithm):
+    # exact GPS and velocity make every Traditional run exact (the target has
+    # no neighbor there), while noisy ranges to parked cars move the Proposed
+    # runs: no relative improvement exists, and the table says so
+    noise = NoiseModel(range_std=4, gps_std=0, velocity_std=0)
+    cfg = circuit_cfg(algorithm, duration=40, noise=noise, n_runs=2)
+    summary = ensemble(cfg)
+    v = summary.vehicles[0]
+    assert np.array_equal(v.traditional_rmse, np.zeros(2))
+    assert (v.proposed_rmse > 0).all()
+    assert np.isnan(v.improvements).all() and math.isnan(v.average_improvement)
+    proposed = format_results_csv(summary_rows(summary)).splitlines()[2]
+    assert proposed.startswith("0,proposed,") and proposed.endswith(",nan")
+
+
 def test_ensemble_jobs_parity():
     cfg = circuit_cfg(n_runs=4, seed=12)
     serial = ensemble(cfg, jobs=1)
@@ -613,3 +629,45 @@ def test_parked_cars_that_jitter_keep_their_per_step_errors(algorithm, preloaded
     dump = format_steps_csv([(algorithm, 4.0, summary)])
     assert {mode for _, mode, _ in summary.episodes} == set(Mode)
     assert hashlib.sha256(dump.encode()).hexdigest() == JITTER_STEPS[algorithm, preloaded]
+
+
+def golden_circuit_cfg(algorithm):
+    """The circuit of tests/test_golden.py at sigma_r = 4 and a 15 m zone."""
+    circuit = ScenarioConfig(kind="circuit", duration=240, n_parked=20,
+                             parked_spacing=24.0, seed=1)
+    return make_run_config(algorithm=algorithm, scenario=circuit, zone=CommZone(15.0),
+                           noise=NoiseModel(range_std=4.0), n_runs=1, seed=1)
+
+
+@pytest.mark.parametrize("mode, preloaded", [
+    (Mode.TRADITIONAL, True), (Mode.PROPOSED, True), (Mode.PROPOSED, False),
+])
+@pytest.mark.parametrize("algorithm", [Algorithm.GCPSO, Algorithm.EKF])
+@pytest.mark.parametrize("make_cfg", [golden_circuit_cfg, golden_town_cfg])
+def test_localizers_receive_python_floats(monkeypatch, make_cfg, algorithm, mode, preloaded):
+    """Every coordinate, range and covariance entry an episode hands to a
+    localizer is a Python float, not a numpy scalar."""
+    received = []
+
+    def recording(real, values_of):
+        def call(*args):
+            received.append(values_of(*args))
+            return real(*args)
+        return call
+
+    def neighbor_values(selected):
+        return [v for c in selected for v in (*c.shared_position, c.measured_range)]
+
+    monkeypatch.setattr(harness, "ekf_predict", recording(
+        harness.ekf_predict, lambda state, cov, vel, params: [*state, *cov, *vel]))
+    monkeypatch.setattr(harness, "ekf_update", recording(
+        harness.ekf_update,
+        lambda state, cov, selected, params: [*state, *cov, *neighbor_values(selected)]))
+    monkeypatch.setattr(harness, "gcpso_localize", recording(
+        harness.gcpso_localize,
+        lambda problem, params, rng: [*problem.prior, *neighbor_values(problem.selected)]))
+    cfg = make_cfg(algorithm)
+    cfg = replace(cfg, policy=replace(cfg.policy, mode=mode, anchors_preloaded=preloaded))
+    run_episode(cfg, 1)
+    assert received
+    assert {type(v) for values in received for v in values} == {float}
