@@ -32,7 +32,6 @@ from .model import (
     Position2D,
     VehicleRecord,
     Velocity2D,
-    WorldState,
     distance,
 )
 from .policy import (

@@ -2,6 +2,8 @@
 
 The radio model is a hard line-of-sight disk: two powered-on vehicles are
 neighbors iff their true separation is within the communication-zone radius.
+Every such question, from an episode step, ``neighbors`` or
+``harness.trace_metrics``, is one lookup with ``within`` on a ``grid``.
 Noise is zero-mean Gaussian, independent per link and per step; there is no
 packet loss unless ``drop_probability`` is set.
 """
@@ -13,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import NodeClass, Position2D, WorldState
+from .model import NodeClass, Position2D
 
 
 @dataclass(frozen=True)
@@ -88,57 +90,26 @@ def within(
     return found
 
 
-def _index(world: WorldState, radius: float) -> tuple[float, dict]:
-    """Cell width and grid of the world's powered-on vehicles at finite
-    positions, as (id, x, y)."""
-    placed = [
-        (vid, snap.position.x, snap.position.y, snap.node_class)
-        for vid, snap in world.vehicles.items()
-        if snap.position.is_finite()
-    ]
-    big = max((max(abs(x), abs(y)) for _, x, y, _ in placed), default=0.0)
-    width = cell_width(radius, big)
-    return width, grid(
-        (entry[:3] for entry in placed if entry[3] is not NodeClass.INACTIVE), width
-    )
-
-
-def _scan(world: WorldState, vehicle_id: int, radius: float) -> list[int]:
-    """``neighbors`` by a test of every vehicle; a non-finite distance is
-    within no radius."""
-    ox, oy = world.vehicles[vehicle_id].position
-    return sorted(
-        vid for vid, snap in world.vehicles.items()
-        if vid != vehicle_id and snap.node_class is not NodeClass.INACTIVE
-        and math.hypot(ox - snap.position.x, oy - snap.position.y) <= radius
-    )
-
-
-def neighbors(world: WorldState, vehicle_id: int, zone: CommZone) -> list[int]:
+def neighbors(
+    vehicles: dict[int, tuple[Position2D, NodeClass]], vehicle_id: int, zone: CommZone
+) -> list[int]:
     """Ids of powered-on vehicles within the zone of ``vehicle_id``, ascending.
 
-    Inactive nodes never appear in the result (they do not broadcast), but an
-    inactive vehicle may itself query its surroundings. The first query of a
-    radius scans every vehicle, since a world queried once does not repay an
-    index; the second indexes the world with ``grid``, and each later query
-    scans its own and adjacent cells with ``within``.
+    ``vehicles`` maps each id to its (position, role). Inactive vehicles do
+    not broadcast, so they are never found, but one may itself look around.
+    A non-finite position is within no distance of anything.
     """
-    if vehicle_id not in world.vehicles:
+    if vehicle_id not in vehicles:
         raise KeyError(f"unknown vehicle id {vehicle_id}")
-    radius = zone.radius
-    grids = world.neighbor_grids
-    if radius not in grids:
-        grids[radius] = None
-        return _scan(world, vehicle_id, radius)
-    index = grids[radius]
-    if index is None:
-        index = grids[radius] = _index(world, radius)
-    own = world.vehicles[vehicle_id].position
+    own = vehicles[vehicle_id][0]
     if not own.is_finite():
-        return []  # a non-finite position is within no distance of anything
-    width, cells = index
+        return []
+    placed = [(vid, pos.x, pos.y) for vid, (pos, role) in vehicles.items()
+              if role is not NodeClass.INACTIVE and pos.is_finite()]
+    extent = max(abs(c) for entry in [(vehicle_id, *own), *placed] for c in entry[1:])
+    width = cell_width(zone.radius, extent)
     return sorted(
-        entry[0] for entry in within(cells, own.x, own.y, width, radius)
+        entry[0] for entry in within(grid(placed, width), own.x, own.y, width, zone.radius)
         if entry[0] != vehicle_id
     )
 

@@ -204,7 +204,6 @@ def cmd_gen(args) -> int:
         scenario = replace(scenario, kind=args.kind)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    scenario.validate()
     records = generate(scenario)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_trace(records))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
@@ -203,6 +204,21 @@ def _ranked_candidates(
     return select_neighbors(candidates, k), anchors_in_range
 
 
+def _anchor_fix(anchors: list[Candidate], prior: Position2D) -> Position2D:
+    """Trilateration on the first three anchors, else the two-anchor fix
+    nearer ``prior`` on the first two, else ``prior``; a fix whose anchors
+    are too few or degenerate (collinear, concentric) gives way to the next."""
+    shared = [c.shared_position for c in anchors]
+    ranges = [c.measured_range for c in anchors]
+    if len(anchors) >= 3:
+        with suppress(DegenerateGeometryError):
+            return trilaterate(shared[:3], ranges[:3])[0]
+    if len(anchors) >= 2:
+        with suppress(DegenerateGeometryError):
+            return bilaterate_with_prior(shared[0], ranges[0], shared[1], ranges[1], prior)
+    return prior
+
+
 def _broadcast(
     vehicle_id: int, position: Position2D, role: NodeClass, est: Position2D | None
 ) -> tuple | None:
@@ -213,6 +229,11 @@ def _broadcast(
         return None
     shared = position if role is NodeClass.ANCHOR else est
     return (vehicle_id, position.x, position.y, position, role, shared, priority(role))
+
+
+def _extent(records: Sequence[VehicleRecord]) -> float:
+    """Largest coordinate magnitude of the records' positions."""
+    return max((abs(c) for r in records for p in set(r.positions) for c in p), default=0.0)
 
 
 class _Trace:
@@ -243,7 +264,7 @@ class _Trace:
             r.vehicle_id for r in records
             if r.kind is MotionKind.PARKED and r.positions.count(r.positions[0]) == len(r.positions)
         }
-        self.extent = max(abs(c) for r in records for p in set(r.positions) for c in p)
+        self.extent = _extent(records)
 
 
 def _checked_trace(records: Sequence[VehicleRecord], step_seconds: float) -> _Trace:
@@ -368,25 +389,9 @@ def run_episode(
                 selected, anchors_in_range = _ranked_candidates(
                     cells, width, vid, truth, gnss_mean, cfg.zone, cfg.noise, stream, t
                 )
-                anchor_sel = [c for c in selected if c.node_class is NodeClass.ANCHOR]
-                if len(anchor_sel) >= 3:
-                    new_est, _ = trilaterate(
-                        [c.shared_position for c in anchor_sel[:3]],
-                        [c.measured_range for c in anchor_sel[:3]],
-                    )
-                elif len(anchor_sel) == 2:
-                    try:
-                        new_est = bilaterate_with_prior(
-                            anchor_sel[0].shared_position,
-                            anchor_sel[0].measured_range,
-                            anchor_sel[1].shared_position,
-                            anchor_sel[1].measured_range,
-                            gnss_mean,
-                        )
-                    except DegenerateGeometryError:
-                        new_est = gnss_mean
-                else:
-                    new_est = gnss_mean
+                new_est = _anchor_fix(
+                    [c for c in selected if c.node_class is NodeClass.ANCHOR], gnss_mean
+                )
                 node.role = classify_stationary(
                     kind, anchors_in_range, n, distance(new_est, truth), pol
                 )
@@ -441,24 +446,18 @@ def trace_metrics(
 ) -> dict[int, tuple[int, float]]:
     """(parked vehicles ever within ``radius``, km travelled) of each tracked
     (moving-kind) vehicle. Both depend only on the trace."""
-    parked = [r.positions[0] for r in records if r.kind is MotionKind.PARKED]
-    parked_xy = np.array(parked, dtype=float).reshape(-1, 2)
-
-    def encountered(positions: Sequence[Position2D]) -> int:
-        # hypot is never below max(|dx|, |dy|), so the box keeps every pair
-        # within the radius; the exact test then decides as before
-        xy = np.array(positions, dtype=float).reshape(-1, 2)
-        near = (np.abs(xy[:, None, 0] - parked_xy[:, 0]) <= radius) & (
-            np.abs(xy[:, None, 1] - parked_xy[:, 1]) <= radius
-        )
-        return sum(
-            1 for k in np.flatnonzero(near.any(axis=0))
-            if any(distance(positions[i], parked[k]) <= radius
-                   for i in np.flatnonzero(near[:, k]))
-        )
+    width = channel.cell_width(radius, _extent(records))
+    cells = channel.grid(
+        ((k, *r.positions[0]) for k, r in enumerate(records) if r.kind is MotionKind.PARKED),
+        width,
+    )
 
     return {
-        r.vehicle_id: (encountered(r.positions), r.path_length() / 1000.0)
+        r.vehicle_id: (
+            len({entry[0] for x, y in set(r.positions)
+                 for entry in channel.within(cells, x, y, width, radius)}),
+            r.path_length() / 1000.0,
+        )
         for r in records
         if r.kind is MotionKind.MOVING
     }

@@ -7,7 +7,7 @@ the scenario/localizer configs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -122,24 +122,3 @@ class VehicleRecord:
                     f"inconsistent with velocity (gap {gap:.3f} m)"
                 )
 
-
-@dataclass(frozen=True)
-class VehicleSnapshot:
-    """One vehicle's state inside a :class:`WorldState`."""
-
-    position: Position2D
-    node_class: NodeClass
-    estimate: Position2D | None = None
-
-
-@dataclass
-class WorldState:
-    """Snapshot of all vehicles at one timestep, the input of
-    ``channel.neighbors``. That indexes it on its second query of a radius,
-    so fill ``vehicles`` before querying and build a new world for the next
-    step. Episodes do not build worlds: they grid each step's broadcasts."""
-
-    vehicles: dict[int, VehicleSnapshot] = field(default_factory=dict)
-    neighbor_grids: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )

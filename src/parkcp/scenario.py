@@ -90,6 +90,13 @@ class ScenarioConfig:
             raise ConfigError("parked_offset must lie within 15 m of the road")
         if self.kind not in ("circuit", "town"):
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
+        if len(self.area) != 4:
+            raise ConfigError("area must be four numbers: xmin, ymin, xmax, ymax")
+        xmin, ymin, xmax, ymax = self.area
+        if not (xmax > xmin and ymax > ymin):
+            raise ConfigError("area is degenerate")
+        if not all(ck.radius > 0 and ck.hold_steps >= 1 for ck in self.choke_points):
+            raise ConfigError("choke_points need radius > 0 and hold_steps >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +469,6 @@ def gen_town(config: ScenarioConfig) -> list[VehicleRecord]:
     walkers' corridors, and queued halts at configured choke points."""
     config.validate()
     xmin, ymin, xmax, ymax = config.area
-    if xmax <= xmin or ymax <= ymin:
-        raise ConfigError("area is degenerate")
     rng = np.random.default_rng(config.seed)
 
     records: list[VehicleRecord] = []
@@ -523,9 +528,5 @@ def gen_town(config: ScenarioConfig) -> list[VehicleRecord]:
 
 
 def generate(config: ScenarioConfig) -> list[VehicleRecord]:
-    """Dispatch on ``config.kind``."""
-    if config.kind == "circuit":
-        return gen_circuit(config)
-    if config.kind == "town":
-        return gen_town(config)
-    raise ConfigError(f"unknown scenario kind {config.kind!r}")
+    """Dispatch on ``config.kind``; each generator validates the config."""
+    return gen_town(config) if config.kind == "town" else gen_circuit(config)

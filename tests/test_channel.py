@@ -16,17 +16,12 @@ from parkcp.channel import (
     within,
 )
 from parkcp.harness import _broadcast
-from parkcp.model import NodeClass, Position2D, VehicleSnapshot, WorldState
+from parkcp.model import NodeClass, Position2D
 
 
 def _world(entries):
     """entries: (id, x, y, node_class)"""
-    return WorldState(
-        {
-            vid: VehicleSnapshot(Position2D(x, y), ncls, Position2D(x, y))
-            for vid, x, y, ncls in entries
-        },
-    )
+    return {vid: (Position2D(x, y), ncls) for vid, x, y, ncls in entries}
 
 
 def clamped_gaussian_mean(mu: float, sigma: float) -> float:
@@ -83,8 +78,7 @@ def test_neighbors_symmetric_between_active_nodes(entries):
          for i, (x, y, inactive) in enumerate(entries)]
     )
     zone = CommZone(30.0)
-    active = [vid for vid, s in world.vehicles.items()
-              if s.node_class is not NodeClass.INACTIVE]
+    active = [vid for vid, (_, ncls) in world.items() if ncls is not NodeClass.INACTIVE]
     for i in active:
         for j in active:
             if i != j:
@@ -93,11 +87,11 @@ def test_neighbors_symmetric_between_active_nodes(entries):
 
 def _all_pairs(world, vehicle_id, zone):
     """Reference neighbor scan: every other vehicle, the same distance test."""
-    own = world.vehicles[vehicle_id].position
+    own = world[vehicle_id][0]
     return sorted(
-        vid for vid, snap in world.vehicles.items()
-        if vid != vehicle_id and snap.node_class is not NodeClass.INACTIVE
-        and math.hypot(own.x - snap.position.x, own.y - snap.position.y) <= zone.radius
+        vid for vid, (pos, ncls) in world.items()
+        if vid != vehicle_id and ncls is not NodeClass.INACTIVE
+        and math.hypot(own.x - pos.x, own.y - pos.y) <= zone.radius
     )
 
 
@@ -126,20 +120,10 @@ coordinate = st.one_of(
 def test_neighbors_match_all_pairs_scan(entries, radius_a, radius_b):
     vehicles = [(i * 3 - 20, x, y, NodeClass.INACTIVE if inactive else NodeClass.BLIND)
                 for i, (x, y, inactive) in enumerate(entries)]
-    # worlds queried once: the first query of a radius scans every vehicle
-    for vid, *_ in vehicles:
-        world = _world(vehicles)
-        zone = CommZone(radius_a)
-        assert neighbors(world, vid, zone) == _all_pairs(world, vid, zone)
-        assert world.neighbor_grids == {radius_a: None}
-    # one world queried many times, two radii: each gets its own index
     world = _world(vehicles)
-    for zone in (CommZone(radius_a), CommZone(radius_b), CommZone(radius_a)):
-        for vid in world.vehicles:
+    for zone in (CommZone(radius_a), CommZone(radius_b)):
+        for vid in world:
             assert neighbors(world, vid, zone) == _all_pairs(world, vid, zone)
-    if len(vehicles) > 1:
-        assert set(world.neighbor_grids) == {radius_a, radius_b}
-        assert None not in world.neighbor_grids.values()
 
 
 @pytest.mark.parametrize("spacing,radius", [(24.0, 15.0), (24.0, 24.0), (15.0, 15.0),
@@ -151,12 +135,12 @@ def test_neighbors_match_all_pairs_scan_on_cell_edges(spacing, radius):
          for i, (x, y) in enumerate(pts)]
     )
     zone = CommZone(radius)
-    for vid in world.vehicles:
+    for vid in world:
         assert neighbors(world, vid, zone) == _all_pairs(world, vid, zone)
     origin = next(i for i, p in enumerate(pts) if p == (0.0, 0.0))
     at_radius = [i for i, p in enumerate(pts)
                  if p in {(radius, 0.0), (-radius, 0.0), (0.0, radius), (0.0, -radius)}
-                 and world.vehicles[i].node_class is not NodeClass.INACTIVE]
+                 and world[i][1] is not NodeClass.INACTIVE]
     assert set(at_radius) <= set(neighbors(world, origin, zone))
 
 
@@ -167,10 +151,19 @@ def test_neighbors_far_from_the_origin_and_unknown_id():
                     (2, base + 15.0, -base, NodeClass.BLIND),
                     (3, base + 15.000001, -base, NodeClass.BLIND)])
     zone = CommZone(15.0)
-    for vid in world.vehicles:
+    for vid in world:
         assert neighbors(world, vid, zone) == _all_pairs(world, vid, zone)
     with pytest.raises(KeyError):
         neighbors(world, 99, zone)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_neighbors_non_finite_positions_find_and_are_found_by_nothing(bad):
+    world = _world([(1, 0.0, 0.0, NodeClass.BLIND), (4, 3.0, 0.0, NodeClass.ANCHOR),
+                    (2, bad, 0.0, NodeClass.BLIND), (3, 0.0, math.nan, NodeClass.ANCHOR)])
+    zone = CommZone(15.0)
+    assert [neighbors(world, vid, zone) for vid in (1, 2, 3)] == [[4], [], []]
+    assert neighbors(world, 4, zone) == [1]
 
 
 far_coordinate = st.one_of(
@@ -227,8 +220,7 @@ def test_settled_and_moving_grids_find_what_neighbors_finds(cars, radius, veloci
         cells = grid((e for i, e in entries.items() if i not in settled and e is not None),
                      width, fixed)
         world = _world([(i, *position(i, t), ncls) for i, (_, _, ncls, _) in enumerate(placed)])
-        for vid in world.vehicles:
-            own = world.vehicles[vid].position
+        for vid, (own, _) in world.items():
             found = sorted(e[0] for e in within(cells, own.x, own.y, width, radius) if e[0] != vid)
             assert found == neighbors(world, vid, zone) == _all_pairs(world, vid, zone)
 

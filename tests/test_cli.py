@@ -153,6 +153,25 @@ def test_sim_bad_section_value_is_a_config_error(tmp_path, capsys, section, valu
     assert err.startswith("error: ") and section in err
 
 
+@pytest.mark.parametrize("values, key", [
+    ({"area": [0, 0, 500]}, "area"),
+    ({"area": [0, 0, 500, 400, 1]}, "area"),
+    ({"area": [0, 0, 0, 400]}, "area"),
+    ({"choke_points": [[250, 200, 10, 0]]}, "choke_points"),
+    ({"choke_points": [[250, 200, 0, 5]]}, "choke_points"),
+], ids=["area-3", "area-5", "area-degenerate", "hold-0", "radius-0"])
+def test_sim_bad_town_geometry_names_the_key(tmp_path, capsys, values, key):
+    config = json.loads(json.dumps(CIRCUIT_CONFIG))
+    config["scenario"] = {"kind": "town", "duration": 20, "n_moving": 2, "n_parked": 4,
+                          **values}
+    path = tmp_path / "bad.cfg"
+    path.write_text(json.dumps(config))
+    code = main(["sim", "--config", str(path), "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "trace" not in err
+
+
 def test_sim_row_accounting(tmp_path, config_path, capsys):
     out = tmp_path / "results.csv"
     code = main(["sim", "--config", config_path, "--out", str(out)])

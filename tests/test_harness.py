@@ -214,19 +214,25 @@ _lattice = st.integers(-8, 8).map(lambda k: k * 0.75)
     st.lists(st.lists(st.tuples(_lattice, _lattice), min_size=1, max_size=8),
              min_size=1, max_size=4),
     st.lists(st.tuples(_lattice, _lattice), max_size=10),
-    st.sampled_from([3.75, 15.0, 4.5, 0.1]),
+    st.sampled_from([3.75, 15.0, 4.5, 0.1, 0.75, 1.5, 3.0]),
+    st.tuples(st.sampled_from([0.0, 1e6, -1e6]), st.sampled_from([0.0, 1e6, -1e6])),
 )
-def test_trace_metrics_count_matches_every_pair(paths, stations, radius):
-    # lattice points make distances of exactly the radius (3-4-5 steps) common
+def test_trace_metrics_count_matches_every_pair(paths, stations, radius, origin):
+    # lattice points make distances of exactly the radius (3-4-5 steps) common;
+    # radii of a whole number of lattice steps put pairs on cell edges, and
+    # the lattice stays exact when shifted to about 1e6 m from the origin
+    def at(xy):
+        return Position2D(origin[0] + xy[0], origin[1] + xy[1])
+
     records = [
-        VehicleRecord(vid, MotionKind.MOVING, 0, [Position2D(*xy) for xy in path],
+        VehicleRecord(vid, MotionKind.MOVING, 0, [at(xy) for xy in path],
                       [Velocity2D(0.0, 0.0)] * len(path))
         for vid, path in enumerate(paths)
     ] + [
-        VehicleRecord(100 + k, MotionKind.PARKED, 0, [Position2D(*xy)], [Velocity2D(0.0, 0.0)])
+        VehicleRecord(100 + k, MotionKind.PARKED, 0, [at(xy)], [Velocity2D(0.0, 0.0)])
         for k, xy in enumerate(stations)
     ]
-    parked = [Position2D(*xy) for xy in stations]
+    parked = [at(xy) for xy in stations]
     for r in records[:len(paths)]:
         expected = sum(
             1 for q in parked if any(distance(p, q) <= radius for p in r.positions)
@@ -350,6 +356,46 @@ def test_exact_traditional_runs_give_a_nan_improvement(algorithm):
     assert np.isnan(v.improvements).all() and math.isnan(v.average_improvement)
     proposed = format_results_csv(summary_rows(summary)).splitlines()[2]
     assert proposed.startswith("0,proposed,") and proposed.endswith(",nan")
+
+
+def _curbside_trace(steps=8):
+    """Four cars parked in a row along a straight street, a car passing on
+    the far side, and a queued car that halts beside the row for two steps:
+    any three of the parked cars are collinear anchors."""
+    still = [Velocity2D(0.0, 0.0)] * steps
+    go = Velocity2D(5.0, 0.0)
+    queued_vel = [go, go, still[0], still[0]] + [go] * (steps - 4)
+    queued_pos = [Position2D(5.0, 5.0)]
+    for v in queued_vel[:-1]:
+        queued_pos.append(Position2D(queued_pos[-1].x + v.vx, 5.0))
+    return [
+        VehicleRecord(0, MotionKind.MOVING, 0,
+                      [Position2D(5.0 * t, 20.0) for t in range(steps)], [go] * steps),
+        VehicleRecord(1, MotionKind.QUEUED, 0, queued_pos, queued_vel),
+    ] + [
+        VehicleRecord(2 + k, MotionKind.PARKED, 0, [Position2D(10.0 * k, 0.0)] * steps, still)
+        for k in range(4)
+    ]
+
+
+@pytest.mark.parametrize("algorithm", [Algorithm.GCPSO, Algorithm.EKF])
+def test_collinear_anchors_fall_back_to_two_anchors(algorithm, monkeypatch):
+    # trilateration on three collinear anchors has no fix; the halted car
+    # takes the two-anchor fix nearer its GNSS mean instead of aborting
+    calls = []
+    two_anchor_fix = harness.bilaterate_with_prior
+    monkeypatch.setattr(harness, "bilaterate_with_prior",
+                        lambda *args: calls.append(args) or two_anchor_fix(*args))
+    records = _curbside_trace()
+    cfg = replace(circuit_cfg(algorithm, zone=100.0, n_runs=2),
+                  scenario=ScenarioConfig(kind="circuit", duration=8))
+    summary = ensemble(cfg, records)
+    assert [v.vehicle_id for v in summary.vehicles] == [0]
+    assert np.isfinite(summary.vehicles[0].proposed_rmse).all()
+    # each Proposed run reaches the fallback on its first halted step; a car
+    # promoted there keeps its fix on the second
+    assert 2 <= len(calls) <= 4
+    assert all(a1.y == a2.y == 0.0 for a1, _, a2, _, _ in calls)
 
 
 def test_ensemble_jobs_parity():
