@@ -8,7 +8,7 @@ feeds the pinned numbers. ``golden/results.csv`` is the results table of all
 cases; ``golden/steps.sha256`` is the sha256 of their per-step error dump.
 ``golden/io.txt`` pins the trace CSV and coverage layers: the sha256 of
 ``serialize_trace`` of that town and of an 80/320 town, and the ``repr`` of
-``coverage_report`` of each town's parked cars at DSRC A and B over its area
+``coverage_report`` of each town's parked cars at DSRC A to D over its area
 at 0.5 m cells.
 
 Regenerate only for an intended change of the output, and give the reason in
@@ -102,7 +102,7 @@ def render_io() -> str:
             cell_size=IO_CELL_SIZE,
         )
         parked = [r.positions[0] for r in records if r.kind is MotionKind.PARKED]
-        for device_class in ("A", "B"):
+        for device_class in ("A", "B", "C", "D"):
             report = coverage_report(area, parked, dsrc_radius(device_class))
             lines.append(f"{name} coverage {device_class} {report!r}")
     return "\n".join(lines) + "\n"
