@@ -61,11 +61,15 @@ class TransitArea:
     cell_size: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.cell_size):
+            raise ValueError(f"cell_size must be finite, got {self.cell_size!r}")
         if self.cell_size <= 0:
             raise ValueError("cell_size must be > 0")
         for poly in self.polygons:
             if len(poly) < 3:
                 raise ValueError("polygons need at least 3 vertices")
+            if not all(math.isfinite(c) for p in poly for c in p):
+                raise ValueError("polygon vertices must be finite")
             if not _is_simple(poly):
                 raise ValueError("polygon is self-intersecting")
 
@@ -103,41 +107,112 @@ def _raster(area: TransitArea):
     return cx, cy, inside
 
 
+def _index(v: np.ndarray, n: int) -> np.ndarray:
+    """Float indices as ints, clipped to [-2, n + 2] first so that no
+    overflowing or infinite value reaches the cast."""
+    return np.clip(v, -2, n + 2).astype(np.int64)
+
+
+def _first_failure(holds, start: np.ndarray, stop: np.ndarray, guess: np.ndarray) -> np.ndarray:
+    """Per entry, the first index in [start, stop) at which ``holds`` fails,
+    or ``stop``, where ``holds(j, at)`` tests entries ``at`` at indices ``j``
+    and is true on a prefix of each range. A guess that the test confirms at
+    both sides is kept; the other entries are found by binary search."""
+    pos = np.clip(guess, start, stop)
+    every = slice(None)
+    wrong = ((pos > start) & ~holds(pos - 1, every)) | ((pos < stop) & holds(pos, every))
+    at = np.flatnonzero(wrong)
+    lo, hi = start[at], stop[at]
+    step = 1 << int((hi - lo).max(initial=0)).bit_length()
+    while step > 1:
+        step >>= 1
+        nxt = lo + step
+        lo = np.where((nxt <= hi) & holds(nxt - 1, at), nxt, lo)
+    pos[at] = lo
+    return pos
+
+
+def _run(centers: np.ndarray, cell: float, p: np.ndarray, other_sq: np.ndarray, r_sq: float):
+    """Per entry, the run [start, stop) of indices j that pass the exact test
+    ``other_sq + (centers[j] - p)**2 <= r_sq`` along increasing ``centers``.
+
+    Centers left of p get nearer as j grows and centers right of it farther,
+    and IEEE subtraction, squaring and addition are monotone, so the passing
+    indices are one run through p's split point. The test alone decides both
+    ends; the half chord only guesses them."""
+    n = len(centers)
+
+    def passes(j, at):
+        return other_sq[at] + (centers[np.clip(j, 0, n - 1)] - p[at]) ** 2 <= r_sq
+
+    split = np.searchsorted(centers, p)
+    half = np.sqrt(np.fmax(r_sq - other_sq, 0.0))
+    start = _first_failure(lambda j, at: ~passes(j, at), np.zeros_like(split), split,
+                           _index(np.ceil((p - half - centers[0]) / cell), n))
+    stop = _first_failure(passes, split, np.full_like(split, n),
+                          _index(np.floor((p + half - centers[0]) / cell) + 1, n))
+    return start, stop
+
+
+def _runs(cars: np.ndarray, radius: float, cx: np.ndarray, cy: np.ndarray, cell: float):
+    """Flat raster indices [start, stop) of the cells that each car covers in
+    each row, by the exact test of the full grid,
+    ``(cy[i] - y)**2 + (cx[j] - x)**2 <= radius**2``. A row holds covered
+    cells exactly when its cell in the column nearest the car passes, so the
+    rows come from the same search as the cells."""
+    px, py = cars.T
+    r_sq = radius * radius
+    split = np.searchsorted(cx, px)
+    nearest_sq = np.minimum((cx[np.maximum(split - 1, 0)] - px) ** 2,
+                            (cx[np.minimum(split, len(cx) - 1)] - px) ** 2)
+    first_row, end_row = _run(cy, cell, py, nearest_sq, r_sq)
+    n_rows = end_row - first_row
+    car = np.repeat(np.arange(len(cars)), n_rows)
+    row = np.arange(car.size) + np.repeat(first_row - np.cumsum(n_rows) + n_rows, n_rows)
+    start, stop = _run(cx, cell, px[car], (cy[row] - py[car]) ** 2, r_sq)
+    return row * len(cx) + start, row * len(cx) + stop
+
+
+# cars per batch of _runs: at most this many (car, row) entries at a time
+_BATCH_ENTRIES = 1 << 17
+
+
 def coverage_report(
     area: TransitArea, parked: Iterable[Position2D], radius: float
 ) -> CoverageReport:
     """Rasterize the transit area and bucket cells by how many parked
     vehicles cover them at the given radius."""
+    if not math.isfinite(radius):
+        raise ValueError(f"radius must be finite, got {radius!r}")
     if radius <= 0:
         raise ValueError("radius must be > 0")
     if not area.polygons:
         raise ValueError("transit area is empty")
+    cars = np.array([(p.x, p.y) for p in parked], dtype=float).reshape(-1, 2)
+    bad = np.flatnonzero(~np.isfinite(cars).all(axis=1))
+    if bad.size:
+        raise ValueError(f"parked position {bad[0]} is not finite: {tuple(cars[bad[0]].tolist())}")
     cx, cy, inside = _raster(area)
     total = int(inside.sum())
     if total == 0:
         raise ValueError("transit area contains no raster cells")
 
-    counts = np.zeros(inside.shape, dtype=np.int32)
-    cell = area.cell_size
-    x0, y0 = cx[0], cy[0]
-    r_sq = radius * radius
-    for p in parked:
-        # only the subgrid around the disk can be covered
-        i_lo = max(0, int((p.y - radius - y0) / cell) - 1)
-        i_hi = min(len(cy), int((p.y + radius - y0) / cell) + 2)
-        j_lo = max(0, int((p.x - radius - x0) / cell) - 1)
-        j_hi = min(len(cx), int((p.x + radius - x0) / cell) + 2)
-        if i_lo >= i_hi or j_lo >= j_hi:
-            continue
-        dy2 = (cy[i_lo:i_hi] - p.y) ** 2
-        dx2 = (cx[j_lo:j_hi] - p.x) ** 2
-        counts[i_lo:i_hi, j_lo:j_hi] += dy2[:, None] + dx2 <= r_sq
-
-    levels = np.bincount(np.minimum(counts[inside], 3), minlength=4)
+    starts, stops = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    batch = max(1, _BATCH_ENTRIES // len(cy))
+    for first in range(0, len(cars), batch):
+        start, stop = _runs(cars[first:first + batch], radius, cx, cy, area.cell_size)
+        starts.append(start)
+        stops.append(stop)
+    # +1 where a run starts and -1 where it stops, in row-major order: a run
+    # to the end of a row stops at the first cell of the next
+    counts = np.bincount(np.concatenate(starts), minlength=inside.size + 1)
+    counts -= np.bincount(np.concatenate(stops), minlength=counts.size)
+    np.cumsum(counts, out=counts)
+    levels = np.bincount(counts[:-1][inside.ravel()], minlength=4)
     return CoverageReport(
         fraction_level1=float(levels[1] / total),
         fraction_level2=float(levels[2] / total),
-        fraction_level3=float(levels[3] / total),
+        fraction_level3=float(levels[3:].sum() / total),
         fraction_uncovered=float(levels[0] / total),
     )
 

@@ -231,24 +231,75 @@ _AREAS = {
 }
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(
     st.sampled_from(sorted(_AREAS)),
     st.sampled_from([0.5, 2.0, 0.3]),
-    st.sampled_from([15.0, 4.0, 100.0, 2.5]),
+    st.sampled_from([15.0, 4.0, 100.0, 2.5, "diagonal", 1e200]),
     st.lists(st.tuples(st.floats(-60.0, 100.0), st.floats(-60.0, 100.0)), max_size=6),
+    st.lists(st.tuples(st.sampled_from([-1e6, 17.0, 1e6]), st.sampled_from([-1e6, 21.0, 1e6])),
+             max_size=2),
     st.lists(st.tuples(st.integers(-5, 90), st.integers(-5, 90),
                        st.sampled_from([(5, 0), (-5, 0), (0, 5), (0, -5),
                                         (3, 4), (-4, 3), (-3, -4)])), max_size=6),
 )
-def test_coverage_report_equals_the_full_grid(name, cell, radius, free, on_circle):
-    # cars anywhere, including outside the area, plus cars at exactly the
-    # radius from a cell center (3-4-5 offsets keep the arithmetic exact)
+def test_coverage_report_equals_the_full_grid(name, cell, radius, free, far, on_circle):
+    # cars anywhere, including outside the area and 1e6 m away, plus cars at
+    # exactly the radius from a cell center (3-4-5 offsets keep the
+    # arithmetic exact); radii up to the bounding box's diagonal and past it
+    # (1e200 squares to inf) clip a car's window on all four sides
     area = TransitArea(_AREAS[name], cell_size=cell)
-    x0 = min(p.x for poly in area.polygons for p in poly)
-    y0 = min(p.y for poly in area.polygons for p in poly)
-    parked = [Position2D(x, y) for x, y in free] + [
+    xs = [p.x for poly in area.polygons for p in poly]
+    ys = [p.y for poly in area.polygons for p in poly]
+    x0, y0 = min(xs), min(ys)
+    if radius == "diagonal":
+        radius = math.hypot(max(xs) - x0, max(ys) - y0)
+    parked = [Position2D(x, y) for x, y in free + far] + [
         Position2D(x0 + (i + 0.5) * cell + a * radius / 5, y0 + (j + 0.5) * cell + b * radius / 5)
         for i, j, (a, b) in on_circle
     ]
-    assert coverage_report(area, parked, radius) == _brute_force_report(area, parked, radius)
+    expected = _brute_force_report(area, parked, radius)
+    assert coverage_report(area, parked, radius) == expected
+    assert coverage_report(area, (p for p in parked), radius) == expected
+
+
+@pytest.mark.parametrize("cell_size, match", [
+    (math.nan, "cell_size must be finite, got nan"),
+    (math.inf, "cell_size must be finite, got inf"),
+    (-math.inf, "cell_size must be finite, got -inf"),
+    (0.0, "cell_size must be > 0"),
+])
+def test_transit_area_rejects_a_bad_cell_size(cell_size, match):
+    with pytest.raises(ValueError, match=match):
+        TransitArea((square(),), cell_size=cell_size)
+
+
+@pytest.mark.parametrize("vertex", [(math.inf, 0.0), (0.0, math.nan)])
+def test_transit_area_rejects_non_finite_vertices(vertex):
+    with pytest.raises(ValueError, match="vertices must be finite"):
+        TransitArea(((Position2D(0.0, 0.0), Position2D(*vertex), Position2D(1.0, 1.0)),))
+
+
+@pytest.mark.parametrize("parked", [[], [Position2D(50.0, 50.0)]], ids=["no-cars", "one-car"])
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+def test_non_finite_radius_rejected(radius, parked):
+    area = TransitArea((square(),), cell_size=1.0)
+    with pytest.raises(ValueError, match="radius must be finite"):
+        coverage_report(area, parked, radius)
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, -math.inf)])
+def test_non_finite_parked_position_rejected(bad):
+    area = TransitArea((square(),), cell_size=1.0)
+    cars = [Position2D(10.0, 10.0), Position2D(*bad)]
+    with pytest.raises(ValueError, match=r"parked position 1 is not finite"):
+        coverage_report(area, iter(cars), 15.0)
+
+
+def test_squares_that_overflow_follow_the_exact_test():
+    # at radius 1e200 the squared radius and the squared distance to a car
+    # 1e200 m away are both inf, so the exact test covers every cell
+    area = TransitArea((square(),), cell_size=1.0)
+    rep = coverage_report(area, [Position2D(-1e200, 50.0)], 1e200)
+    assert rep == _brute_force_report(area, [Position2D(-1e200, 50.0)], 1e200)
+    assert rep.fraction_level1 == 1.0
