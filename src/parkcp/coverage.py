@@ -5,6 +5,16 @@ The transit area is a union of simple polygons under the even-odd rule, so a
 polygon drawn inside another acts as a hole. Fractions are computed on a
 raster of cell centers; the quantization error is bounded by
 (boundary length x cell size) / area and vanishes under grid refinement.
+
+A car covers a cell when the cell's center passes the exact test
+``(cy - y)**2 + (cx - x)**2 <= radius**2``. IEEE subtraction, squaring and
+addition are monotone, so along a raster row the passing cells form one run
+through the cell nearest the car, and the rows holding any form one run as
+well. Each car therefore costs one step per row it reaches, not one test per
+cell: the run ends of all (car, row) pairs are guessed at once from the half
+chord, and the exact test confirms each guess or a binary search with it
+replaces the guess. A +1 at each run's start and a -1 past its end, summed
+along the raster, count the cars over every cell. TIMING_C_D
 """
 from __future__ import annotations
 
@@ -107,18 +117,13 @@ def _raster(area: TransitArea):
     return cx, cy, inside
 
 
-def _index(v: np.ndarray, n: int) -> np.ndarray:
-    """Float indices as ints, clipped to [-2, n + 2] first so that no
-    overflowing or infinite value reaches the cast."""
-    return np.clip(v, -2, n + 2).astype(np.int64)
-
-
 def _first_failure(holds, start: np.ndarray, stop: np.ndarray, guess: np.ndarray) -> np.ndarray:
     """Per entry, the first index in [start, stop) at which ``holds`` fails,
     or ``stop``, where ``holds(j, at)`` tests entries ``at`` at indices ``j``
-    and is true on a prefix of each range. A guess that the test confirms at
-    both sides is kept; the other entries are found by binary search."""
-    pos = np.clip(guess, start, stop)
+    and is true on a prefix of each range. A float guess, clipped to the
+    range, is kept where the test confirms it at both sides; the other
+    entries are found by binary search."""
+    pos = np.clip(guess, start, stop).astype(np.int64)
     every = slice(None)
     wrong = ((pos > start) & ~holds(pos - 1, every)) | ((pos < stop) & holds(pos, every))
     at = np.flatnonzero(wrong)
@@ -132,25 +137,23 @@ def _first_failure(holds, start: np.ndarray, stop: np.ndarray, guess: np.ndarray
     return pos
 
 
-def _run(centers: np.ndarray, cell: float, p: np.ndarray, other_sq: np.ndarray, r_sq: float):
+def _run(centers: np.ndarray, cell: float, p: np.ndarray, split: np.ndarray,
+         other_sq: np.ndarray, r_sq: float):
     """Per entry, the run [start, stop) of indices j that pass the exact test
-    ``other_sq + (centers[j] - p)**2 <= r_sq`` along increasing ``centers``.
-
-    Centers left of p get nearer as j grows and centers right of it farther,
-    and IEEE subtraction, squaring and addition are monotone, so the passing
-    indices are one run through p's split point. The test alone decides both
-    ends; the half chord only guesses them."""
+    ``other_sq + (centers[j] - p)**2 <= r_sq`` along increasing ``centers``:
+    centers left of p get nearer as j grows and those right of it farther, so
+    start <= split <= stop, where ``split`` is ``searchsorted(centers, p)``.
+    The half chord only guesses the ends."""
     n = len(centers)
 
     def passes(j, at):
-        return other_sq[at] + (centers[np.clip(j, 0, n - 1)] - p[at]) ** 2 <= r_sq
+        return other_sq[at] + (centers.take(j, mode="clip") - p[at]) ** 2 <= r_sq
 
-    split = np.searchsorted(centers, p)
     half = np.sqrt(np.fmax(r_sq - other_sq, 0.0))
     start = _first_failure(lambda j, at: ~passes(j, at), np.zeros_like(split), split,
-                           _index(np.ceil((p - half - centers[0]) / cell), n))
+                           np.ceil((p - half - centers[0]) / cell))
     stop = _first_failure(passes, split, np.full_like(split, n),
-                          _index(np.floor((p + half - centers[0]) / cell) + 1, n))
+                          np.floor((p + half - centers[0]) / cell) + 1)
     return start, stop
 
 
@@ -162,18 +165,19 @@ def _runs(cars: np.ndarray, radius: float, cx: np.ndarray, cy: np.ndarray, cell:
     rows come from the same search as the cells."""
     px, py = cars.T
     r_sq = radius * radius
-    split = np.searchsorted(cx, px)
-    nearest_sq = np.minimum((cx[np.maximum(split - 1, 0)] - px) ** 2,
-                            (cx[np.minimum(split, len(cx) - 1)] - px) ** 2)
-    first_row, end_row = _run(cy, cell, py, nearest_sq, r_sq)
+    col = np.searchsorted(cx, px)
+    nearest_sq = np.minimum((cx[np.maximum(col - 1, 0)] - px) ** 2,
+                            (cx[np.minimum(col, len(cx) - 1)] - px) ** 2)
+    first_row, end_row = _run(cy, cell, py, np.searchsorted(cy, py), nearest_sq, r_sq)
     n_rows = end_row - first_row
     car = np.repeat(np.arange(len(cars)), n_rows)
     row = np.arange(car.size) + np.repeat(first_row - np.cumsum(n_rows) + n_rows, n_rows)
-    start, stop = _run(cx, cell, px[car], (cy[row] - py[car]) ** 2, r_sq)
+    start, stop = _run(cx, cell, px[car], col[car], (cy[row] - py[car]) ** 2, r_sq)
     return row * len(cx) + start, row * len(cx) + stop
 
 
-# cars per batch of _runs: at most this many (car, row) entries at a time
+# _runs takes the cars in batches of at most this many (car, row) entries,
+# which bounds its temporary arrays
 _BATCH_ENTRIES = 1 << 17
 
 
