@@ -2,8 +2,9 @@
 
 The radio model is a hard line-of-sight disk: two powered-on vehicles are
 neighbors iff their true separation is within the communication-zone radius.
-Every such question, from an episode step, ``neighbors`` or
-``harness.trace_metrics``, is one lookup with ``within`` on a ``grid``.
+Every such question is answered on a ``grid``: from an episode step or
+``neighbors`` by one lookup with ``within``, from ``harness.trace_metrics``
+by ``ids_within`` over a vehicle's positions.
 Noise is zero-mean Gaussian, independent per link and per step; there is no
 packet loss unless ``drop_probability`` is set.
 """
@@ -87,6 +88,29 @@ def within(
             for entry in cells.get((ci, cj), ()):
                 if math.hypot(x - entry[1], y - entry[2]) <= radius:
                     found.append(entry)
+    return found
+
+
+def ids_within(
+    cells: dict, points: Iterable[tuple[float, float]], width: float, radius: float
+) -> set:
+    """Ids of the entries of the grid ``cells`` of cell ``width`` within
+    ``radius`` of any of the finite ``points``, by the exact test of
+    ``within``. The points are grouped by cell, so each group scans its 3x3
+    block once, and an entry already found is not tested again."""
+    groups: dict[tuple[int, int], list] = {}
+    for x, y in points:
+        groups.setdefault(cell(x, y, width), []).append((x, y))
+    found = set()
+    for (i, j), group in groups.items():
+        for ci in (i - 1, i, i + 1):
+            for cj in (j - 1, j, j + 1):
+                for entry in cells.get((ci, cj), ()):
+                    if entry[0] not in found:
+                        for x, y in group:
+                            if math.hypot(x - entry[1], y - entry[2]) <= radius:
+                                found.add(entry[0])
+                                break
     return found
 
 

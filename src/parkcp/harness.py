@@ -452,26 +452,11 @@ def trace_metrics(
         width,
     )
 
-    def encountered(positions) -> int:
-        # a car's positions by grid cell: each cell's 3x3 block of parked
-        # cars is scanned once, and a car already found is not tested again
-        by_cell: dict[tuple[int, int], list] = {}
-        for x, y in set(positions):
-            by_cell.setdefault(channel.cell(x, y, width), []).append((x, y))
-        found = set()
-        for (i, j), group in by_cell.items():
-            for ci in (i - 1, i, i + 1):
-                for cj in (j - 1, j, j + 1):
-                    for k, px, py in cells.get((ci, cj), ()):
-                        if k not in found:
-                            for x, y in group:
-                                if math.hypot(x - px, y - py) <= radius:
-                                    found.add(k)
-                                    break
-        return len(found)
-
     return {
-        r.vehicle_id: (encountered(r.positions), r.path_length() / 1000.0)
+        r.vehicle_id: (
+            len(channel.ids_within(cells, set(r.positions), width, radius)),
+            r.path_length() / 1000.0,
+        )
         for r in records
         if r.kind is MotionKind.MOVING
     }
