@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 from .errors import DegenerateGeometryError
@@ -80,26 +78,20 @@ class LocalizationProblem:
     prior: Position2D
 
 
-def _cost_function(problem: LocalizationProblem) -> Callable[[float, float], float]:
-    """The cost of ``problem`` as a function of plain (x, y) floats: squared
-    range mismatches to the selected neighbors plus squared distance to the
-    prior. GCPSO calls it in its inner loop."""
-    rows = tuple((*c.shared_position, c.measured_range) for c in problem.selected)
-    px, py = problem.prior
-
-    def evaluate(x: float, y: float) -> float:
-        f = (x - px) ** 2 + (y - py) ** 2
-        for ax, ay, r in rows:
-            m = r - math.hypot(x - ax, y - ay)
-            f += m * m
-        return f
-
-    return evaluate
-
-
 def cost(point: Position2D, problem: LocalizationProblem) -> float:
-    """The localisation cost of ``problem`` at ``point``."""
-    return _cost_function(problem)(point.x, point.y)
+    """The localisation cost of ``problem`` at ``point``, in the portable form
+    of the module docstring. ``gcpso_localize`` evaluates the same formula
+    inline, in the same order, so its fitness equals this bit for bit."""
+    x, y = point
+    px, py = problem.prior
+    dx, dy = x - px, y - py
+    f = dx * dx + dy * dy
+    for c in problem.selected:
+        ax, ay = c.shared_position
+        ex, ey = x - ax, y - ay
+        m = c.measured_range - math.sqrt(ex * ex + ey * ey)
+        f += m * m
+    return f
 
 
 @dataclass
@@ -151,10 +143,10 @@ def gcpso_localize(
     if not problem.selected and params.fitness_stop >= 0.0 and problem.prior.is_finite():
         return GcpsoResult(problem.prior, 0.0, np.zeros(1))
     n = params.particles
-    evaluate = _cost_function(problem)
+    rows = tuple((*c.shared_position, c.measured_range) for c in problem.selected)
     px0, py0 = problem.prior
-    if problem.selected:
-        bx, by = problem.selected[0].shared_position
+    if rows:
+        bx, by = rows[0][0], rows[0][1]
         xs = [bx if i < n // 2 else px0 for i in range(n)]
         ys = [by if i < n // 2 else py0 for i in range(n)]
     else:
@@ -165,8 +157,8 @@ def gcpso_localize(
 
     best_x = list(xs)
     best_y = list(ys)
-    best_f = [evaluate(x, y) for x, y in zip(xs, ys)]
-    g = min(range(n), key=best_f.__getitem__)
+    best_f = [cost(Position2D(x, y), problem) for x, y in zip(xs, ys)]
+    g = best_f.index(min(best_f))
     gx, gy, gf = best_x[g], best_y[g], best_f[g]
     history = [gf]
 
@@ -174,6 +166,7 @@ def gcpso_localize(
     iterations, stop = params.iterations, params.fitness_stop
     w_start, w_end = params.inertia_start, params.inertia_end
     c1, c2 = params.cognitive, params.social
+    sqrt = math.sqrt
     span = max(iterations - 1, 1)
     # one block holds exactly what one (n, 4) draw per iteration would; a
     # swarm that starts at fitness_stop needs none
@@ -195,10 +188,16 @@ def gcpso_localize(
                 vx[i], vy[i] = vxi, vyi
                 nx, ny = x + vxi, y + vyi
             xs[i], ys[i] = nx, ny
-            f = evaluate(nx, ny)
+            # cost(), inline
+            dx, dy = nx - px0, ny - py0
+            f = dx * dx + dy * dy
+            for ax, ay, r in rows:
+                ex, ey = nx - ax, ny - ay
+                m = r - sqrt(ex * ex + ey * ey)
+                f += m * m
             if f < best_f[i]:
                 best_f[i], best_x[i], best_y[i] = f, nx, ny
-        g = min(range(n), key=best_f.__getitem__)
+        g = best_f.index(min(best_f))
         improved = best_f[g] < gf
         gx, gy, gf = best_x[g], best_y[g], best_f[g]
         radius.update(improved)

@@ -68,6 +68,60 @@ def test_cost_invariant_under_candidate_order(perm):
     assert cost(point, prob) == pytest.approx(cost(point, shuffled))
 
 
+def _batch_cost(points, priors, rows, valid):
+    """The cost at each point of a batch of problems, in numpy over rows
+    padded to (N, 3) per problem; a padded row (valid False) adds an exact 0.
+    Each row is added in order, so the sum rounds as the scalar one does."""
+    x, y = points[:, 0], points[:, 1]
+    dx, dy = x - priors[:, 0], y - priors[:, 1]
+    f = dx * dx + dy * dy
+    for k in range(rows.shape[1]):
+        ex, ey = x - rows[:, k, 0], y - rows[:, k, 1]
+        m = np.where(valid[:, k], rows[:, k, 2] - np.sqrt(ex * ex + ey * ey), 0.0)
+        f = f + m * m
+    return f
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+# offsets from 0 and from +-1e6, where a sum of squares keeps few fraction bits
+_coordinate = st.builds(
+    lambda base, offset: base + offset,
+    st.sampled_from([-1e6, 0.0, 1e6]),
+    st.floats(-300.0, 300.0, allow_subnormal=False),
+)
+_row = st.tuples(_coordinate, _coordinate, st.floats(0.0, 3e6), st.booleans())
+_instance = st.tuples(
+    st.tuples(_coordinate, _coordinate),  # point
+    st.tuples(_coordinate, _coordinate),  # prior
+    st.lists(_row, max_size=3),  # (x, y, range, point on the range circle)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_instance, min_size=1, max_size=8), st.integers(3, 5))
+def test_numpy_cost_over_padded_rows_equals_cost_bit_for_bit(instances, width):
+    points, priors, rows, valid, expected = [], [], [], [], []
+    for (x, y), prior, selected in instances:
+        candidates = []
+        for j, (ax, ay, r, on_circle) in enumerate(selected):
+            if on_circle:  # the mismatch of this row is exactly 0 at the point
+                r = math.sqrt((x - ax) * (x - ax) + (y - ay) * (y - ay))
+            candidates.append(Candidate(j + 1, NodeClass.ANCHOR, Position2D(ax, ay), r))
+        problem = LocalizationProblem(tuple(candidates), Position2D(*prior))
+        expected.append(cost(Position2D(x, y), problem))
+        padded = [(*c.shared_position, c.measured_range) for c in candidates]
+        padded += [(0.0, 0.0, 0.0)] * (width - len(candidates))
+        points.append((x, y))
+        priors.append(prior)
+        rows.append(padded)
+        valid.append([j < len(candidates) for j in range(width)])
+    got = _batch_cost(np.array(points), np.array(priors), np.array(rows), np.array(valid))
+    assert _bits(got) == _bits(expected)
+
+
 # ---------------------------------------------------------------------------
 # GCPSO
 
@@ -168,6 +222,26 @@ def test_gcpso_translation_equivariance():
     )
     assert moved.position.x - shift[0] == pytest.approx(base.position.x, abs=1e-6)
     assert moved.position.y - shift[1] == pytest.approx(base.position.y, abs=1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_coordinate, _coordinate, st.floats(0.0, 200.0)), max_size=3),
+    st.tuples(_coordinate, _coordinate),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([GcpsoParams(), GcpsoParams(particles=3, iterations=7),
+                     GcpsoParams(fitness_stop=0.5), GcpsoParams(fitness_stop=-1.0)]),
+)
+def test_gcpso_fitness_is_the_cost_of_its_position_bit_for_bit(rows, prior, seed, params):
+    # the swarm evaluates cost() inline; this pins that copy to cost()
+    problem = LocalizationProblem(
+        tuple(Candidate(j + 1, NodeClass.ANCHOR, Position2D(x, y), r)
+              for j, (x, y, r) in enumerate(rows)),
+        Position2D(*prior),
+    )
+    res = gcpso_localize(problem, params, np.random.default_rng(seed))
+    assert _bits([res.fitness]) == _bits([cost(res.position, problem)])
+    assert res.fitness == res.history[-1]
 
 
 def test_radius_doubles_after_success_limit():
@@ -595,3 +669,4 @@ def test_ekf_params_reject_nan(field):
 def test_gcpso_params_reject_nan_initial_radius():
     with pytest.raises(ValueError):
         GcpsoParams(initial_radius=math.nan)
+
