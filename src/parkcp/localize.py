@@ -50,6 +50,9 @@ class GcpsoParams:
             raise ValueError("particles and iterations must be >= 1")
         if self.success_limit < 1 or self.failure_limit < 1:
             raise ValueError("success_limit and failure_limit must be >= 1")
+        for name in ("initial_radius", "cognitive", "social", "inertia_start"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.initial_radius > 0:
             raise ValueError("initial_radius must be > 0")
         if not self.inertia_start >= self.inertia_end >= 0:
