@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,6 +86,17 @@ class TransitArea:
                 raise ValueError("polygon vertices must be finite")
             if not _is_simple(poly):
                 raise ValueError("polygon is self-intersecting")
+
+    @cached_property
+    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """``_raster`` of the area, the inside mask flattened row-major, and
+        the number of inside cells. They do not depend on the radius, so an
+        area computes them once for all its reports."""
+        cx, cy, inside = _raster(self)
+        inside = inside.ravel()
+        for a in (cx, cy, inside):
+            a.flags.writeable = False
+        return cx, cy, inside, int(inside.sum())
 
 
 @dataclass(frozen=True)
@@ -197,8 +209,7 @@ def coverage_report(
     bad = np.flatnonzero(~np.isfinite(cars).all(axis=1))
     if bad.size:
         raise ValueError(f"parked position {bad[0]} is not finite: {tuple(cars[bad[0]].tolist())}")
-    cx, cy, inside = _raster(area)
-    total = int(inside.sum())
+    cx, cy, inside, total = area._cells
     if total == 0:
         raise ValueError("transit area contains no raster cells")
 
@@ -215,7 +226,7 @@ def coverage_report(
     counts = np.bincount(np.concatenate(starts), minlength=inside.size + 1)
     counts -= np.bincount(np.concatenate(stops), minlength=counts.size)
     np.cumsum(counts, out=counts)
-    levels = np.bincount(counts[:-1][inside.ravel()], minlength=4)
+    levels = np.bincount(counts[:-1][inside], minlength=4)
     return CoverageReport(
         fraction_level1=float(levels[1] / total),
         fraction_level2=float(levels[2] / total),
