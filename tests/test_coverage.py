@@ -212,8 +212,9 @@ def _brute_force_report(area, parked, radius):
                 x_at = (x2 - x1) * (gy - y1) / (y2 - y1) + x1
                 inside ^= ((y1 > gy) != (y2 > gy)) & (gx < x_at)
     counts = np.zeros(gx.shape, dtype=np.int64)
-    for p in parked:
-        counts += (gx - p.x) ** 2 + (gy - p.y) ** 2 <= radius * radius
+    with np.errstate(over="ignore"):  # radius 1e200 squares to inf, as intended
+        for p in parked:
+            counts += (gx - p.x) ** 2 + (gy - p.y) ** 2 <= radius * radius
     c = counts[inside]
     total = int(inside.sum())
     return CoverageReport(
