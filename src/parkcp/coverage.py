@@ -5,6 +5,8 @@ The transit area is a union of simple polygons under the even-odd rule, so a
 polygon drawn inside another acts as a hole. Fractions are computed on a
 raster of cell centers; the quantization error is bounded by
 (boundary length x cell size) / area and vanishes under grid refinement.
+The raster does not depend on the radius, so an area builds it once, on its
+first report, and every later report over the area reuses it.
 
 A car covers a cell when the cell's center passes the exact test
 ``(cy - y)**2 + (cx - x)**2 <= radius**2``. IEEE subtraction, squaring and

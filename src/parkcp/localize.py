@@ -4,8 +4,17 @@ bootstrap.
 
 The cost a swarm minimises is the sum of squared range mismatches to the
 selected neighbors plus the squared displacement from the dead-reckoned
-prior. The EKF keeps a 2D position state; velocity enters as a known noisy
-input, so the prediction inflates the covariance by
+prior (px, py). At (x, y) it is f = dx*dx + dy*dy with dx, dy = x - px,
+y - py, then, for each selected row (ax, ay, r) in order, f += m*m with
+m = r - sqrt(ex*ex + ey*ey) and ex, ey = x - ax, y - ay. It uses only + - *
+and sqrt, which IEEE arithmetic rounds correctly in Python and numpy alike
+(``**`` and ``hypot`` are library functions whose rounding differs), so a
+numpy evaluation over padded rows, where a padded row adds an exact 0,
+equals it bit for bit. ``gcpso_localize`` evaluates this formula inline per
+particle rather than through a call.
+
+The EKF keeps a 2D position state; velocity enters as a known noisy input,
+so the prediction inflates the covariance by
 process_std^2 + (step_seconds * velocity_std)^2 per axis. The covariance is
 the float triple (a, b, d) of [[a, b], [b, d]]. The update applies the range
 rows as scalar updates, all linearised at the predicted state, which equals
@@ -15,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from .errors import DegenerateGeometryError
@@ -148,8 +158,8 @@ def gcpso_localize(
     n = params.particles
     rows = tuple((*c.shared_position, c.measured_range) for c in problem.selected)
     px0, py0 = problem.prior
-    if rows:
-        bx, by = rows[0][0], rows[0][1]
+    if problem.selected:
+        bx, by = problem.selected[0].shared_position
         xs = [bx if i < n // 2 else px0 for i in range(n)]
         ys = [by if i < n // 2 else py0 for i in range(n)]
     else:
