@@ -666,12 +666,6 @@ def test_ekf_params_reject_nan(field):
         EkfParams(**{"range_std": 1.0, field: math.nan})
 
 
-def test_gcpso_params_reject_nan_initial_radius():
-    with pytest.raises(ValueError):
-        GcpsoParams(initial_radius=math.nan)
-
-
-
 @pytest.mark.parametrize("field", ["initial_radius", "cognitive", "social", "inertia_start"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_gcpso_params_reject_non_finite_values(field, value):
