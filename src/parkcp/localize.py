@@ -67,6 +67,8 @@ class GcpsoParams:
             raise ValueError("initial_radius must be > 0")
         if not self.inertia_start >= self.inertia_end >= 0:
             raise ValueError("inertia must decrease to a non-negative value")
+        if math.isnan(self.fitness_stop):  # -inf never stops early, +inf at once
+            raise ValueError("fitness_stop must not be nan")
 
 
 @dataclass(frozen=True)

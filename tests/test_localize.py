@@ -671,3 +671,9 @@ def test_ekf_params_reject_nan(field):
 def test_gcpso_params_reject_non_finite_values(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         GcpsoParams(**{field: value})
+
+
+def test_gcpso_params_reject_nan_fitness_stop():
+    # a nan stop skips the draws but never breaks out of the swarm loop
+    with pytest.raises(ValueError, match="fitness_stop must not be nan"):
+        GcpsoParams(fitness_stop=math.nan)
