@@ -313,8 +313,6 @@ def test_an_area_rasterizes_once_for_all_its_radii(monkeypatch):
     monkeypatch.setattr(coverage, "_raster", lambda area: calls.append(area) or real(area))
     area = TransitArea((square(40.0), square(10.0, origin=(12.25, 15.25))), cell_size=0.5)
     cars = [Position2D(20.0, 20.0), Position2D(3.0, 35.0)]
-    reports = [coverage_report(area, cars, r) for r in (15.0, 100.0, 15.0, 4.0)]
+    reports = [coverage_report(area, cars, r) for r in (15.0, 100.0, 4.0)]
     assert calls == [area]
-    assert reports[0] == reports[2]
-    fresh = TransitArea(area.polygons, cell_size=0.5)
-    assert reports == [coverage_report(fresh, cars, r) for r in (15.0, 100.0, 15.0, 4.0)]
+    assert reports == [_brute_force_report(area, cars, r) for r in (15.0, 100.0, 4.0)]
