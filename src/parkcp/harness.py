@@ -552,17 +552,19 @@ def ensemble(
     keep_episodes: bool = False,
 ) -> EnsembleSummary:
     """Run n_runs paired episodes (identical run seeds for Traditional and
-    Proposed) and summarise per-vehicle RMSE and improvement. Results are
-    identical for any ``jobs`` value."""
+    Proposed) and summarise per-vehicle RMSE and improvement. ``jobs`` > 1
+    runs the episodes in a pool of at most ``jobs`` workers and no more
+    workers than episodes. Results are identical for any ``jobs`` value."""
     modes = (Mode.TRADITIONAL, Mode.PROPOSED)
     shared = records if records is not None else generate(cfg.scenario)
     trace = _checked_trace(shared, cfg.scenario.step_seconds)
     tasks = [(cfg, mode, run) for run in range(cfg.n_runs) for mode in modes]
-    if jobs <= 1:
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         results = [_episode_task(task, trace) for task in tasks]
     else:
         # each worker receives the trace once, not with every task
-        with ProcessPoolExecutor(jobs, initializer=_share_trace, initargs=(trace,)) as pool:
+        with ProcessPoolExecutor(workers, initializer=_share_trace, initargs=(trace,)) as pool:
             results = list(pool.map(_episode_task, tasks, chunksize=1))
 
     by_run = list(zip(results[0::2], results[1::2]))  # (traditional, proposed)

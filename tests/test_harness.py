@@ -409,6 +409,24 @@ def test_ensemble_jobs_parity():
         assert np.array_equal(a.improvements, b.improvements)
 
 
+def test_ensemble_starts_no_more_workers_than_tasks(monkeypatch):
+    started = []
+    pool = harness.ProcessPoolExecutor
+
+    def recording_pool(max_workers, **kwargs):
+        started.append(max_workers)
+        return pool(max_workers, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", recording_pool)
+    cfg = circuit_cfg(n_runs=1, seed=3)
+    serial = ensemble(cfg, jobs=1)
+    pooled = ensemble(cfg, jobs=6)
+    assert started == [2]  # one run is two episodes
+    assert format_results_csv(summary_rows(pooled)) == format_results_csv(
+        summary_rows(serial)
+    )
+
+
 def test_results_csv_shape():
     cfg = circuit_cfg(n_runs=2, seed=1)
     rows = summary_rows(ensemble(cfg))

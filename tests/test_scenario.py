@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parkcp import scenario
 from parkcp.errors import ConfigError, TraceParseError, TraceValidationError
 from parkcp.model import MotionKind, Position2D, VehicleRecord, Velocity2D, distance
 from parkcp.scenario import (
@@ -346,9 +347,50 @@ def test_parse_trace_reads_laid_out_valid_traces_bit_exactly(case):
     # the lowest id with a fault is reported, whatever the order of its rows
     "t,id,x,y,vx,vy,kind\n0,1,0.0,0.0,0.0,0.0,moving\n0,2,0.0,0.0,0.0,0.0,parked\n"
     "1,2,0.0,0.0,0.0,0.0,moving\n3,1,0.0,0.0,0.0,0.0,moving\n",
+    # one vehicle's identical rest at two steps with a gap between them
+    "t,id,x,y,vx,vy,kind\n0,1,5.0,5.0,0.0,0.0,parked\n2,1,5.0,5.0,0.0,0.0,parked\n",
+    # the same row padded differently at consecutive steps
+    "t,id,x,y,vx,vy,kind\n0,1,5.0,5.0,0.0,0.0,parked\n1, 1,5.0,5.0,0.0,0.0,parked\n"
+    "2,1 , 5.0,5.0,0.0,0.0,parked \n",
+    # a row with no comma
+    "t,id,x,y,vx,vy,kind\n0,1,5.0,5.0,0.0,0.0,parked\n1\n",
+    # a row whose rest has seven fields, the last a number
+    "t,id,x,y,vx,vy,kind\n0,1,5.0,5.0,0.0,0.0,parked\n1,1,5.0,5.0,0.0,0.0,parked,7\n",
+    # a parked rest shared by many steps, and one step of it moving
+    "t,id,x,y,vx,vy,kind\n"
+    + "".join(f"{t},4,5.0,5.0,0.0,0.0,parked\n" for t in range(3))
+    + "3,4,5.0,5.0,0.0,0.5,parked\n"
+    + "".join(f"{t},4,5.0,5.0,0.0,0.0,parked\n" for t in range(4, 7)),
 ])
 def test_parse_trace_edge_texts_match_the_line_reader(text):
     assert _outcome(parse_trace, text) == _outcome(_oracle_parse_trace, text)
+
+
+def test_parse_trace_reads_a_valid_town_without_the_line_reader(monkeypatch):
+    # the line reader only locates the first bad line; a valid trace is read
+    # once per distinct rest and never line by line
+    def line_reader(*args):
+        raise AssertionError("the line reader ran on a valid trace")
+
+    monkeypatch.setattr(scenario, "csv_rows", line_reader)
+    cfg = ScenarioConfig(
+        kind="town", seed=5, duration=40, n_moving=4, n_entering=3, n_parked=12,
+        area=(0.0, 0.0, 120.0, 80.0), choke_points=(ChokePoint(60.0, 40.0, 15.0, 5),),
+    )
+    records = gen_town(cfg)
+    assert {r.kind for r in records} == set(MotionKind)
+    assert _bits(parse_trace(serialize_trace(records))) == _bits(records)
+
+
+@pytest.mark.parametrize("n_positions, n_velocities", [(3, 2), (2, 3)])
+def test_serialize_trace_rejects_a_length_mismatch(n_positions, n_velocities):
+    record = VehicleRecord(
+        3, MotionKind.MOVING, 0,
+        [Position2D(float(i), 0.0) for i in range(n_positions)],
+        [Velocity2D(1.0, 0.0)] * n_velocities,
+    )
+    with pytest.raises(ValueError, match="vehicle 3: positions/velocities length mismatch"):
+        serialize_trace([record])
 
 
 def test_roundtrip_keeps_negative_zero_next_to_zero():
