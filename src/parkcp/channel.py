@@ -2,9 +2,9 @@
 
 The radio model is a hard line-of-sight disk: two powered-on vehicles are
 neighbors iff their true separation is within the communication-zone radius.
-Every such question is answered on a ``grid``: from an episode step or
-``neighbors`` by one lookup with ``within``, from ``harness.trace_metrics``
-by ``ids_within`` over a vehicle's positions.
+Every such question is answered on a ``grid`` by lookups with ``within``:
+one per vehicle and step from an episode step or ``neighbors``, one per
+distinct position of a tracked vehicle from ``harness.trace_metrics``.
 Noise is zero-mean Gaussian, independent per link and per step; there is no
 packet loss unless ``drop_probability`` is set.
 """
@@ -29,8 +29,9 @@ class NoiseModel:
     velocity_std: float = 0.5
 
     def __post_init__(self):
-        if not all(s >= 0 for s in (self.range_std, self.gps_std, self.velocity_std)):
-            raise ValueError("noise standard deviations must be >= 0")
+        stds = (self.range_std, self.gps_std, self.velocity_std)
+        if not all(s >= 0 and math.isfinite(s) for s in stds):
+            raise ValueError("noise standard deviations must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -88,29 +89,6 @@ def within(
             for entry in cells.get((ci, cj), ()):
                 if math.hypot(x - entry[1], y - entry[2]) <= radius:
                     found.append(entry)
-    return found
-
-
-def ids_within(
-    cells: dict, points: Iterable[tuple[float, float]], width: float, radius: float
-) -> set:
-    """Ids of the entries of the grid ``cells`` of cell ``width`` within
-    ``radius`` of any of the finite ``points``, by the exact test of
-    ``within``. The points are grouped by cell, so each group scans its 3x3
-    block once, and an entry already found is not tested again."""
-    groups: dict[tuple[int, int], list] = {}
-    for x, y in points:
-        groups.setdefault(cell(x, y, width), []).append((x, y))
-    found = set()
-    for (i, j), group in groups.items():
-        for ci in (i - 1, i, i + 1):
-            for cj in (j - 1, j, j + 1):
-                for entry in cells.get((ci, cj), ()):
-                    if entry[0] not in found:
-                        for x, y in group:
-                            if math.hypot(x - entry[1], y - entry[2]) <= radius:
-                                found.add(entry[0])
-                                break
     return found
 
 

@@ -11,11 +11,11 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import fields, replace
 
 from .channel import CommZone, NoiseModel
 from .coverage import (
+    TransitArea,
     coverage_report,
     dsrc_radius,
     format_coverage_csv,
@@ -119,54 +119,37 @@ def load_config(path: str) -> dict:
     return raw
 
 
-@contextmanager
-def _section_errors(name: str):
-    """Report a value that a config section's constructor rejects as a
-    ConfigError naming the section."""
-    try:
-        yield
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config section {name!r}: {exc}") from None
-
-
-def scenario_from_config(raw: dict) -> ScenarioConfig:
-    section = dict(raw.get("scenario", {}))
-    with _section_errors("scenario"):
-        if "circuit" in section:
-            section["circuit"] = tuple(
-                Position2D(float(x), float(y)) for x, y in section["circuit"]
-            )
-        if "area" in section:
-            section["area"] = tuple(float(v) for v in section["area"])
-        if "choke_points" in section:
-            section["choke_points"] = tuple(
-                ChokePoint(float(x), float(y), float(r), int(h))
-                for x, y, r, h in section["choke_points"]
-            )
-        cfg = ScenarioConfig(**section)
-    cfg.validate()
-    return cfg
-
-
 def _merged(values: dict, **flags) -> dict:
     """``values`` overridden by the flags that are given."""
     return {**values, **{k: v for k, v in flags.items() if v is not None}}
 
 
-def _override(raw: dict, name: str, base, **flags):
-    """``base`` with the keys that config section ``name`` and the given
-    flags name replaced."""
+# how a section's structured JSON values become field values, by field name
+_CONVERT = {
+    "circuit": lambda v: tuple(Position2D(float(x), float(y)) for x, y in v),
+    "area": lambda v: tuple(map(float, v)),
+    "choke_points": lambda v: tuple(
+        ChokePoint(float(x), float(y), float(r), int(h)) for x, y, r, h in v
+    ),
+    "mode": Mode,
+}
+
+
+def _section(raw: dict, name: str, base, **flags):
+    """``base`` with the keys that config section ``name`` names replaced,
+    then those of the flags that are given: flag over file over ``base``.
+    A value that the section's class rejects is a ConfigError naming it."""
     values = _merged(raw.get(name, {}), **flags)
-    with _section_errors(name):
-        if "mode" in values:
-            values["mode"] = Mode(values["mode"])
-        return replace(base, **values)
+    try:
+        return replace(base, **{k: _CONVERT.get(k, lambda v: v)(v) for k, v in values.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config section {name!r}: {exc}") from None
 
 
 def run_config_from_config(
     raw: dict,
     algorithm: Algorithm,
-    range_std: float,
+    range_std: float | None,
     zone_radius: float | None,
     n_runs: int | None,
     seed: int | None,
@@ -174,22 +157,19 @@ def run_config_from_config(
     """RunConfig built through make_run_config, so that defaults, including
     the noise- and scenario-derived EKF ones, have one source; file sections
     and flags override only the keys they name."""
-    scenario = scenario_from_config(raw)
-    if seed is not None:
-        scenario = replace(scenario, seed=seed)
     top = _merged({k: raw[k] for k in ("n_runs", "seed") if k in raw}, n_runs=n_runs, seed=seed)
     cfg = make_run_config(
         algorithm=algorithm,
-        scenario=scenario,
-        noise=_override(raw, "noise", NoiseModel(), range_std=range_std),
+        scenario=_section(raw, "scenario", ScenarioConfig(), seed=seed),
+        noise=_section(raw, "noise", NoiseModel(), range_std=range_std),
         **top,
     )
     return replace(
         cfg,
-        zone=_override(raw, "zone", cfg.zone, radius=zone_radius),
-        policy=_override(raw, "policy", cfg.policy),
-        gcpso=_override(raw, "gcpso", cfg.gcpso),
-        ekf=_override(raw, "ekf", cfg.ekf),
+        zone=_section(raw, "zone", cfg.zone, radius=zone_radius),
+        policy=_section(raw, "policy", cfg.policy),
+        gcpso=_section(raw, "gcpso", cfg.gcpso),
+        ekf=_section(raw, "ekf", cfg.ekf),
     )
 
 
@@ -198,12 +178,9 @@ def run_config_from_config(
 
 
 def cmd_gen(args) -> int:
-    raw = load_config(args.config)
-    scenario = scenario_from_config(raw)
-    if args.kind is not None:
-        scenario = replace(scenario, kind=args.kind)
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
+    scenario = _section(
+        load_config(args.config), "scenario", ScenarioConfig(), kind=args.kind, seed=args.seed
+    )
     records = generate(scenario)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_trace(records))
@@ -234,7 +211,7 @@ def cmd_sim(args) -> int:
     algorithms = (
         [Algorithm.GCPSO, Algorithm.EKF] if algorithm == "both" else [Algorithm(algorithm)]
     )
-    sigmas = args.sigma_r or [float(raw.get("noise", {}).get("range_std", NoiseModel.range_std))]
+    sigmas = args.sigma_r or [None]  # None: the config's noise.range_std
     modes = _requested_modes(args.mode)
 
     records = None
@@ -252,7 +229,7 @@ def cmd_sim(args) -> int:
             summary = ensemble(cfg, records, jobs=args.jobs, keep_episodes=args.dump_steps)
             all_rows.extend(r for r in summary_rows(summary) if r.mode in modes)
             if args.dump_steps:
-                step_entries.append((algorithm, sigma, summary))
+                step_entries.append((algorithm, cfg.noise.range_std, summary))
 
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(format_results_csv(all_rows))
@@ -294,13 +271,12 @@ def cmd_coverage(args) -> int:
     radii.extend(dsrc_radius(c) for c in args.device_class or [])
     if not radii:
         raise ConfigError("give at least one --radius or --class")
-    cell_size = args.cell_size
-    if cell_size is None and args.config is not None:
-        cell_size = load_config(args.config).get("coverage", {}).get("cell_size")
-    if cell_size is None:
-        cell_size = 1.0
+    raw = load_config(args.config) if args.config is not None else {}
+    # an empty area carries the coverage section's default and checks, so
+    # the polygons are read and checked once
+    settings = _section(raw, "coverage", TransitArea(polygons=()), cell_size=args.cell_size)
     with open(args.area, "r", encoding="utf-8") as fh:
-        area = parse_area(fh.read(), cell_size=float(cell_size))
+        area = parse_area(fh.read(), cell_size=settings.cell_size)
     parked = _load_parked(args.parked)
     rows = [(radius, coverage_report(area, parked, radius)) for radius in radii]
     text = format_coverage_csv(rows)
@@ -364,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
                        action="append", help="DSRC device class; repeatable")
     p_cov.add_argument("--config", help="JSON config (coverage.cell_size)")
     p_cov.add_argument("--cell-size", type=_finite_float,
-                       help="raster cell in meters (default 1.0)")
+                       help=f"raster cell in meters (default {TransitArea.cell_size})")
     p_cov.add_argument("--out", required=True, help="coverage CSV to write")
     p_cov.set_defaults(func=cmd_coverage)
     return parser

@@ -241,7 +241,7 @@ def coverage_report(
 # File formats (same CSV dialect family as the trace files)
 
 
-def parse_area(text: str, cell_size: float = 1.0) -> TransitArea:
+def parse_area(text: str, cell_size: float = TransitArea.cell_size) -> TransitArea:
     """Area file: header ``polygon,x,y``; one vertex per row, grouped by
     polygon id in file order; ``#`` comments allowed."""
     groups: dict[int, list[Position2D]] = {}

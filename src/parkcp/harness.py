@@ -454,7 +454,11 @@ def trace_metrics(
 
     return {
         r.vehicle_id: (
-            len(channel.ids_within(cells, set(r.positions), width, radius)),
+            len({
+                entry[0]
+                for x, y in set(r.positions)
+                for entry in channel.within(cells, x, y, width, radius)
+            }),
             r.path_length() / 1000.0,
         )
         for r in records

@@ -184,8 +184,9 @@ def gcpso_localize(
     sqrt = math.sqrt
     span = max(iterations - 1, 1)
     # one block holds exactly what one (n, 4) draw per iteration would; a
-    # swarm that starts at fitness_stop needs none
-    draws = rng.random((iterations, n, 4)).tolist() if gf > stop else []
+    # swarm that starts at fitness_stop needs none, and one whose fitness is
+    # nan runs the loop, so it draws the block
+    draws = rng.random((iterations, n, 4)).tolist() if not gf <= stop else []
     for it in range(iterations):
         if gf <= stop:
             break

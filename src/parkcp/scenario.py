@@ -80,18 +80,21 @@ class ScenarioConfig:
     )
     choke_points: tuple[ChokePoint, ...] = ()
 
-    def validate(self) -> None:
-        if self.step_seconds <= 0:
+    def __post_init__(self):
+        for name in ("step_seconds", "parked_spacing", "speed"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not self.step_seconds > 0:
             raise ConfigError("step_seconds must be > 0")
         if self.duration <= 0:
             raise ConfigError("duration must be > 0")
         if min(self.n_moving, self.n_parked, self.n_entering) < 0:
             raise ConfigError("vehicle counts must be >= 0")
-        if self.parked_spacing <= 0:
+        if not self.parked_spacing > 0:
             raise ConfigError("parked_spacing must be > 0")
         if self.entry_interval <= 0:
             raise ConfigError("entry_interval must be > 0")
-        if self.speed <= 0:
+        if not self.speed > 0:
             raise ConfigError("speed must be > 0")
         if not 0.0 <= self.parked_offset <= 15.0:
             raise ConfigError("parked_offset must lie within 15 m of the road")
@@ -102,6 +105,8 @@ class ScenarioConfig:
         xmin, ymin, xmax, ymax = self.area
         if not (xmax > xmin and ymax > ymin):
             raise ConfigError("area is degenerate")
+        if not all(math.isfinite(ck.x) and math.isfinite(ck.y) for ck in self.choke_points):
+            raise ConfigError("choke_points need finite x and y")
         if not all(ck.radius > 0 and ck.hold_steps >= 1 for ck in self.choke_points):
             raise ConfigError("choke_points need radius > 0 and hold_steps >= 1")
 
@@ -390,7 +395,6 @@ def _parked_records(
 def gen_circuit(config: ScenarioConfig) -> list[VehicleRecord]:
     """Small-scale scenario: one target lapping a closed circuit, parked cars
     stationed every ``parked_spacing`` meters just off the driven line."""
-    config.validate()
     total = circuit_length(config.circuit)
     if config.n_parked > 0 and config.parked_spacing > total:
         raise ConfigError(
@@ -477,7 +481,6 @@ def gen_town(config: ScenarioConfig) -> list[VehicleRecord]:
     """Large-scale scenario: waypoint walkers active from t=0, staggered
     entries every ``entry_interval`` steps, parked cars clustered near the
     walkers' corridors, and queued halts at configured choke points."""
-    config.validate()
     xmin, ymin, xmax, ymax = config.area
     rng = np.random.default_rng(config.seed)
 
@@ -538,5 +541,5 @@ def gen_town(config: ScenarioConfig) -> list[VehicleRecord]:
 
 
 def generate(config: ScenarioConfig) -> list[VehicleRecord]:
-    """Dispatch on ``config.kind``; each generator validates the config."""
+    """Dispatch on ``config.kind``."""
     return gen_town(config) if config.kind == "town" else gen_circuit(config)

@@ -303,6 +303,12 @@ def test_noise_model_rejects_nan(field):
         NoiseModel(**{field: math.nan})
 
 
+@pytest.mark.parametrize("field", ["range_std", "gps_std", "velocity_std"])
+def test_noise_model_rejects_inf(field):
+    with pytest.raises(ValueError, match="finite"):
+        NoiseModel(**{field: math.inf})
+
+
 def test_comm_zone_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         CommZone(0.0)

@@ -45,6 +45,20 @@ def test_gen_seed_determinism(tmp_path, config_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_gen_kind_and_seed_flags_act_as_the_files_values(tmp_path, config_path):
+    flagged = tmp_path / "flagged.csv"
+    assert main(["gen", "--config", config_path, "--out", str(flagged),
+                 "--kind", "town", "--seed", "3"]) == 0
+    for kind in ("town", "no-such-kind"):  # a flag replaces the file's value before the check
+        config = json.loads(json.dumps(CIRCUIT_CONFIG))
+        config["scenario"].update(kind=kind, seed=3)
+        path = tmp_path / "named.cfg"
+        path.write_text(json.dumps(config))
+        named = tmp_path / "named.csv"
+        assert main(["gen", "--config", str(path), "--out", str(named), "--kind", "town"]) == 0
+        assert named.read_bytes() == flagged.read_bytes()
+
+
 def test_gen_missing_config_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--out", str(tmp_path / "x.csv")])
@@ -265,6 +279,22 @@ def test_config_ints_become_floats_for_float_fields_only(tmp_path):
     assert type(raw["scenario"]["duration"]) is int and type(raw["n_runs"]) is int
 
 
+def test_sim_without_sigma_flag_uses_the_files_range_std(tmp_path):
+    config = json.loads(json.dumps(CIRCUIT_CONFIG))
+    config["noise"]["range_std"] = 2.5  # not the NoiseModel default
+    path = tmp_path / "run.cfg"
+    path.write_text(json.dumps(config))
+    outputs = []
+    for flags in ([], ["--sigma-r", "2.5"]):
+        out = tmp_path / f"results{len(outputs)}.csv"
+        assert main(["sim", "--config", str(path), "--out", str(out), "--algorithm", "ekf",
+                     "--n-runs", "1", "--dump-steps", *flags]) == 0
+        steps = out.with_suffix(".steps.csv").read_bytes()
+        outputs.append((out.read_bytes(), steps))
+    assert outputs[0] == outputs[1]
+    assert {line.split(b",")[1] for line in outputs[0][1].splitlines()[1:]} == {b"2.5"}
+
+
 def test_sim_mode_filter(tmp_path, config_path):
     out = tmp_path / "results.csv"
     code = main(["sim", "--config", config_path, "--out", str(out),
@@ -379,6 +409,24 @@ def test_coverage_cell_size_from_config(tmp_path):
     assert main(["coverage", "--area", str(area), "--parked", str(parked),
                  "--radius", "15", "--cell-size", "0.1", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_coverage_cell_size_flag_over_config_and_config_always_read(tmp_path, capsys):
+    area = tmp_path / "area.csv"
+    parked = tmp_path / "parked.csv"
+    area.write_text(AREA_CSV)
+    parked.write_text(PARKED_CSV)
+    cfgfile = tmp_path / "cov.cfg"
+    cfgfile.write_text(json.dumps({"coverage": {"cell_size": 0.1}}))
+    base = ["coverage", "--area", str(area), "--parked", str(parked), "--radius", "15",
+            "--cell-size", "0.5"]
+    out1, out2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
+    assert main(base + ["--config", str(cfgfile), "--out", str(out1)]) == 0
+    assert main(base + ["--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    cfgfile.write_text(json.dumps({"coverage": {"cell_size": 0.1, "tpyo": 1}}))
+    assert main(base + ["--config", str(cfgfile), "--out", str(out1)]) == 2
+    assert "unknown coverage keys: tpyo" in capsys.readouterr().err
 
 
 def test_coverage_requires_radius_or_class(tmp_path, capsys):

@@ -182,6 +182,16 @@ def test_gcpso_without_neighbors_runs_the_swarm_below_a_negative_fitness_stop():
     assert len(res.history) == params.iterations + 1
 
 
+def test_gcpso_runs_a_swarm_whose_fitness_is_nan():
+    # the prior's cost is nan, so the loop never stops early and must have
+    # its draws
+    params = GcpsoParams()
+    res = gcpso_localize(LocalizationProblem((), Position2D(math.nan, 0.0)), params,
+                         np.random.default_rng(3))
+    assert math.isnan(res.fitness)
+    assert len(res.history) == params.iterations + 1
+
+
 def test_gcpso_history_monotone_nonincreasing():
     rng_master = np.random.default_rng(12)
     for _ in range(200):
@@ -674,6 +684,6 @@ def test_gcpso_params_reject_non_finite_values(field, value):
 
 
 def test_gcpso_params_reject_nan_fitness_stop():
-    # a nan stop skips the draws but never breaks out of the swarm loop
+    # no fitness is <= a nan stop, so it could never stop a swarm early
     with pytest.raises(ValueError, match="fitness_stop must not be nan"):
         GcpsoParams(fitness_stop=math.nan)

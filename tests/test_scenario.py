@@ -622,6 +622,18 @@ def test_town_trajectories_exactly_consistent():
 
 
 def test_degenerate_area_rejected():
-    cfg = ScenarioConfig(kind="town", area=(0.0, 0.0, 0.0, 100.0))
     with pytest.raises(ConfigError, match="degenerate"):
-        gen_town(cfg)
+        ScenarioConfig(kind="town", area=(0.0, 0.0, 0.0, 100.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["speed", "step_seconds", "parked_spacing"])
+def test_scenario_config_rejects_non_finite_values(field, bad):
+    with pytest.raises(ConfigError, match=field):
+        ScenarioConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("x, y", [(math.nan, 5.0), (5.0, math.inf), (-math.inf, 5.0)])
+def test_scenario_config_rejects_non_finite_choke_points(x, y):
+    with pytest.raises(ConfigError, match="choke_points"):
+        ScenarioConfig(kind="town", choke_points=(ChokePoint(x, y, 5.0, 3),))
