@@ -131,7 +131,6 @@ _CONVERT = {
     "choke_points": lambda v: tuple(
         ChokePoint(float(x), float(y), float(r), int(h)) for x, y, r, h in v
     ),
-    "mode": Mode,
 }
 
 
@@ -144,6 +143,13 @@ def _section(raw: dict, name: str, base, **flags):
         return replace(base, **{k: _CONVERT.get(k, lambda v: v)(v) for k, v in values.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config section {name!r}: {exc}") from None
+
+
+def _scenario(raw: dict, **flags) -> ScenarioConfig:
+    """The scenario section; its seed is the flag, else ``scenario.seed``,
+    else the top-level ``seed``, else the dataclass default."""
+    base = ScenarioConfig(seed=raw.get("seed", ScenarioConfig.seed))
+    return _section(raw, "scenario", base, **flags)
 
 
 def run_config_from_config(
@@ -160,7 +166,7 @@ def run_config_from_config(
     top = _merged({k: raw[k] for k in ("n_runs", "seed") if k in raw}, n_runs=n_runs, seed=seed)
     cfg = make_run_config(
         algorithm=algorithm,
-        scenario=_section(raw, "scenario", ScenarioConfig(), seed=seed),
+        scenario=_scenario(raw, seed=seed),
         noise=_section(raw, "noise", NoiseModel(), range_std=range_std),
         **top,
     )
@@ -178,9 +184,7 @@ def run_config_from_config(
 
 
 def cmd_gen(args) -> int:
-    scenario = _section(
-        load_config(args.config), "scenario", ScenarioConfig(), kind=args.kind, seed=args.seed
-    )
+    scenario = _scenario(load_config(args.config), kind=args.kind, seed=args.seed)
     records = generate(scenario)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_trace(records))
@@ -191,12 +195,6 @@ def cmd_gen(args) -> int:
         f"parked={kinds[MotionKind.PARKED]})"
     )
     return 0
-
-
-def _requested_modes(mode_flag: str) -> list[Mode]:
-    if mode_flag == "both":
-        return [Mode.TRADITIONAL, Mode.PROPOSED]
-    return [Mode(mode_flag)]
 
 
 def cmd_sim(args) -> int:
@@ -212,7 +210,7 @@ def cmd_sim(args) -> int:
         [Algorithm.GCPSO, Algorithm.EKF] if algorithm == "both" else [Algorithm(algorithm)]
     )
     sigmas = args.sigma_r or [None]  # None: the config's noise.range_std
-    modes = _requested_modes(args.mode)
+    modes = list(Mode) if args.mode == "both" else [Mode(args.mode)]
 
     records = None
     if args.trace is not None:

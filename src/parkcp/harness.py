@@ -18,7 +18,7 @@ import math
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -79,6 +79,9 @@ class RunConfig:
     def __post_init__(self):
         if self.n_runs < 1:
             raise ConfigError("n_runs must be >= 1")
+        if self.ekf.step_seconds != self.scenario.step_seconds:
+            raise ConfigError(f"ekf.step_seconds {self.ekf.step_seconds!r} must equal "
+                              f"scenario.step_seconds {self.scenario.step_seconds!r}")
 
 
 def make_run_config(
@@ -95,7 +98,7 @@ def make_run_config(
     """RunConfig with defaults; the one place they are set. The EKF's assumed
     range and velocity noise follow the world noise unless given explicitly
     (floored at 1e-3 for noiseless runs) and its step duration follows the
-    scenario."""
+    scenario; a given EKF's step must equal the scenario's."""
     noise = noise if noise is not None else NoiseModel()
     scenario = scenario if scenario is not None else ScenarioConfig()
     if ekf is None:
@@ -237,13 +240,17 @@ def _extent(records: Sequence[VehicleRecord]) -> float:
 
 
 class _Trace:
-    """Trace records with the records active from each step at which the
-    active set changes, in trace order, the ids of the parked vehicles with
-    one position over their whole window, and the largest coordinate
-    magnitude, which fixes the neighbor grid's cell width. Built once per
-    trace and shared by the episodes of an ensemble."""
+    """Trace records, checked against ``step_seconds`` and for vehicles and
+    unique ids, with the records active from each step at which the active
+    set changes, in trace order, the ids of the parked vehicles with one
+    position over their whole window, and the largest coordinate magnitude,
+    which fixes the neighbor grid's cell width. Shared by an ensemble's episodes."""
 
-    def __init__(self, records: Sequence[VehicleRecord]):
+    def __init__(self, records: Sequence[VehicleRecord], step_seconds: float):
+        try:
+            validate_records(records, step_seconds)
+        except TraceValidationError as exc:
+            raise ConfigError(f"trace inconsistent with configured step: {exc}") from None
         if not records:
             raise ConfigError("trace has no vehicles")
         if len({r.vehicle_id for r in records}) < len(records):
@@ -267,14 +274,6 @@ class _Trace:
         self.extent = _extent(records)
 
 
-def _checked_trace(records: Sequence[VehicleRecord], step_seconds: float) -> _Trace:
-    try:
-        validate_records(records, step_seconds)
-    except TraceValidationError as exc:
-        raise ConfigError(f"trace inconsistent with configured step: {exc}") from None
-    return _Trace(records)
-
-
 @dataclass(slots=True, eq=False)
 class _Node:
     """One vehicle's episode state from its first active step. ``errors``
@@ -293,20 +292,19 @@ class _Node:
 def run_episode(
     cfg: RunConfig,
     run_seed: int,
-    records: Sequence[VehicleRecord] | None = None,
+    records: Sequence[VehicleRecord] | _Trace | None = None,
+    mode: Mode = Mode.PROPOSED,
 ) -> EpisodeResult:
-    """Run one episode; deterministic given (cfg, run_seed). Given records
-    are validated against the configured step, except a trace that
-    ``ensemble`` has checked already."""
+    """Run one episode of ``mode``; deterministic given (cfg, run_seed,
+    mode). ``records`` is a ``_Trace``, as ``ensemble`` passes, or records
+    to check as one; None generates the configured scenario's trace."""
     scn = cfg.scenario
-    if records is None:
-        trace = _Trace(generate(scn))
-    elif isinstance(records, _Trace):
+    if isinstance(records, _Trace):
         trace = records
     else:
-        trace = _checked_trace(records, scn.step_seconds)
+        trace = _Trace(records if records is not None else generate(scn), scn.step_seconds)
 
-    proposed = cfg.policy.mode is Mode.PROPOSED
+    proposed = mode is Mode.PROPOSED
     use_ekf = cfg.algorithm is Algorithm.EKF
     dt = scn.step_seconds
     pol = cfg.policy
@@ -545,8 +543,7 @@ def _share_trace(trace: _Trace) -> None:
 
 def _episode_task(args, trace: _Trace | None = None) -> EpisodeResult:
     cfg, mode, run_seed = args
-    paired_cfg = replace(cfg, policy=replace(cfg.policy, mode=mode))
-    return run_episode(paired_cfg, run_seed, trace if trace is not None else _TRACE)
+    return run_episode(cfg, run_seed, trace if trace is not None else _TRACE, mode)
 
 
 def ensemble(
@@ -560,8 +557,8 @@ def ensemble(
     runs the episodes in a pool of at most ``jobs`` workers and no more
     workers than episodes. Results are identical for any ``jobs`` value."""
     modes = (Mode.TRADITIONAL, Mode.PROPOSED)
-    shared = records if records is not None else generate(cfg.scenario)
-    trace = _checked_trace(shared, cfg.scenario.step_seconds)
+    trace = _Trace(records if records is not None else generate(cfg.scenario),
+                   cfg.scenario.step_seconds)
     tasks = [(cfg, mode, run) for run in range(cfg.n_runs) for mode in modes]
     workers = min(jobs, len(tasks))
     if workers <= 1:
@@ -572,7 +569,7 @@ def ensemble(
             results = list(pool.map(_episode_task, tasks, chunksize=1))
 
     by_run = list(zip(results[0::2], results[1::2]))  # (traditional, proposed)
-    per_trace = trace_metrics(shared, cfg.zone.radius)
+    per_trace = trace_metrics(trace.records, cfg.zone.radius)
     vehicles = []
     for vid in sorted(per_trace):
         trad = np.array([rmse(t.errors[vid]) for t, _ in by_run])

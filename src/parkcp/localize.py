@@ -79,9 +79,9 @@ class EkfParams:
     step_seconds: float = 1.0
 
     def __post_init__(self):
-        if not all(v > 0 for v in (self.range_std, self.process_std, self.velocity_std,
-                                   self.step_seconds)):
-            raise ValueError("EKF parameters must be > 0")
+        if not all(0 < v < math.inf for v in (self.range_std, self.process_std,
+                                              self.velocity_std, self.step_seconds)):
+            raise ValueError("EKF parameters must be finite and > 0")
 
 
 @dataclass(frozen=True)

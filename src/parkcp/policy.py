@@ -27,7 +27,6 @@ class PolicyConfig:
     anchor_accuracy_threshold: float = 1.0  # meters
     gnss_window: int = 60                   # steps of GNSS averaging to anchor grade
     gps_reset_interval: int = 10            # isolated steps before a fresh GPS fix
-    mode: Mode = Mode.PROPOSED
     anchors_preloaded: bool = True          # parked vehicles are anchors from t=0
 
     def __post_init__(self):

@@ -102,9 +102,13 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if len(self.area) != 4:
             raise ConfigError("area must be four numbers: xmin, ymin, xmax, ymax")
+        if not all(map(math.isfinite, self.area)):
+            raise ConfigError(f"area must be finite, got {self.area!r}")
         xmin, ymin, xmax, ymax = self.area
         if not (xmax > xmin and ymax > ymin):
             raise ConfigError("area is degenerate")
+        if not all(math.isfinite(c) for p in self.circuit for c in p):
+            raise ConfigError("circuit needs finite vertices")
         if not all(math.isfinite(ck.x) and math.isfinite(ck.y) for ck in self.choke_points):
             raise ConfigError("choke_points need finite x and y")
         if not all(ck.radius > 0 and ck.hold_steps >= 1 for ck in self.choke_points):

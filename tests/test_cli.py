@@ -263,6 +263,54 @@ def test_sim_exact_traditional_runs_print_a_nan_improvement(tmp_path):
     assert all(f[5] == "0.000000" for f in fields if f[1] == "traditional")
 
 
+def test_sim_policy_mode_is_an_unknown_key(tmp_path, capsys):
+    # each paired run has both modes; a file cannot choose one
+    code, _ = _sim_rows(tmp_path, {**CIRCUIT_CONFIG, "policy": {"mode": "traditional"}})
+    assert code == 2
+    assert "unknown policy keys: mode" in capsys.readouterr().err
+
+
+def test_sim_ekf_step_must_equal_the_scenario_step(tmp_path, capsys):
+    code, _ = _sim_rows(tmp_path, {**CIRCUIT_CONFIG, "ekf": {"step_seconds": 3.0}},
+                        "--algorithm", "ekf")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ekf.step_seconds 3.0" in err and "scenario.step_seconds 1.0" in err
+    config = json.loads(json.dumps(CIRCUIT_CONFIG))
+    config["scenario"]["step_seconds"] = 0.5
+    config["ekf"] = {"step_seconds": 0.5}
+    code, _ = _sim_rows(tmp_path, config, "--algorithm", "ekf")
+    assert code == 0
+
+
+def test_top_level_seed_is_the_default_scenario_seed(tmp_path):
+    """The scenario's seed is --seed, else scenario.seed, else the top-level
+    seed, else 0."""
+    def town(top=None, scenario_seed=None):
+        scenario = {"kind": "town", "duration": 20, "n_moving": 2, "n_parked": 4}
+        if scenario_seed is not None:
+            scenario["seed"] = scenario_seed
+        config = {"n_runs": 1, "scenario": scenario}
+        return config if top is None else {**config, "seed": top}
+
+    def gen(config, *flags):
+        path, out = tmp_path / "town.cfg", tmp_path / "trace.csv"
+        path.write_text(json.dumps(config))
+        assert main(["gen", "--config", str(path), "--out", str(out), *flags]) == 0
+        return out.read_bytes()
+
+    seeded = gen(town(top=7))
+    assert seeded != gen(town())
+    assert seeded == gen(town(top=7), "--seed", "7") == gen(town(scenario_seed=7))
+    assert gen(town(top=7, scenario_seed=3)) == gen(town(scenario_seed=3))
+    assert gen(town(top=7, scenario_seed=3), "--seed", "5") == gen(town(scenario_seed=5))
+    assert gen(town()) == gen(town(), "--seed", "0")
+    # sim seeds the scenario it generates the same way
+    assert _sim_rows(tmp_path, town(top=7), "--algorithm", "ekf") == _sim_rows(
+        tmp_path, town(top=7), "--algorithm", "ekf", "--seed", "7"
+    )
+
+
 def test_config_int_too_large_for_a_float_field_is_a_config_error(tmp_path, capsys):
     code, _ = _sim_rows(tmp_path, {**CIRCUIT_CONFIG, "zone": {"radius": 10**400}})
     assert code == 2

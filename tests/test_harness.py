@@ -22,13 +22,14 @@ from parkcp.harness import (
     summary_rows,
     trace_metrics,
 )
+from parkcp.localize import EkfParams
 from parkcp.model import MotionKind, Position2D, VehicleRecord, Velocity2D, distance
 from parkcp.policy import Mode, PolicyConfig
 from parkcp.scenario import ChokePoint, ScenarioConfig, gen_circuit, generate
 from dataclasses import replace
 
 
-def circuit_cfg(algorithm=Algorithm.EKF, mode=Mode.PROPOSED, *, duration=60,
+def circuit_cfg(algorithm=Algorithm.EKF, *, duration=60,
                 n_parked=12, parked_spacing=40.0, noise=None, zone=15.0,
                 n_runs=2, seed=0, preloaded=True):
     return make_run_config(
@@ -37,7 +38,7 @@ def circuit_cfg(algorithm=Algorithm.EKF, mode=Mode.PROPOSED, *, duration=60,
                                 n_parked=n_parked, parked_spacing=parked_spacing),
         zone=CommZone(zone),
         noise=noise if noise is not None else NoiseModel(),
-        policy=PolicyConfig(mode=mode, anchors_preloaded=preloaded),
+        policy=PolicyConfig(anchors_preloaded=preloaded),
         n_runs=n_runs,
         seed=seed,
     )
@@ -108,8 +109,8 @@ def test_episode_different_run_seeds_differ():
 def test_paired_modes_share_shared_event_noise():
     # same run seed: the target's first GPS fix (a shared event) is identical
     # in traditional and proposed episodes
-    trad = run_episode(circuit_cfg(mode=Mode.TRADITIONAL), run_seed=4)
-    prop = run_episode(circuit_cfg(mode=Mode.PROPOSED), run_seed=4)
+    trad = run_episode(circuit_cfg(), run_seed=4, mode=Mode.TRADITIONAL)
+    prop = run_episode(circuit_cfg(), run_seed=4, mode=Mode.PROPOSED)
     assert trad.errors[0][0] == prop.errors[0][0]
 
 
@@ -148,10 +149,9 @@ def test_traditional_isolated_error_stays_bounded():
     cfg = make_run_config(
         algorithm=Algorithm.EKF,
         scenario=ScenarioConfig(kind="circuit", duration=1000, n_parked=0),
-        policy=PolicyConfig(mode=Mode.TRADITIONAL),
         n_runs=1, seed=17,
     )
-    errors = run_episode(cfg, run_seed=0).errors[0]
+    errors = run_episode(cfg, run_seed=0, mode=Mode.TRADITIONAL).errors[0]
     assert len(errors) == 1000
     assert errors.max() < 45.0
     assert errors.mean() < 15.0
@@ -162,13 +162,12 @@ def test_gps_reset_interval_controls_resets():
     base = make_run_config(
         algorithm=Algorithm.EKF,
         scenario=ScenarioConfig(kind="circuit", duration=400, n_parked=0),
-        policy=PolicyConfig(mode=Mode.TRADITIONAL, gps_reset_interval=10),
+        policy=PolicyConfig(gps_reset_interval=10),
         n_runs=1, seed=23,
     )
-    free = replace(base, policy=PolicyConfig(mode=Mode.TRADITIONAL,
-                                             gps_reset_interval=100_000))
-    bounded = run_episode(base, 0).errors[0]
-    drifting = run_episode(free, 0).errors[0]
+    free = replace(base, policy=PolicyConfig(gps_reset_interval=100_000))
+    bounded = run_episode(base, 0, mode=Mode.TRADITIONAL).errors[0]
+    drifting = run_episode(free, 0, mode=Mode.TRADITIONAL).errors[0]
     assert drifting[-100:].mean() > bounded[-100:].mean()
 
 
@@ -181,6 +180,17 @@ def test_ekf_defaults_follow_world_noise_and_scenario():
     assert (cfg.ekf.range_std, cfg.ekf.velocity_std, cfg.ekf.step_seconds) == (0.2, 2.0, 0.5)
     noiseless = make_run_config(noise=NoiseModel(range_std=0.0, velocity_std=0.0))
     assert (noiseless.ekf.range_std, noiseless.ekf.velocity_std) == (1e-3, 1e-3)
+
+
+def test_ekf_step_must_equal_the_scenario_step():
+    # an EKF that predicts over another step than the trace's drifts silently
+    with pytest.raises(ConfigError, match=r"ekf.step_seconds 1.0 .*scenario.step_seconds 0.5"):
+        make_run_config(scenario=ScenarioConfig(step_seconds=0.5), ekf=EkfParams(range_std=4.0))
+    cfg = make_run_config(scenario=ScenarioConfig(step_seconds=0.5))
+    with pytest.raises(ConfigError, match="step_seconds"):
+        replace(cfg, ekf=replace(cfg.ekf, step_seconds=1.0))
+    with pytest.raises(ConfigError, match="step_seconds"):
+        replace(cfg, scenario=ScenarioConfig())
 
 
 def test_trace_step_mismatch_rejected():
@@ -252,10 +262,9 @@ def test_traditional_mode_never_uses_anchors():
             choke_points=(ChokePoint(250.0, 200.0, 10_000.0, 5),),
         ),
         zone=CommZone(100.0),
-        policy=PolicyConfig(mode=Mode.TRADITIONAL),
         n_runs=1, seed=2,
     )
-    result = run_episode(cfg, 0)
+    result = run_episode(cfg, 0, mode=Mode.TRADITIONAL)
     assert all(count == 0 for count in result.anchors_used.values())
 
 
@@ -307,10 +316,9 @@ def test_queued_vehicle_becomes_anchor_while_halted():
         scenario=ScenarioConfig(kind="circuit", duration=duration),
         noise=NoiseModel(range_std=0.0, gps_std=0.0, velocity_std=0.0),
         zone=CommZone(50.0),
-        policy=PolicyConfig(mode=Mode.PROPOSED),
         n_runs=1,
     )
-    result = run_episode(cfg, 0, parked + [queued, target])
+    result = run_episode(cfg, 0, parked + [queued, target], mode=Mode.PROPOSED)
     # 3 preloaded anchors + the promoted queued vehicle are all in range, so
     # the target consumes 3 anchors nearly every step
     assert result.anchors_used[0] >= 3 * (duration - 2)
@@ -325,8 +333,8 @@ def test_ensemble_single_run_equals_episode():
     cfg = circuit_cfg(n_runs=1, seed=6)
     summary = ensemble(cfg)
     v = summary.vehicles[0]
-    trad = run_episode(replace(cfg, policy=replace(cfg.policy, mode=Mode.TRADITIONAL)), 0)
-    prop = run_episode(replace(cfg, policy=replace(cfg.policy, mode=Mode.PROPOSED)), 0)
+    trad = run_episode(cfg, 0, mode=Mode.TRADITIONAL)
+    prop = run_episode(cfg, 0, mode=Mode.PROPOSED)
     assert v.traditional_mean == pytest.approx(rmse(trad.errors[0]))
     assert v.proposed_mean == pytest.approx(rmse(prop.errors[0]))
     assert v.traditional_std == 0.0
@@ -555,9 +563,12 @@ def test_ensemble_validates_the_trace_once(monkeypatch):
     cfg = circuit_cfg(n_runs=3, duration=30)
     ensemble(cfg, gen_circuit(cfg.scenario))
     assert (len(validated), len(episodes)) == (1, 6)
-    # a direct call with records still checks them
+    # a direct call with records still checks them, and so does one that
+    # generates its trace
     run_episode(cfg, 0, gen_circuit(cfg.scenario))
     assert len(validated) == 2
+    run_episode(cfg, 0)
+    assert len(validated) == 3
 
 
 @pytest.mark.parametrize("mode, preloaded", [
@@ -566,13 +577,13 @@ def test_ensemble_validates_the_trace_once(monkeypatch):
 @pytest.mark.parametrize("algorithm", [Algorithm.GCPSO, Algorithm.EKF])
 def test_episode_does_not_depend_on_record_order(algorithm, mode, preloaded):
     cfg = golden_town_cfg(algorithm)
-    cfg = replace(cfg, policy=replace(cfg.policy, mode=mode, anchors_preloaded=preloaded))
+    cfg = replace(cfg, policy=replace(cfg.policy, anchors_preloaded=preloaded))
     records = generate(cfg.scenario)
-    expected = run_episode(cfg, 1, records)
+    expected = run_episode(cfg, 1, records, mode=mode)
     rng = np.random.default_rng(3)
     for _ in range(3):
         shuffled = [records[i] for i in rng.permutation(len(records))]
-        result = run_episode(cfg, 1, shuffled)
+        result = run_episode(cfg, 1, shuffled, mode=mode)
         assert result.errors.keys() == expected.errors.keys()
         for vid, errs in expected.errors.items():
             assert np.array_equal(result.errors[vid], errs)
@@ -611,8 +622,8 @@ def test_no_caller_draws_from_a_superseded_stream(monkeypatch):
         for mode, preloaded in (
             (Mode.TRADITIONAL, True), (Mode.PROPOSED, True), (Mode.PROPOSED, False)
         ):
-            cfg = replace(town, policy=replace(town.policy, mode=mode, anchors_preloaded=preloaded))
-            run_episode(cfg, 1)
+            cfg = replace(town, policy=replace(town.policy, anchors_preloaded=preloaded))
+            run_episode(cfg, 1, mode=mode)
     lossy = circuit_cfg(Algorithm.GCPSO, duration=80, n_parked=20, parked_spacing=24.0)
     run_episode(replace(lossy, zone=CommZone(100.0, drop_probability=0.3)), 1)
     assert purposes == set(harness._PURPOSES)
@@ -731,7 +742,7 @@ def test_localizers_receive_python_floats(monkeypatch, make_cfg, algorithm, mode
         harness.gcpso_localize,
         lambda problem, params, rng: [*problem.prior, *neighbor_values(problem.selected)]))
     cfg = make_cfg(algorithm)
-    cfg = replace(cfg, policy=replace(cfg.policy, mode=mode, anchors_preloaded=preloaded))
-    run_episode(cfg, 1)
+    cfg = replace(cfg, policy=replace(cfg.policy, anchors_preloaded=preloaded))
+    run_episode(cfg, 1, mode=mode)
     assert received
     assert {type(v) for values in received for v in values} == {float}

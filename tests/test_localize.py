@@ -676,6 +676,14 @@ def test_ekf_params_reject_nan(field):
         EkfParams(**{"range_std": 1.0, field: math.nan})
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["range_std", "process_std", "velocity_std", "step_seconds"])
+def test_ekf_params_reject_infinite_values(field, value):
+    # an infinite process noise used to end an episode in "covariance must be finite"
+    with pytest.raises(ValueError, match="finite"):
+        EkfParams(**{"range_std": 1.0, field: value})
+
+
 @pytest.mark.parametrize("field", ["initial_radius", "cognitive", "social", "inertia_start"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_gcpso_params_reject_non_finite_values(field, value):

@@ -633,6 +633,20 @@ def test_scenario_config_rejects_non_finite_values(field, bad):
         ScenarioConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scenario_config_rejects_a_non_finite_circuit_vertex(bad):
+    with pytest.raises(ConfigError, match="circuit needs finite vertices"):
+        ScenarioConfig(circuit=(Position2D(0.0, 0.0), Position2D(bad, 0.0), Position2D(1.0, 1.0)))
+
+
+@pytest.mark.parametrize("area", [
+    (0.0, 0.0, math.inf, 400.0), (-math.inf, 0.0, 500.0, 400.0), (0.0, math.nan, 500.0, 400.0),
+])
+def test_scenario_config_rejects_a_non_finite_area(area):
+    with pytest.raises(ConfigError, match="area must be finite"):
+        ScenarioConfig(kind="town", area=area)
+
+
 @pytest.mark.parametrize("x, y", [(math.nan, 5.0), (5.0, math.inf), (-math.inf, 5.0)])
 def test_scenario_config_rejects_non_finite_choke_points(x, y):
     with pytest.raises(ConfigError, match="choke_points"):
