@@ -8,7 +8,7 @@ step's broadcast snapshot, so per-step updates are order-independent.
 
 Every random draw comes from a Philox substream keyed on (config seed, run
 seed) with the counter (purpose, vehicle, step, neighbor or 0); opening one
-re-keys a per-process generator (about 2 us). Paired Traditional and Proposed
+re-keys a per-process generator (about 1 us). Paired Traditional and Proposed
 episodes thus draw identical noise for shared events, which keeps their
 comparison tight, and no draw depends on the worker count.
 """
@@ -135,6 +135,12 @@ _PURPOSES = {"gps": 1, "vel": 2, "range": 3, "pso": 4, "gnss": 5, "drop": 6}
 _MASK = (1 << 64) - 1
 _PHILOX = np.random.Philox(0)  # every substream call replaces its whole state
 _GENERATOR = np.random.Generator(_PHILOX)
+# the state that substream assigns: only its counter and key change per call
+_STATE = {
+    "bit_generator": "Philox", "state": {"counter": None, "key": None},
+    "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+}
+_KEYED = _STATE["state"]
 
 
 def substream(
@@ -152,12 +158,9 @@ def substream(
     a fresh ``Generator(Philox(key=..., counter=...))``, with 2**56 blocks per
     stream. Valid only until the next call; per-process, not thread-safe.
     """
-    counter = (_PURPOSES[purpose] << 56, vehicle_id & _MASK, step & _MASK, extra & _MASK)
-    _PHILOX.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": counter, "key": (base_seed & _MASK, run_seed & _MASK)},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+    _KEYED["counter"] = (_PURPOSES[purpose] << 56, vehicle_id & _MASK, step & _MASK, extra & _MASK)
+    _KEYED["key"] = (base_seed & _MASK, run_seed & _MASK)
+    _PHILOX.state = _STATE
     return _GENERATOR
 
 
@@ -172,6 +175,7 @@ def _ranked_candidates(
     stream,
     step: int,
     k: int = 3,
+    min_anchors: int = 0,
 ) -> tuple[list[Candidate], int]:
     """Neighbor discovery, broadcast-data pre-ranking, and ranging.
 
@@ -179,14 +183,15 @@ def _ranked_candidates(
     broadcasts, see ``_broadcast``. Ranges are only measured for the top-k
     neighbors under (priority, distance from own reference to the shared
     position, id); the final order is then fixed by select_neighbors on
-    measured ranges. Returns (selected candidates, anchors among all
-    neighbors in range).
+    measured ranges. Returns (selected candidates, anchors whose broadcast
+    arrived this step, after drops). With fewer than ``min_anchors`` such
+    anchors nothing is ranked or ranged and no candidate is selected; range
+    draws are keyed by counter, so skipping them moves no other draw.
     """
     ranked = []
     anchors_in_range = 0
-    for j, _, _, true_pos, ncls, shared, prio in channel.within(
-        cells, own_true.x, own_true.y, width, zone.radius
-    ):
+    for entry in channel.within(cells, own_true.x, own_true.y, width, zone.radius):
+        j, _, _, _, ncls, shared, prio = entry
         if j == vehicle_id:
             continue
         if zone.drop_probability > 0.0:
@@ -197,10 +202,12 @@ def _ranked_candidates(
         if shared is None:
             continue
         gap = math.hypot(reference.x - shared.x, reference.y - shared.y)
-        ranked.append((prio, gap, j, shared, ncls, true_pos))
-    ranked.sort(key=lambda r: r[:3])
+        ranked.append((prio, gap, j, entry))
+    if anchors_in_range < min_anchors:
+        return [], anchors_in_range
+    ranked.sort()  # an id is at most once on a grid, so no comparison reaches entry
     candidates = []
-    for _, _, j, shared, ncls, true_pos in ranked[:k]:
+    for _, _, j, (_, _, _, true_pos, ncls, shared, _) in ranked[:k]:
         true_d = distance(own_true, true_pos)
         measured = channel.measure_range(true_d, noise, stream(vehicle_id, step, "range", j))
         candidates.append(Candidate(j, ncls, shared, measured))
@@ -384,8 +391,10 @@ def run_episode(
                 node.gnss_n, node.gnss_sum = n, (sx, sy)
                 gnss_mean = Position2D(sx / n, sy / n)
 
+                # below two anchors _anchor_fix gives gnss_mean whatever is ranged
                 selected, anchors_in_range = _ranked_candidates(
-                    cells, width, vid, truth, gnss_mean, cfg.zone, cfg.noise, stream, t
+                    cells, width, vid, truth, gnss_mean, cfg.zone, cfg.noise, stream, t,
+                    min_anchors=2,
                 )
                 new_est = _anchor_fix(
                     [c for c in selected if c.node_class is NodeClass.ANCHOR], gnss_mean

@@ -238,6 +238,13 @@ def _min_eigenvalue(a: float, b: float, d: float) -> float:
 
 def _require_psd(cov: Covariance) -> Covariance:
     a, b, d = cov
+    # Plainly PSD, and so finite. The rounded b*b <= a*d gives b**2 <=
+    # a*d * (1 + 2**-52), so the true smaller eigenvalue is >= -2**-53 * (a + d),
+    # and _min_eigenvalue rounds within about 2**-51 * (a + d) of it: at
+    # a + d <= 1e6 it stays above -6e-10, and the exact path below would accept.
+    # Without the bound on a + d it can fall below -1e-9 from about 1e7.
+    if 0.0 <= a and 0.0 <= d and a + d <= 1e6 and b * b <= a * d:
+        return a, b, d
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
         raise ValueError("covariance must be finite")
     if _min_eigenvalue(a, b, d) < -1e-9:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import NamedTuple
 
 
@@ -23,9 +24,6 @@ class Position2D(NamedTuple):
 class Velocity2D(NamedTuple):
     vx: float
     vy: float
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.vx) and math.isfinite(self.vy)
 
 
 ZERO_VELOCITY = Velocity2D(0.0, 0.0)
@@ -90,35 +88,37 @@ class VehicleRecord:
         )
 
     def validate(self, step_seconds: float, tolerance: float = 0.0) -> None:
-        """Check trajectory invariants; raises ValueError on violation."""
-        if len(self.positions) != len(self.velocities):
+        """Check trajectory invariants; raises ValueError on violation, or on
+        a non-finite or non-positive ``step_seconds`` or a NaN or negative
+        ``tolerance``. A step is inconsistent when its gap exceeds
+        ``tolerance``; the first such step is reported."""
+        if not (math.isfinite(step_seconds) and step_seconds > 0):
+            raise ValueError(f"step_seconds must be finite and > 0, got {step_seconds!r}")
+        if not tolerance >= 0:
+            raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
+        positions, velocities = self.positions, self.velocities
+        if len(positions) != len(velocities):
             raise ValueError(
                 f"vehicle {self.vehicle_id}: positions/velocities length mismatch"
             )
-        if not self.positions:
+        if not positions:
             raise ValueError(f"vehicle {self.vehicle_id}: empty trajectory")
-        for p, v in zip(self.positions, self.velocities):
-            if not (p.is_finite() and v.is_finite()):
-                raise ValueError(f"vehicle {self.vehicle_id}: non-finite sample")
-        if self.kind is MotionKind.PARKED:
-            for v in self.velocities:
-                if v.vx != 0.0 or v.vy != 0.0:
-                    raise ValueError(
-                        f"vehicle {self.vehicle_id}: parked with nonzero velocity"
-                    )
-        if self.kind is MotionKind.QUEUED:
-            if not any(v.vx == 0.0 and v.vy == 0.0 for v in self.velocities):
-                raise ValueError(
-                    f"vehicle {self.vehicle_id}: queued without a stationary interval"
-                )
-        for i in range(len(self.positions) - 1):
-            p, v, q = self.positions[i], self.velocities[i], self.positions[i + 1]
-            gap = math.hypot(
-                q.x - p.x - step_seconds * v.vx, q.y - p.y - step_seconds * v.vy
+        if not all(map(math.isfinite, chain(*positions, *velocities))):
+            raise ValueError(f"vehicle {self.vehicle_id}: non-finite sample")
+        # a velocity equals ZERO_VELOCITY when both components are 0.0 or -0.0
+        if self.kind is MotionKind.PARKED and velocities.count(ZERO_VELOCITY) < len(velocities):
+            raise ValueError(f"vehicle {self.vehicle_id}: parked with nonzero velocity")
+        if self.kind is MotionKind.QUEUED and ZERO_VELOCITY not in velocities:
+            raise ValueError(
+                f"vehicle {self.vehicle_id}: queued without a stationary interval"
             )
+        for i in range(len(positions) - 1):
+            p, v, q = positions[i], velocities[i], positions[i + 1]
+            if q is p and v == ZERO_VELOCITY:
+                continue  # the gap is exactly 0, and 0 <= tolerance
+            gap = math.hypot(q.x - p.x - step_seconds * v.vx, q.y - p.y - step_seconds * v.vy)
             if gap > tolerance:
                 raise ValueError(
                     f"vehicle {self.vehicle_id}: step {self.start_step + i} "
                     f"inconsistent with velocity (gap {gap:.3f} m)"
                 )
-

@@ -406,6 +406,94 @@ def test_collinear_anchors_fall_back_to_two_anchors(algorithm, monkeypatch):
     assert all(a1.y == a2.y == 0.0 for a1, _, a2, _, _ in calls)
 
 
+GNSS_WINDOW = 5
+HALTED, START = 9, GNSS_WINDOW - 1  # the halted car of _halted_scene, its first step
+
+
+def _halted_scene(kind, n_anchors, duration=12):
+    """A car halted throughout at (5, 8), of ``kind``, beside ``n_anchors``
+    parked cars (ids 1 and 2) and a car (id 0) driving past, all within 20 m.
+
+    The parked cars start at step 0 and reach anchor grade on a GNSS window
+    of ``GNSS_WINDOW`` steps, so they broadcast as anchors from that step.
+    The halted car starts at step ``START``, so from its second step on it
+    looks around beside them, still averaging."""
+    still = [Velocity2D(0.0, 0.0)] * duration
+    return [
+        VehicleRecord(0, MotionKind.MOVING, 0,
+                      [Position2D(0.5 * t, 14.0) for t in range(duration)],
+                      [Velocity2D(0.5, 0.0)] * duration),
+        VehicleRecord(HALTED, kind, START, [Position2D(5.0, 8.0)] * (duration - START),
+                      still[START:]),
+    ] + [
+        VehicleRecord(1 + k, MotionKind.PARKED, 0, [Position2D(12.0 * k, 0.0)] * duration, still)
+        for k in range(n_anchors)
+    ]
+
+
+def _halted_run(monkeypatch, kind, n_anchors, drop_probability=0.0):
+    """The (step, purpose, neighbor) of every stream the halted car opens in
+    a bootstrap episode with exact ranges and 5 m GNSS noise."""
+    opened = []
+    real = harness.substream
+
+    def spy(*args):
+        if args[2] == HALTED:
+            opened.append((args[3], args[4], args[5]))
+        return real(*args)
+
+    monkeypatch.setattr(harness, "substream", spy)
+    cfg = make_run_config(
+        algorithm=Algorithm.EKF,
+        scenario=ScenarioConfig(kind="circuit", duration=12),
+        noise=NoiseModel(range_std=0.0, gps_std=5.0, velocity_std=0.0),
+        zone=CommZone(20.0, drop_probability),
+        policy=PolicyConfig(anchors_preloaded=False, gnss_window=GNSS_WINDOW),
+        n_runs=1,
+    )
+    run_episode(cfg, 0, _halted_scene(kind, n_anchors), mode=Mode.PROPOSED)
+    return opened
+
+
+@pytest.mark.parametrize("kind", [MotionKind.PARKED, MotionKind.QUEUED])
+@pytest.mark.parametrize("n_anchors", [0, 1])
+def test_a_halted_car_beside_fewer_than_two_anchors_ranges_nothing(monkeypatch, kind, n_anchors):
+    # its fix is its GNSS mean whatever it ranges, so it opens no range
+    # stream, and it reaches anchor grade only when its GNSS window is full
+    # (a queued car's first fix is a GPS one, which does not count)
+    opened = _halted_run(monkeypatch, kind, n_anchors)
+    assert [s for s in opened if s[1] == "range"] == []
+    window_full = START + GNSS_WINDOW - 1 + (kind is MotionKind.QUEUED)
+    assert max(step for step, _, _ in opened) == window_full
+
+
+@pytest.mark.parametrize("kind", [MotionKind.PARKED, MotionKind.QUEUED])
+def test_a_halted_car_beside_two_anchors_ranges_and_is_promoted(monkeypatch, kind):
+    # on its first look around it ranges its three neighbors, anchors first,
+    # and the two-anchor fix on exact ranges promotes it long before its
+    # GNSS window is full; a promoted halted car opens no further stream
+    opened = _halted_run(monkeypatch, kind, 2)
+    assert [(step, j) for step, purpose, j in opened if purpose == "range"] == [
+        (START + 1, 1), (START + 1, 2), (START + 1, 0)
+    ]
+    assert max(step for step, _, _ in opened) == START + 1
+
+
+@pytest.mark.parametrize("kind", [MotionKind.PARKED, MotionKind.QUEUED])
+@pytest.mark.parametrize("n_anchors", [0, 1, 2])
+def test_a_halted_car_draws_for_every_broadcast_it_may_lose(monkeypatch, kind, n_anchors):
+    # the drop draws come before the anchor count, so on every halted step
+    # there is one for every neighbor in range, whether or not it then ranges
+    opened = _halted_run(monkeypatch, kind, n_anchors, drop_probability=0.3)
+    halted = [step for step, purpose, _ in opened if purpose == "gnss" and step > START]
+    drops = sorted((step, j) for step, purpose, j in opened if purpose == "drop")
+    assert drops == [(step, j) for step in halted for j in range(n_anchors + 1)]
+    if n_anchors < 2:
+        assert [s for s in opened if s[1] == "range"] == []
+    else:  # a dropped anchor broadcast leaves it short of two on some step
+        assert {step for step, purpose, _ in opened if purpose == "range"} < set(halted)
+
+
 def test_ensemble_jobs_parity():
     cfg = circuit_cfg(n_runs=4, seed=12)
     serial = ensemble(cfg, jobs=1)

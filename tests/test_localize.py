@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parkcp.errors import DegenerateGeometryError
@@ -19,6 +19,7 @@ from parkcp.localize import (
     gcpso_localize,
     trilaterate,
     _COINCIDENT,
+    _min_eigenvalue,
     _require_psd,
 )
 from parkcp.model import NodeClass, Position2D, Velocity2D, distance
@@ -389,6 +390,53 @@ def test_require_psd_eigenvalue_edges(lo, verdict, angle):
     cov = _lower((cov + cov.T) / 2.0)
     assert _numpy_psd_verdict(cov) == verdict
     assert _psd_verdict(cov) == verdict
+
+
+def _exact_psd_verdict(cov):
+    """The verdict of the full check, without the plainly-PSD fast path."""
+    a, b, d = cov
+    if not all(map(math.isfinite, cov)):
+        return "finite"
+    return "semidefinite" if _min_eigenvalue(a, b, d) < -1e-9 else None
+
+
+@st.composite
+def _psd_edge_covariances(draw):
+    """Covariances at every scale from 1e-12 to 1e12 on the PSD edge: rotated
+    singular matrices, rotated smaller eigenvalues at -1e-9 (1 +- 1e-3), and
+    near-singular b**2 ~ a*d, a few ulp either side."""
+    scale = 10.0 ** draw(st.floats(-12.0, 12.0))
+    shape = draw(st.sampled_from(["singular", "edge", "near-singular"]))
+    if shape == "near-singular":
+        a = scale * draw(st.floats(0.0, 1.0))
+        d = scale * draw(st.floats(0.0, 1.0))
+        ulps = draw(st.integers(-4, 4))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        return (a, sign * math.sqrt(a * d) * (1.0 + ulps * 2.0**-53), d)
+    hi = scale * draw(st.floats(0.5, 2.0))
+    lo = 0.0 if shape == "singular" else -1e-9 * (1.0 + draw(st.floats(-1e-3, 1e-3)))
+    angle = draw(st.floats(0.0, math.pi))
+    c, s = math.cos(angle), math.sin(angle)
+    return (hi * c * c + lo * s * s, (hi - lo) * s * c, hi * s * s + lo * c * c)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_psd_edge_covariances())
+# singular matrices near 1e7 and 1e8 that a bare b*b <= a*d test accepts
+# and the exact check rejects
+@example((12813543.803488407, 8761115.91950735, 5990314.102968803))
+@example((85628570.35296686, 83249283.23527202, 80936107.31346768))
+def test_require_psd_fast_path_never_accepts_what_the_exact_check_rejects(cov):
+    assert _psd_verdict(cov) == _exact_psd_verdict(cov)
+
+
+def test_require_psd_takes_the_fast_path_for_a_plain_covariance(monkeypatch):
+    def exact(*args):
+        raise AssertionError("exact check reached")
+
+    monkeypatch.setattr("parkcp.localize._min_eigenvalue", exact)
+    for cov in (EYE, (36.0, 0.0, 36.0), (2.0, -1.0, 3.0), (0.0, 0.0, 0.0)):
+        assert _require_psd(cov) == cov
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
