@@ -794,6 +794,32 @@ def test_parked_cars_that_jitter_keep_their_per_step_errors(algorithm, preloaded
     assert hashlib.sha256(dump.encode()).hexdigest() == JITTER_STEPS[algorithm, preloaded]
 
 
+# sha256 of the per-step error dump (6 decimals, both modes) of the golden
+# town with a 0.3 link-drop probability: every car's drop draws, halted cars'
+# included, must stay keyed to the same (car, step, neighbor)
+DROP_STEPS = {
+    (Algorithm.GCPSO, True):
+        "351527cdaf6acad9acbd5add5e4587644c64e566ce4c09ea45517c8762154a5f",
+    (Algorithm.GCPSO, False):
+        "ba69895171acf972901b20466b441df8f7eaaf5c0711382e0cd24cf298966def",
+    (Algorithm.EKF, True):
+        "18eaa44d388f8ef51cc7ad66293dbbb57c4ecd36d5b76121c8d851e344293a13",
+    (Algorithm.EKF, False):
+        "44036bfc894c6e9022173be0fa1e9ed1d361771a2895b8bcf5b91aeb4c84fa6e",
+}
+
+
+@pytest.mark.parametrize("algorithm, preloaded", list(DROP_STEPS))
+def test_town_link_drops_keep_their_per_step_errors(algorithm, preloaded):
+    cfg = golden_town_cfg(algorithm)
+    cfg = replace(cfg, zone=CommZone(15.0, drop_probability=0.3),
+                  policy=replace(cfg.policy, anchors_preloaded=preloaded))
+    summary = ensemble(cfg, keep_episodes=True)
+    dump = format_steps_csv([(algorithm, 4.0, summary)])
+    assert {mode for _, mode, _ in summary.episodes} == set(Mode)
+    assert hashlib.sha256(dump.encode()).hexdigest() == DROP_STEPS[algorithm, preloaded]
+
+
 def golden_circuit_cfg(algorithm):
     """The circuit of tests/test_golden.py at sigma_r = 4 and a 15 m zone."""
     circuit = ScenarioConfig(kind="circuit", duration=240, n_parked=20,
