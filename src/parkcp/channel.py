@@ -3,8 +3,8 @@
 The radio model is a hard line-of-sight disk: two powered-on vehicles are
 neighbors iff their true separation is within the communication-zone radius.
 Every such question is answered on a ``grid`` by lookups with ``within``:
-one per vehicle and step from an episode step or ``neighbors``, one per
-distinct position of a tracked vehicle from ``harness.trace_metrics``.
+from ``harness._Trace``, which builds a trace's neighbor table once, from
+``neighbors``, and from ``harness.trace_metrics``.
 Noise is zero-mean Gaussian, independent per link and per step; there is no
 packet loss unless ``drop_probability`` is set.
 """
@@ -64,31 +64,29 @@ def cell(x: float, y: float, width: float) -> tuple[int, int]:
     return math.floor(x / width), math.floor(y / width)
 
 
-def grid(
-    entries: Iterable[tuple], width: float, base: dict | None = None
-) -> dict[tuple[int, int], list[tuple]]:
-    """Entries (id, x, y, ...) at finite points, by cell, added to a copy of
-    ``base``, a grid of the same width, which stays unchanged."""
-    cells = dict(base) if base else {}
+def grid(entries: Iterable[tuple[int, float, float]], width: float) -> dict:
+    """Entries (id, x, y) at finite points, by cell."""
+    cells: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
     for entry in entries:
-        key = cell(entry[1], entry[2], width)
-        cells[key] = [*cells.get(key, ()), entry]
+        cells.setdefault(cell(entry[1], entry[2], width), []).append(entry)
     return cells
 
 
 def within(
     cells: dict, x: float, y: float, width: float, radius: float
-) -> list[tuple]:
-    """Entries of the grid ``cells`` of cell ``width`` within ``radius`` of
-    the finite point (x, y): a scan of its own and the 8 adjacent cells,
-    each entry decided by the exact ``hypot <= radius`` test."""
+) -> list[tuple[int, float]]:
+    """(id, distance) of the entries of the grid ``cells`` of cell ``width``
+    within ``radius`` of the finite point (x, y): a scan of its own and the 8
+    adjacent cells, each entry decided by the exact ``hypot <= radius`` test,
+    whose ``hypot`` is the distance."""
     i, j = cell(x, y, width)
     found = []
     for ci in (i - 1, i, i + 1):
         for cj in (j - 1, j, j + 1):
-            for entry in cells.get((ci, cj), ()):
-                if math.hypot(x - entry[1], y - entry[2]) <= radius:
-                    found.append(entry)
+            for vid, ex, ey in cells.get((ci, cj), ()):
+                d = math.hypot(x - ex, y - ey)
+                if d <= radius:
+                    found.append((vid, d))
     return found
 
 
@@ -111,8 +109,8 @@ def neighbors(
     extent = max(abs(c) for entry in [(vehicle_id, *own), *placed] for c in entry[1:])
     width = cell_width(zone.radius, extent)
     return sorted(
-        entry[0] for entry in within(grid(placed, width), own.x, own.y, width, zone.radius)
-        if entry[0] != vehicle_id
+        vid for vid, _ in within(grid(placed, width), own.x, own.y, width, zone.radius)
+        if vid != vehicle_id
     )
 
 

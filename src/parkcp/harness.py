@@ -15,7 +15,7 @@ comparison tight, and no draw depends on the worker count.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import ChainMap, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -165,10 +165,9 @@ def substream(
 
 
 def _ranked_candidates(
-    cells: dict,
-    width: float,
+    row: list[tuple[int, float]],
+    heard: dict[int, tuple | None],
     vehicle_id: int,
-    own_true: Position2D,
     reference: Position2D,
     zone: CommZone,
     noise: NoiseModel,
@@ -177,38 +176,36 @@ def _ranked_candidates(
     k: int = 3,
     min_anchors: int = 0,
 ) -> tuple[list[Candidate], int]:
-    """Neighbor discovery, broadcast-data pre-ranking, and ranging.
-
-    ``cells`` is the grid (``channel.grid`` of cell ``width``) of this step's
-    broadcasts, see ``_broadcast``. Ranges are only measured for the top-k
-    neighbors under (priority, distance from own reference to the shared
-    position, id); the final order is then fixed by select_neighbors on
-    measured ranges. Returns (selected candidates, anchors whose broadcast
-    arrived this step, after drops). With fewer than ``min_anchors`` such
-    anchors nothing is ranked or ranged and no candidate is selected; range
-    draws are keyed by counter, so skipping them moves no other draw.
+    """Broadcast-data pre-ranking and ranging of the neighbors in ``row``,
+    the vehicle's (id, true distance) row of ``_Trace.near``, heard through
+    ``heard``; a silent neighbor is skipped before its drop draw. Ranges are
+    only measured for the top-k neighbors under (priority, distance from own
+    reference to the shared position, id); the final order is then fixed by
+    select_neighbors on measured ranges. Returns (selected candidates,
+    anchors whose broadcast arrived this step, after drops). With fewer than
+    ``min_anchors`` such anchors nothing is ranked or ranged and no candidate
+    is selected; range draws are keyed by counter, so skipping them moves no
+    other draw.
     """
     ranked = []
     anchors_in_range = 0
-    for entry in channel.within(cells, own_true.x, own_true.y, width, zone.radius):
-        j, _, _, _, ncls, shared, prio = entry
-        if j == vehicle_id:
-            continue
+    for j, true_d in row:
+        sent = heard.get(j)
+        if sent is None:
+            continue  # silent: inactive, or in its first active step
         if zone.drop_probability > 0.0:
             if stream(vehicle_id, step, "drop", j).random() < zone.drop_probability:
                 continue  # broadcast lost this step
+        ncls, shared, prio = sent
         if ncls is NodeClass.ANCHOR:
             anchors_in_range += 1
-        if shared is None:
-            continue
         gap = math.hypot(reference.x - shared.x, reference.y - shared.y)
-        ranked.append((prio, gap, j, entry))
+        ranked.append((prio, gap, j, true_d, ncls, shared))
     if anchors_in_range < min_anchors:
         return [], anchors_in_range
-    ranked.sort()  # an id is at most once on a grid, so no comparison reaches entry
+    ranked.sort()  # ids are unique in a row, so no comparison goes past the id
     candidates = []
-    for _, _, j, (_, _, _, true_pos, ncls, shared, _) in ranked[:k]:
-        true_d = distance(own_true, true_pos)
+    for _, _, j, true_d, ncls, shared in ranked[:k]:
         measured = channel.measure_range(true_d, noise, stream(vehicle_id, step, "range", j))
         candidates.append(Candidate(j, ncls, shared, measured))
     return select_neighbors(candidates, k), anchors_in_range
@@ -229,18 +226,6 @@ def _anchor_fix(anchors: list[Candidate], prior: Position2D) -> Position2D:
     return prior
 
 
-def _broadcast(
-    vehicle_id: int, position: Position2D, role: NodeClass, est: Position2D | None
-) -> tuple | None:
-    """A vehicle's broadcast as a grid entry (id, x, y, true position, role,
-    shared position, priority); None for an inactive vehicle, which does not
-    broadcast. An anchor shares its position, any other role its estimate."""
-    if role is NodeClass.INACTIVE:
-        return None
-    shared = position if role is NodeClass.ANCHOR else est
-    return (vehicle_id, position.x, position.y, position, role, shared, priority(role))
-
-
 def _extent(records: Sequence[VehicleRecord]) -> float:
     """Largest coordinate magnitude of the records' positions."""
     return max((abs(c) for r in records for p in set(r.positions) for c in p), default=0.0)
@@ -250,10 +235,11 @@ class _Trace:
     """Trace records, checked against ``step_seconds`` and for vehicles and
     unique ids, with the records active from each step at which the active
     set changes, in trace order, the ids of the parked vehicles with one
-    position over their whole window, and the largest coordinate magnitude,
-    which fixes the neighbor grid's cell width. Shared by an ensemble's episodes."""
+    position over their whole window, and ``near[t][i]``, the (id,
+    ``model.distance``) of every other car active at step t within
+    ``radius`` of car i. Shared by an ensemble's episodes."""
 
-    def __init__(self, records: Sequence[VehicleRecord], step_seconds: float):
+    def __init__(self, records: Sequence[VehicleRecord], step_seconds: float, radius: float):
         try:
             validate_records(records, step_seconds)
         except TraceValidationError as exc:
@@ -278,7 +264,26 @@ class _Trace:
             r.vehicle_id for r in records
             if r.kind is MotionKind.PARKED and r.positions.count(r.positions[0]) == len(r.positions)
         }
-        self.extent = _extent(records)
+        self.radius = radius
+        width = channel.cell_width(radius, _extent(records))
+        self.near: dict[int, ChainMap] = {}
+        for t in self.steps:
+            if t in self.active_from:  # still-parked cars are paired once per active set
+                others = [r for r in self.active_from[t] if r.vehicle_id not in self.still_parked]
+                still = [(r.vehicle_id, *r.positions[0]) for r in self.active_from[t]
+                         if r.vehicle_id in self.still_parked]
+                fixed = channel.grid(still, width)
+                parked = {i: [(j, d) for j, d in channel.within(fixed, x, y, width, radius)
+                              if j != i] for i, x, y in still}
+            placed = [(r.vehicle_id, *r.position_at(t)) for r in others]  # looked up every step
+            cells = channel.grid(placed, width)
+            near = self.near[t] = ChainMap({}, parked)  # a write goes to the step's own map
+            for i, x, y in placed:
+                row = near[i] = [(j, d) for j, d in channel.within(cells, x, y, width, radius)
+                                 if j != i]
+                for j, d in channel.within(fixed, x, y, width, radius):
+                    row.append((j, d))
+                    near[j] = [*near[j], (i, d)]  # a copy, so parked[j] stays as it is
 
 
 @dataclass(slots=True, eq=False)
@@ -303,13 +308,15 @@ def run_episode(
     mode: Mode = Mode.PROPOSED,
 ) -> EpisodeResult:
     """Run one episode of ``mode``; deterministic given (cfg, run_seed,
-    mode). ``records`` is a ``_Trace``, as ``ensemble`` passes, or records
-    to check as one; None generates the configured scenario's trace."""
+    mode). ``records`` is a ``_Trace`` for the zone radius, as ``ensemble``
+    passes, or records to check as one; None generates the configured
+    scenario's trace."""
     scn = cfg.scenario
-    if isinstance(records, _Trace):
-        trace = records
-    else:
-        trace = _Trace(records if records is not None else generate(scn), scn.step_seconds)
+    trace = records if isinstance(records, _Trace) else _Trace(
+        records if records is not None else generate(scn), scn.step_seconds, cfg.zone.radius)
+    if trace.radius != cfg.zone.radius:
+        raise ConfigError(f"trace neighbors are for radius {trace.radius!r}, "
+                          f"not the zone radius {cfg.zone.radius!r}")
 
     proposed = mode is Mode.PROPOSED
     use_ekf = cfg.algorithm is Algorithm.EKF
@@ -321,37 +328,32 @@ def run_episode(
 
     gps_var = cfg.noise.gps_std**2
     gps_cov = (gps_var, 0.0, gps_var)
-    width = channel.cell_width(cfg.zone.radius, trace.extent)
     nodes: dict[int, _Node] = {}
+    # each vehicle's latest broadcast (role, shared position, priority) from
+    # its second active step; None while it is inactive, which is silent
+    heard: dict[int, tuple | None] = {}
     # A still parked car that is inactive in traditional mode or an anchor in
     # proposed mode is halted for good, so its step is a no-op and its
-    # broadcast never changes: it settles, and its broadcast is kept.
-    settled: dict[int, tuple | None] = {}
+    # broadcast never changes: it settles, and is skipped from then on.
+    settled: set[int] = set()
 
-    active: list[VehicleRecord] = []
-    split = None  # (grid of the settled active cars' broadcasts, the other records)
+    others: list[VehicleRecord] = []  # the active records that have not settled
     for t in trace.steps:
         if t in trace.active_from:
-            active, split = trace.active_from[t], None
-        if split is None:
-            split = (
-                channel.grid((settled[r.vehicle_id] for r in active
-                              if settled.get(r.vehicle_id) is not None), width),
-                [r for r in active if r.vehicle_id not in settled],
-            )
-        fixed, others = split
+            others = [r for r in trace.active_from[t] if r.vehicle_id not in settled]
+        near = trace.near[t]
 
-        sent = []
         for rec in others:
             vid = rec.vehicle_id
             node = nodes.get(vid)
             if node is not None:  # a vehicle broadcasts from its second step
-                entry = _broadcast(vid, rec.position_at(t), node.role, node.est)
-                if entry is not None:
-                    sent.append(entry)
-                if vid in trace.still_parked and (not proposed or node.role is NodeClass.ANCHOR):
-                    settled[vid], split = entry, None
-        cells = channel.grid(sent, width, fixed)
+                role = node.role  # an anchor shares its position, any other role its estimate
+                heard[vid] = None if role is NodeClass.INACTIVE else (
+                    role, rec.position_at(t) if role is NodeClass.ANCHOR else node.est,
+                    priority(role))
+                if vid in trace.still_parked and (not proposed or role is NodeClass.ANCHOR):
+                    settled.add(vid)
+        others = [r for r in others if r.vehicle_id not in settled]  # their step is a no-op
 
         for rec in others:
             vid, kind = rec.vehicle_id, rec.kind
@@ -393,7 +395,7 @@ def run_episode(
 
                 # below two anchors _anchor_fix gives gnss_mean whatever is ranged
                 selected, anchors_in_range = _ranked_candidates(
-                    cells, width, vid, truth, gnss_mean, cfg.zone, cfg.noise, stream, t,
+                    near[vid], heard, vid, gnss_mean, cfg.zone, cfg.noise, stream, t,
                     min_anchors=2,
                 )
                 new_est = _anchor_fix(
@@ -415,7 +417,7 @@ def run_episode(
             prior = dead_reckon(node.est, vel_meas, dt)
 
             selected, _ = _ranked_candidates(
-                cells, width, vid, truth, prior, cfg.zone, cfg.noise, stream, t
+                near[vid], heard, vid, prior, cfg.zone, cfg.noise, stream, t
             )
             if use_ekf:
                 pred, p_cov = ekf_predict(node.est, node.cov, vel_meas, cfg.ekf)
@@ -462,9 +464,9 @@ def trace_metrics(
     return {
         r.vehicle_id: (
             len({
-                entry[0]
+                k
                 for x, y in set(r.positions)
-                for entry in channel.within(cells, x, y, width, radius)
+                for k, _ in channel.within(cells, x, y, width, radius)
             }),
             r.path_length() / 1000.0,
         )
@@ -567,7 +569,7 @@ def ensemble(
     workers than episodes. Results are identical for any ``jobs`` value."""
     modes = (Mode.TRADITIONAL, Mode.PROPOSED)
     trace = _Trace(records if records is not None else generate(cfg.scenario),
-                   cfg.scenario.step_seconds)
+                   cfg.scenario.step_seconds, cfg.zone.radius)
     tasks = [(cfg, mode, run) for run in range(cfg.n_runs) for mode in modes]
     workers = min(jobs, len(tasks))
     if workers <= 1:

@@ -5,18 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkcp.channel import (
-    CommZone,
-    NoiseModel,
-    cell_width,
-    grid,
-    measure_gps,
-    measure_range,
-    neighbors,
-    within,
-)
-from parkcp.harness import _broadcast
-from parkcp.model import NodeClass, Position2D
+from parkcp.channel import CommZone, NoiseModel, measure_gps, measure_range, neighbors
+from parkcp.harness import _Trace
+from parkcp.model import MotionKind, NodeClass, Position2D, VehicleRecord, Velocity2D, distance
 
 
 def _world(entries):
@@ -175,54 +166,77 @@ far_coordinate = st.one_of(
 partner = st.sampled_from([None, (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (0.6, 0.8)])
 
 
+# how a car moves: it stands still parked, stands parked but jitters within
+# the ingest tolerance, or drives at -1, 0 or 1 times the velocity
+motion = st.sampled_from(["still", "jitter", "driving"])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
         st.tuples(far_coordinate, far_coordinate, st.sampled_from(list(NodeClass)),
-                  st.booleans(), partner),
+                  motion, st.integers(0, 3), st.integers(1, 6), partner),
         min_size=1, max_size=12,
     ),
     st.sampled_from([15.0, 24.0, 100.0, 0.5]),
     st.tuples(st.floats(-30, 30), st.floats(-30, 30)),
     st.integers(0, 4),
 )
-def test_settled_and_moving_grids_find_what_neighbors_finds(cars, radius, velocity, stop):
-    """The episode's lookup: a grid of the settled cars' broadcasts, built
-    when the settled set changes, copied and extended by the other cars'
-    broadcasts each step. Car 0 drives until step ``stop``, halts there, and
-    settles from the next step; the other cars either stand settled or
-    drive. Every car of every step finds what ``channel.neighbors`` finds."""
+def test_trace_rows_hold_what_neighbors_finds(cars, radius, velocity, stop):
+    """The neighbor table of ``harness._Trace``. Car 0 is queued over steps
+    0 to 5: it drives until step ``stop`` and halts there. Every other car
+    has a window (start, length) and one of the motions above. At every
+    step each active car's row holds exactly the ids that
+    ``channel.neighbors`` and ``_all_pairs`` find over the active cars, each
+    at ``model.distance`` bit for bit, and never the car itself; only active
+    cars have a row. Dropping the ids of cars in an inactive role leaves
+    what ``neighbors`` finds when those cars are inactive, as an episode
+    hears them."""
     placed = []
-    for x, y, ncls, still, offset in cars:
-        placed.append((x, y, ncls, still))
+    for x, y, ncls, how, start, length, offset in cars:
+        placed.append((x, y, ncls, how, start, length))
         if offset is not None:
-            placed.append((x + offset[0] * radius, y + offset[1] * radius, ncls, still))
+            placed.append((x + offset[0] * radius, y + offset[1] * radius, ncls, how, start,
+                           length))
+    placed[0] = (*placed[0][:3], "queued", 0, 6)
     vx, vy = velocity
+    ids = [i * 3 - 20 for i in range(len(placed))]
+    zero = Velocity2D(0.0, 0.0)
+    records = []
+    for i, (x, y, _, how, start, length) in enumerate(placed):
+        steps = range(start, start + length)
+        if how == "queued":
+            moves, kind = [min(t, stop) for t in steps], MotionKind.QUEUED
+            velocities = [Velocity2D(vx, vy) if t < stop else zero for t in steps]
+        elif how == "driving":
+            factor = i % 3 - 1
+            moves, kind = [factor * (t - start) for t in steps], MotionKind.MOVING
+            velocities = [Velocity2D(factor * vx, factor * vy)] * length
+        else:
+            moves, kind, velocities = [0] * length, MotionKind.PARKED, [zero] * length
+        positions = [Position2D(x + m * vx + (0.2 * (t % 2) if how == "jitter" else 0.0),
+                                y + m * vy) for m, t in zip(moves, steps)]
+        if how == "still":
+            positions = [positions[0]] * length
+        records.append(VehicleRecord(ids[i], kind, start, positions, velocities))
 
-    def position(i, t):
-        x, y, _, still = placed[i]
-        moves = min(t, stop) if i == 0 else (0 if still else t)
-        return Position2D(x + moves * vx, y + moves * vy)
-
-    steps = range(6)
-    extent = max(abs(c) for i in range(len(placed)) for t in steps for c in position(i, t))
-    width = cell_width(radius, extent)
+    trace = _Trace(records, 1.0, radius)
     zone = CommZone(radius)
-    fixed, fixed_ids = None, None
-    for t in steps:
-        settled = {i for i, (*_, still) in enumerate(placed) if still and i > 0}
-        settled |= {0} if t > stop else set()
-        entries = {i: _broadcast(i, position(i, t), ncls, position(i, t))
-                   for i, (_, _, ncls, _) in enumerate(placed)}
-        if settled != fixed_ids:
-            fixed_ids = settled
-            fixed = grid((entries[i] for i in settled if entries[i] is not None), width)
-        cells = grid((e for i, e in entries.items() if i not in settled and e is not None),
-                     width, fixed)
-        world = _world([(i, *position(i, t), ncls) for i, (_, _, ncls, _) in enumerate(placed)])
+    for t in trace.steps:
+        active = [(ids[i], r.position_at(t), placed[i][2]) for i, r in enumerate(records)
+                  if r.start_step <= t < r.end_step]
+        world = _world([(vid, *pos, NodeClass.BLIND) for vid, pos, _ in active])
+        roles = _world([(vid, *pos, ncls) for vid, pos, ncls in active])
+        assert set(trace.near[t]) == set(world)
         for vid, (own, _) in world.items():
-            found = sorted(e[0] for e in within(cells, own.x, own.y, width, radius) if e[0] != vid)
+            row = trace.near[t][vid]
+            found = sorted(j for j, _ in row)
+            assert vid not in found
             assert found == neighbors(world, vid, zone) == _all_pairs(world, vid, zone)
+            for j, d in row:
+                assert d.hex() == distance(own, world[j][0]).hex()
+            heard = sorted(j for j in found if roles[j][1] is not NodeClass.INACTIVE)
+            assert heard == neighbors(roles, vid, zone) == _all_pairs(roles, vid, zone)
 
 
 def test_measure_range_noiseless_identity():

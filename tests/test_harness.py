@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkcp import harness
+from parkcp import channel, harness
 from parkcp.channel import CommZone, NoiseModel
 from parkcp.errors import ConfigError
 from parkcp.harness import (
@@ -494,6 +494,29 @@ def test_a_halted_car_draws_for_every_broadcast_it_may_lose(monkeypatch, kind, n
         assert {step for step, purpose, _ in opened if purpose == "range"} < set(halted)
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_no_drop_draw_for_a_silent_neighbor(monkeypatch, mode):
+    # parked cars are silent in traditional mode, and the neighbor table
+    # lists them anyway; no stream is opened for a broadcast never sent
+    drawn = []
+    real = harness.substream
+
+    def spy(*args):
+        if args[4] == "drop":
+            drawn.append(args[5])
+        return real(*args)
+
+    monkeypatch.setattr(harness, "substream", spy)
+    cfg = golden_town_cfg(Algorithm.EKF)
+    cfg = replace(cfg, zone=CommZone(15.0, drop_probability=0.3),
+                  policy=replace(cfg.policy, anchors_preloaded=True))
+    parked = {r.vehicle_id for r in generate(cfg.scenario) if r.kind is MotionKind.PARKED}
+    run_episode(cfg, 1, mode=mode)
+    assert drawn
+    # in proposed mode the preloaded anchors broadcast, so they are drawn for
+    assert bool(set(drawn) & parked) is (mode is Mode.PROPOSED)
+
+
 def test_ensemble_jobs_parity():
     cfg = circuit_cfg(n_runs=4, seed=12)
     serial = ensemble(cfg, jobs=1)
@@ -818,6 +841,33 @@ def test_town_link_drops_keep_their_per_step_errors(algorithm, preloaded):
     dump = format_steps_csv([(algorithm, 4.0, summary)])
     assert {mode for _, mode, _ in summary.episodes} == set(Mode)
     assert hashlib.sha256(dump.encode()).hexdigest() == DROP_STEPS[algorithm, preloaded]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_an_episode_rejects_a_trace_built_for_another_radius(mode):
+    cfg = circuit_cfg(duration=30)
+    trace = harness._Trace(gen_circuit(cfg.scenario), cfg.scenario.step_seconds, 40.0)
+    with pytest.raises(ConfigError, match="radius 40.0, not the zone radius 15.0"):
+        run_episode(cfg, 0, trace, mode=mode)
+    run_episode(replace(cfg, zone=CommZone(40.0)), 0, trace, mode=mode)
+
+
+def test_episodes_do_no_neighbor_geometry(monkeypatch):
+    town = golden_town_cfg(Algorithm.EKF)
+    trace = harness._Trace(generate(town.scenario), town.scenario.step_seconds,
+                           town.zone.radius)
+
+    def no_geometry(*args):
+        raise AssertionError("an episode looked up neighbors itself")
+
+    monkeypatch.setattr(channel, "grid", no_geometry)
+    monkeypatch.setattr(channel, "within", no_geometry)
+    for algorithm in Algorithm:
+        for mode in Mode:
+            for preloaded in (True, False):
+                cfg = golden_town_cfg(algorithm)
+                cfg = replace(cfg, policy=replace(cfg.policy, anchors_preloaded=preloaded))
+                assert run_episode(cfg, 1, trace, mode=mode).errors
 
 
 def golden_circuit_cfg(algorithm):
