@@ -34,7 +34,7 @@ from .harness import (
 )
 from .localize import EkfParams, GcpsoParams
 from .model import MotionKind, Position2D
-from .policy import Mode, PolicyConfig
+from .policy import PolicyConfig
 from .scenario import (
     TRACE_HEADER,
     ChokePoint,
@@ -210,24 +210,19 @@ def cmd_sim(args) -> int:
         [Algorithm.GCPSO, Algorithm.EKF] if algorithm == "both" else [Algorithm(algorithm)]
     )
     sigmas = args.sigma_r or [None]  # None: the config's noise.range_std
-    modes = list(Mode) if args.mode == "both" else [Mode(args.mode)]
 
     records = None
     if args.trace is not None:
         with open(args.trace, "r", encoding="utf-8") as fh:
             records = parse_trace(fh.read())
 
-    all_rows = []
-    step_entries = []
-    for algorithm in algorithms:
-        for sigma in sigmas:
-            cfg = run_config_from_config(
-                raw, algorithm, sigma, args.zone, args.n_runs, args.seed
-            )
-            summary = ensemble(cfg, records, jobs=args.jobs, keep_episodes=args.dump_steps)
-            all_rows.extend(r for r in summary_rows(summary) if r.mode in modes)
-            if args.dump_steps:
-                step_entries.append((algorithm, cfg.noise.range_std, summary))
+    summaries = [
+        ensemble(run_config_from_config(raw, algorithm, sigma, args.zone, args.n_runs, args.seed),
+                 records, jobs=args.jobs, keep_episodes=args.dump_steps)
+        for algorithm in algorithms
+        for sigma in sigmas
+    ]
+    all_rows = [r for summary in summaries for r in summary_rows(summary)]
 
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(format_results_csv(all_rows))
@@ -235,7 +230,7 @@ def cmd_sim(args) -> int:
         stem = args.out[:-4] if args.out.endswith(".csv") else args.out
         steps_path = stem + ".steps.csv"
         with open(steps_path, "w", encoding="utf-8") as fh:
-            fh.write(format_steps_csv(step_entries))
+            fh.write(format_steps_csv(summaries))
         print(f"wrote per-step dump {steps_path}")
 
     print(f"{'algorithm':<10}{'sigma_r':>8}  {'vehicle':>7}  "
@@ -319,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="results CSV to write")
     p_sim.add_argument("--algorithm", choices=_ALGORITHMS,
                        help="default: the config's algorithm, else both")
-    p_sim.add_argument("--mode", choices=("traditional", "proposed", "both"), default="both")
     p_sim.add_argument("--sigma-r", type=_finite_float, action="append",
                        help="ranging noise std; repeatable")
     p_sim.add_argument("--zone", type=_finite_float, help="communication radius in meters")

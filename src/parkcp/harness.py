@@ -173,15 +173,14 @@ def _ranked_candidates(
     noise: NoiseModel,
     stream,
     step: int,
-    k: int = 3,
     min_anchors: int = 0,
 ) -> tuple[list[Candidate], int]:
     """Broadcast-data pre-ranking and ranging of the neighbors in ``row``,
     the vehicle's (id, true distance) row of ``_Trace.near``, heard through
     ``heard``; a silent neighbor is skipped before its drop draw. Ranges are
-    only measured for the top-k neighbors under (priority, distance from own
-    reference to the shared position, id); the final order is then fixed by
-    select_neighbors on measured ranges. Returns (selected candidates,
+    only measured for the top three neighbors under (priority, distance from
+    own reference to the shared position, id); the final order is then fixed
+    by select_neighbors on measured ranges. Returns (selected candidates,
     anchors whose broadcast arrived this step, after drops). With fewer than
     ``min_anchors`` such anchors nothing is ranked or ranged and no candidate
     is selected; range draws are keyed by counter, so skipping them moves no
@@ -192,7 +191,7 @@ def _ranked_candidates(
     for j, true_d in row:
         sent = heard.get(j)
         if sent is None:
-            continue  # silent: inactive, or in its first active step
+            continue  # silent: inactive, in its first active step, or parked in traditional
         if zone.drop_probability > 0.0:
             if stream(vehicle_id, step, "drop", j).random() < zone.drop_probability:
                 continue  # broadcast lost this step
@@ -205,10 +204,10 @@ def _ranked_candidates(
         return [], anchors_in_range
     ranked.sort()  # ids are unique in a row, so no comparison goes past the id
     candidates = []
-    for _, _, j, true_d, ncls, shared in ranked[:k]:
+    for _, _, j, true_d, ncls, shared in ranked[:3]:
         measured = channel.measure_range(true_d, noise, stream(vehicle_id, step, "range", j))
         candidates.append(Candidate(j, ncls, shared, measured))
-    return select_neighbors(candidates, k), anchors_in_range
+    return select_neighbors(candidates), anchors_in_range
 
 
 def _anchor_fix(anchors: list[Candidate], prior: Position2D) -> Position2D:
@@ -308,9 +307,9 @@ def run_episode(
     mode: Mode = Mode.PROPOSED,
 ) -> EpisodeResult:
     """Run one episode of ``mode``; deterministic given (cfg, run_seed,
-    mode). ``records`` is a ``_Trace`` for the zone radius, as ``ensemble``
-    passes, or records to check as one; None generates the configured
-    scenario's trace."""
+    mode). Parked cars take no part in a traditional episode. ``records``
+    is a ``_Trace`` for the zone radius, as ``ensemble`` passes, or records
+    to check as one; None generates the configured scenario's trace."""
     scn = cfg.scenario
     trace = records if isinstance(records, _Trace) else _Trace(
         records if records is not None else generate(scn), scn.step_seconds, cfg.zone.radius)
@@ -332,15 +331,15 @@ def run_episode(
     # each vehicle's latest broadcast (role, shared position, priority) from
     # its second active step; None while it is inactive, which is silent
     heard: dict[int, tuple | None] = {}
-    # A still parked car that is inactive in traditional mode or an anchor in
-    # proposed mode is halted for good, so its step is a no-op and its
-    # broadcast never changes: it settles, and is skipped from then on.
+    # A still parked anchor is halted for good, so its step is a no-op and
+    # its broadcast never changes: it settles, and is skipped from then on.
     settled: set[int] = set()
 
-    others: list[VehicleRecord] = []  # the active records that have not settled
+    others: list[VehicleRecord] = []  # active, not settled, and not parked in traditional mode
     for t in trace.steps:
         if t in trace.active_from:
-            others = [r for r in trace.active_from[t] if r.vehicle_id not in settled]
+            others = [r for r in trace.active_from[t] if r.vehicle_id not in settled
+                      and (proposed or r.kind is not MotionKind.PARKED)]
         near = trace.near[t]
 
         for rec in others:
@@ -351,7 +350,7 @@ def run_episode(
                 heard[vid] = None if role is NodeClass.INACTIVE else (
                     role, rec.position_at(t) if role is NodeClass.ANCHOR else node.est,
                     priority(role))
-                if vid in trace.still_parked and (not proposed or role is NodeClass.ANCHOR):
+                if vid in trace.still_parked and role is NodeClass.ANCHOR:
                     settled.add(vid)
         others = [r for r in others if r.vehicle_id not in settled]  # their step is a no-op
 
@@ -365,16 +364,12 @@ def run_episode(
                     node = nodes[vid] = _Node(NodeClass.BLIND, fix, gps_cov)
                     if kind is MotionKind.MOVING:
                         node.errors.append(distance(fix, truth))
-                elif proposed and pol.anchors_preloaded:
+                elif pol.anchors_preloaded:
                     nodes[vid] = _Node(NodeClass.ANCHOR, truth)
-                elif proposed:
+                else:
                     fix = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gnss"))
                     nodes[vid] = _Node(NodeClass.INACTIVE, None, gnss_n=1, gnss_sum=fix)
-                else:
-                    nodes[vid] = _Node(NodeClass.INACTIVE, None)
                 continue
-            if kind is MotionKind.PARKED and not proposed:
-                continue  # absent from the network in traditional mode
             vel_now = rec.velocity_at(t)
             halted = kind is MotionKind.PARKED or (
                 kind is MotionKind.QUEUED and vel_now.vx == 0.0 and vel_now.vy == 0.0
@@ -641,10 +636,12 @@ def format_results_csv(rows: Sequence[ResultRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_steps_csv(entries: Sequence[tuple[Algorithm, float, EnsembleSummary]]) -> str:
-    """Per-step error dump (one row per run/mode/vehicle/step) for plotting."""
+def format_steps_csv(summaries: Sequence[EnsembleSummary]) -> str:
+    """Per-step error dump (one row per run/mode/vehicle/step) for plotting,
+    of summaries kept with their episodes."""
     lines = ["algorithm,sigma_r,mode,run,vehicle,step,error"]
-    for algorithm, range_std, summary in entries:
+    for summary in summaries:
+        algorithm, range_std = summary.config.algorithm, summary.config.noise.range_std
         for run, mode, episode in summary.episodes:
             for vid in sorted(episode.errors):
                 start = episode.first_step[vid]

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError
 from .model import Position2D, Velocity2D
-from .policy import Candidate
+from .policy import Candidate, dead_reckon
 
 _COINCIDENT = 1e-6  # meters below which a range row is skipped in the EKF
 Covariance = tuple[float, float, float]  # (a, b, d) of the symmetric [[a, b], [b, d]]
@@ -262,9 +262,8 @@ def ekf_predict(
     covariance by the process and velocity-input noise."""
     a, b, d = _require_psd(cov)
     dt = params.step_seconds
-    new_state = Position2D(state.x + dt * velocity.vx, state.y + dt * velocity.vy)
     q = params.process_std**2 + (dt * params.velocity_std) ** 2
-    return new_state, (a + q, b, d + q)
+    return dead_reckon(state, velocity, dt), (a + q, b, d + q)
 
 
 def ekf_update(

@@ -1,4 +1,5 @@
 import json
+from collections import defaultdict
 
 import pytest
 
@@ -343,14 +344,24 @@ def test_sim_without_sigma_flag_uses_the_files_range_std(tmp_path):
     assert {line.split(b",")[1] for line in outputs[0][1].splitlines()[1:]} == {b"2.5"}
 
 
-def test_sim_mode_filter(tmp_path, config_path):
+def test_sim_writes_both_modes_of_every_vehicle(tmp_path, config_path):
     out = tmp_path / "results.csv"
-    code = main(["sim", "--config", config_path, "--out", str(out),
-                 "--algorithm", "ekf", "--mode", "proposed"])
+    code = main(["sim", "--config", config_path, "--out", str(out), "--algorithm", "ekf"])
     assert code == 0
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 1 + 1
-    assert ",proposed," in lines[1]
+    modes = defaultdict(list)
+    for line in out.read_text().strip().splitlines()[1:]:
+        vehicle, mode = line.split(",")[:2]
+        modes[vehicle].append(mode)
+    assert modes
+    assert all(m == ["traditional", "proposed"] for m in modes.values())
+
+
+def test_sim_has_no_mode_flag(tmp_path, config_path):
+    out = tmp_path / "results.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "--config", config_path, "--out", str(out), "--mode", "proposed"])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_sim_sigma_repeatable(tmp_path, config_path):
@@ -500,7 +511,7 @@ def test_help_lists_flags(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     for flag in ("--config", "--out", "--seed", "--jobs", "--algorithm",
-                 "--mode", "--sigma-r", "--zone", "--n-runs", "--dump-steps"):
+                 "--sigma-r", "--zone", "--n-runs", "--dump-steps"):
         assert flag in out
 
 

@@ -80,12 +80,9 @@ def cases():
 
 def render() -> tuple[str, str]:
     """(results CSV, sha256 line of the per-step dump) over all cases."""
-    rows, entries = [], []
-    for cfg in cases():
-        summary = ensemble(cfg, keep_episodes=True)
-        rows.extend(summary_rows(summary))
-        entries.append((cfg.algorithm, cfg.noise.range_std, summary))
-    steps = hashlib.sha256(format_steps_csv(entries).encode()).hexdigest()
+    summaries = [ensemble(cfg, keep_episodes=True) for cfg in cases()]
+    rows = [r for summary in summaries for r in summary_rows(summary)]
+    steps = hashlib.sha256(format_steps_csv(summaries).encode()).hexdigest()
     return format_results_csv(rows), steps + "\n"
 
 

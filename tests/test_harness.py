@@ -642,7 +642,7 @@ def test_ensemble_explicit_town_trace_same_in_pool(algorithm):
 
     def outputs(summary):
         return (format_results_csv(summary_rows(summary)),
-                format_steps_csv([(algorithm, 4.0, summary)]))
+                format_steps_csv([summary]))
 
     serial = outputs(ensemble(cfg, records, jobs=1, keep_episodes=True))
     assert outputs(ensemble(cfg, records, jobs=2, keep_episodes=True)) == serial
@@ -812,7 +812,7 @@ def test_parked_cars_that_jitter_keep_their_per_step_errors(algorithm, preloaded
     cfg = replace(cfg, policy=replace(cfg.policy, anchors_preloaded=preloaded))
     records = _jittered(generate(cfg.scenario))
     summary = ensemble(cfg, records, keep_episodes=True)
-    dump = format_steps_csv([(algorithm, 4.0, summary)])
+    dump = format_steps_csv([summary])
     assert {mode for _, mode, _ in summary.episodes} == set(Mode)
     assert hashlib.sha256(dump.encode()).hexdigest() == JITTER_STEPS[algorithm, preloaded]
 
@@ -838,9 +838,27 @@ def test_town_link_drops_keep_their_per_step_errors(algorithm, preloaded):
     cfg = replace(cfg, zone=CommZone(15.0, drop_probability=0.3),
                   policy=replace(cfg.policy, anchors_preloaded=preloaded))
     summary = ensemble(cfg, keep_episodes=True)
-    dump = format_steps_csv([(algorithm, 4.0, summary)])
+    dump = format_steps_csv([summary])
     assert {mode for _, mode, _ in summary.episodes} == set(Mode)
     assert hashlib.sha256(dump.encode()).hexdigest() == DROP_STEPS[algorithm, preloaded]
+
+
+@pytest.mark.parametrize("preloaded", [True, False])
+@pytest.mark.parametrize("drop", [0.0, 0.3])
+@pytest.mark.parametrize("algorithm", [Algorithm.GCPSO, Algorithm.EKF])
+@pytest.mark.parametrize("scenario", ["town", "circuit"])
+def test_traditional_episodes_do_not_depend_on_parked_cars(scenario, algorithm, drop, preloaded):
+    cfg = golden_town_cfg(algorithm) if scenario == "town" else circuit_cfg(algorithm)
+    cfg = replace(cfg, zone=replace(cfg.zone, drop_probability=drop),
+                  policy=replace(cfg.policy, anchors_preloaded=preloaded))
+    records = generate(cfg.scenario)
+    unparked = [r for r in records if r.kind is not MotionKind.PARKED]
+    assert len(unparked) < len(records)
+    full, bare = (run_episode(cfg, 1, rs, Mode.TRADITIONAL) for rs in (records, unparked))
+    assert full.errors.keys() == bare.errors.keys()
+    for vid, errors in full.errors.items():
+        assert errors.tobytes() == bare.errors[vid].tobytes()
+    assert (full.first_step, full.anchors_used) == (bare.first_step, bare.anchors_used)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
