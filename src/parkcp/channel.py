@@ -2,8 +2,8 @@
 
 The radio model is a hard line-of-sight disk: two powered-on vehicles are
 neighbors iff their true separation is within the communication-zone radius.
-Every such question is answered on a ``grid`` by lookups with ``within``:
-from ``harness._Trace``, which builds a trace's neighbor table once, from
+Every such question is answered by one vectorized join, ``disk_join``: from
+``harness._Trace``, which builds a trace's neighbor table once, from
 ``neighbors``, and from ``harness.trace_metrics``.
 Noise is zero-mean Gaussian, independent per link and per step; there is no
 packet loss unless ``drop_probability`` is set.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -49,45 +48,72 @@ class CommZone:
 
 
 def cell_width(radius: float, extent: float) -> float:
-    """Width of the grid cells for ``radius`` when no coordinate put in or
-    looked up on the grid exceeds ``extent`` in magnitude.
+    """Width of the grid cells for ``radius`` when no point joined by
+    ``disk_join`` has a coordinate above ``extent`` in magnitude.
 
     A pair within ``radius`` has |dx|, |dy| <= radius * (1 + 2**-53), and each
-    division in ``cell`` is off by at most ``extent`` * 2**-53 / width cells,
-    so with this width the pair's cells differ by at most one on either axis.
+    cell division is off by at most ``extent`` * 2**-53 / width cells, so with
+    this width the pair's cells differ by at most one on either axis, and no
+    cell index exceeds 2**50 in magnitude.
     """
     return radius * (1.0 + 2.0**-30) + extent * 2.0**-50
 
 
-def cell(x: float, y: float, width: float) -> tuple[int, int]:
-    """The grid cell of a finite point."""
-    return math.floor(x / width), math.floor(y / width)
+def disk_join(
+    qx: np.ndarray, qy: np.ndarray, qkey: np.ndarray,
+    ex: np.ndarray, ey: np.ndarray, ekey: np.ndarray,
+    width: float, radius: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(query index, entry index, distance) of every pair of a query point
+    (qx, qy) and an entry point (ex, ey) with equal integer keys whose exact
+    ``math.hypot <= radius`` test holds; that ``hypot`` is the distance, so
+    it equals ``model.distance`` of the two points bit for bit. Pairs come
+    grouped by query, in ascending query order.
 
+    Points must be finite, on cells of a ``cell_width`` that covers every
+    coordinate. Each point's cell is ``floor(x / width)``, which numpy rounds
+    as Python does. The entries are stable-sorted by (key, cell x, cell y),
+    packed as ranks of their distinct values, so that for each query one
+    search per adjacent column of cells finds the entries of its own and the
+    8 adjacent cells.
+    """
+    if not len(qx) or not len(ex):
+        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
+    keys, k_rank = np.unique(ekey, return_inverse=True)
+    xs, x_rank = np.unique(np.floor(ex / width).astype(np.int64), return_inverse=True)
+    ys, y_rank = np.unique(np.floor(ey / width).astype(np.int64), return_inverse=True)
+    nk, nx, ny = len(keys), len(xs), len(ys)
+    if nk * nx * ny >= 2**62:  # ranks below len(ex) each, so only past about 1.6e6 entries
+        raise ValueError(f"{len(ex)} entries are too many to join at once")
+    packed = (k_rank * nx + x_rank) * ny + y_rank
+    order = np.argsort(packed, kind="stable")
+    packed = packed[order]
 
-def grid(entries: Iterable[tuple[int, float, float]], width: float) -> dict:
-    """Entries (id, x, y) at finite points, by cell."""
-    cells: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
-    for entry in entries:
-        cells.setdefault(cell(entry[1], entry[2], width), []).append(entry)
-    return cells
-
-
-def within(
-    cells: dict, x: float, y: float, width: float, radius: float
-) -> list[tuple[int, float]]:
-    """(id, distance) of the entries of the grid ``cells`` of cell ``width``
-    within ``radius`` of the finite point (x, y): a scan of its own and the 8
-    adjacent cells, each entry decided by the exact ``hypot <= radius`` test,
-    whose ``hypot`` is the distance."""
-    i, j = cell(x, y, width)
-    found = []
-    for ci in (i - 1, i, i + 1):
-        for cj in (j - 1, j, j + 1):
-            for vid, ex, ey in cells.get((ci, cj), ()):
-                d = math.hypot(x - ex, y - ey)
-                if d <= radius:
-                    found.append((vid, d))
-    return found
+    qcx = np.floor(qx / width).astype(np.int64)
+    qcy = np.floor(qy / width).astype(np.int64)
+    qk = np.searchsorted(keys, qkey)
+    has_key = keys[np.minimum(qk, nk - 1)] == qkey
+    # the rank bounds of cell rows qcy-1 to qcy+1, whichever of them exist
+    y_lo, y_hi = np.searchsorted(ys, qcy - 1), np.searchsorted(ys, qcy + 2)
+    lo, hi = np.empty((2, len(qx), 3), np.int64)
+    for c, dx in enumerate((-1, 0, 1)):
+        qx_rank = np.searchsorted(xs, qcx + dx)
+        found = has_key & (xs[np.minimum(qx_rank, nx - 1)] == qcx + dx)
+        column = np.where(found, qk * nx + qx_rank, 0) * ny
+        lo[:, c] = np.searchsorted(packed, column + y_lo)
+        hi[:, c] = np.where(found, np.searchsorted(packed, column + y_hi), lo[:, c])
+    counts = (hi - lo).ravel()
+    total = int(counts.sum())
+    query = np.repeat(np.arange(len(qx)), counts.reshape(-1, 3).sum(axis=1))
+    # each run of candidates starts at its lo and counts up
+    starts = np.cumsum(counts) - counts
+    entry = order[np.arange(total) - np.repeat(starts - lo.ravel(), counts)]
+    dist = np.fromiter(
+        map(math.hypot, (qx[query] - ex[entry]).tolist(), (qy[query] - ey[entry]).tolist()),
+        float, total,
+    )
+    keep = dist <= radius
+    return query[keep], entry[keep], dist[keep]
 
 
 def neighbors(
@@ -104,14 +130,16 @@ def neighbors(
     own = vehicles[vehicle_id][0]
     if not own.is_finite():
         return []
-    placed = [(vid, pos.x, pos.y) for vid, (pos, role) in vehicles.items()
-              if role is not NodeClass.INACTIVE and pos.is_finite()]
-    extent = max(abs(c) for entry in [(vehicle_id, *own), *placed] for c in entry[1:])
-    width = cell_width(zone.radius, extent)
-    return sorted(
-        vid for vid, _ in within(grid(placed, width), own.x, own.y, width, zone.radius)
-        if vid != vehicle_id
+    placed = {vid: pos for vid, (pos, role) in vehicles.items()
+              if role is not NodeClass.INACTIVE and pos.is_finite()}
+    ids = list(placed)
+    ex, ey = np.array([*placed.values()], float).reshape(-1, 2).T
+    extent = float(np.abs([*own, *ex, *ey]).max())
+    _, found, _ = disk_join(
+        np.array([own.x]), np.array([own.y]), np.zeros(1, np.int64),
+        ex, ey, np.zeros(len(ids), np.int64), cell_width(zone.radius, extent), zone.radius,
     )
+    return sorted(ids[k] for k in found.tolist() if ids[k] != vehicle_id)
 
 
 def measure_range(
@@ -120,7 +148,8 @@ def measure_range(
     """Noisy range: true distance plus Gaussian error, clamped at zero."""
     if true_distance < 0:
         raise ValueError("true_distance must be >= 0")
-    return max(0.0, true_distance + rng.normal(0.0, noise.range_std))
+    # numpy's normal(loc, scale) is loc + scale * z, so this is its draw bit for bit
+    return max(0.0, true_distance + (0.0 + noise.range_std * rng.standard_normal()))
 
 
 def measure_gps(
@@ -129,5 +158,6 @@ def measure_gps(
     rng: np.random.Generator,
 ) -> Position2D:
     """Noisy GPS fix: independent per-axis Gaussian error."""
-    ex, ey = rng.normal(0.0, noise.gps_std, size=2).tolist()
-    return Position2D(true_pos.x + ex, true_pos.y + ey)
+    zx, zy = rng.standard_normal(2).tolist()  # normal(0.0, gps_std, 2), as in measure_range
+    return Position2D(true_pos.x + (0.0 + noise.gps_std * zx),
+                      true_pos.y + (0.0 + noise.gps_std * zy))

@@ -15,11 +15,13 @@ comparison tight, and no draw depends on the worker count.
 from __future__ import annotations
 
 import math
-from collections import ChainMap, defaultdict
+from bisect import bisect_right
+from collections import ChainMap, Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -225,9 +227,12 @@ def _anchor_fix(anchors: list[Candidate], prior: Position2D) -> Position2D:
     return prior
 
 
-def _extent(records: Sequence[VehicleRecord]) -> float:
-    """Largest coordinate magnitude of the records' positions."""
-    return max((abs(c) for r in records for p in set(r.positions) for c in p), default=0.0)
+_BLOCK = 1024  # query points per disk join: its temporaries grow with them
+
+
+def _extent(*points: np.ndarray) -> float:
+    """Largest coordinate magnitude in the arrays."""
+    return max((float(np.abs(a).max()) for a in points if a.size), default=0.0)
 
 
 class _Trace:
@@ -264,25 +269,63 @@ class _Trace:
             if r.kind is MotionKind.PARKED and r.positions.count(r.positions[0]) == len(r.positions)
         }
         self.radius = radius
-        width = channel.cell_width(radius, _extent(records))
+        sets = sorted(self.active_from)  # the steps at which the active set changes
+        # still-parked cars are paired once per active set, keyed by its index
+        still = [(k, r) for k, t in enumerate(sets) for r in self.active_from[t]
+                 if r.vehicle_id in self.still_parked]
+        still_set = [k for k, _ in still]
+        still_id = [r.vehicle_id for _, r in still]
+        sxy = np.array([r.positions[0] for _, r in still], float).reshape(-1, 2)
+        # every other car at each of its steps, in step order
+        moving = [r for r in records if r.vehicle_id not in self.still_parked]
+        step = np.array([t for r in moving for t in range(r.start_step, r.end_step)], np.int64)
+        owner = np.array([r.vehicle_id for r in moving for _ in r.positions], np.int64)
+        xy = np.fromiter(chain.from_iterable(chain.from_iterable(r.positions for r in moving)),
+                         float, 2 * len(step)).reshape(-1, 2)
+        order = np.argsort(step, kind="stable")
+        step, owner, xy = step[order], owner[order], xy[order]
+        step_set = np.searchsorted(sets, step, side="right") - 1
+        width = channel.cell_width(radius, _extent(sxy, xy))
+
+        parked: list[dict] = [{} for _ in sets]
+        for k, vid in zip(still_set, still_id):
+            parked[k][vid] = []
+        sx, sy = sxy.T
+        key = np.array(still_set, np.int64)
+        for i, j, d in _pairs(sx, sy, key, sx, sy, key, width, radius):
+            if i != j:
+                parked[still_set[i]][still_id[i]].append((still_id[j], d))
+
         self.near: dict[int, ChainMap] = {}
-        for t in self.steps:
-            if t in self.active_from:  # still-parked cars are paired once per active set
-                others = [r for r in self.active_from[t] if r.vehicle_id not in self.still_parked]
-                still = [(r.vehicle_id, *r.positions[0]) for r in self.active_from[t]
-                         if r.vehicle_id in self.still_parked]
-                fixed = channel.grid(still, width)
-                parked = {i: [(j, d) for j, d in channel.within(fixed, x, y, width, radius)
-                              if j != i] for i, x, y in still}
-            placed = [(r.vehicle_id, *r.position_at(t)) for r in others]  # looked up every step
-            cells = channel.grid(placed, width)
-            near = self.near[t] = ChainMap({}, parked)  # a write goes to the step's own map
-            for i, x, y in placed:
-                row = near[i] = [(j, d) for j, d in channel.within(cells, x, y, width, radius)
-                                 if j != i]
-                for j, d in channel.within(fixed, x, y, width, radius):
-                    row.append((j, d))
-                    near[j] = [*near[j], (i, d)]  # a copy, so parked[j] stays as it is
+        span = max(1, _BLOCK * len(self.steps) // max(len(step), 1))  # steps per join
+        for b in range(self.steps.start, self.steps.stop, span):
+            a, z = np.searchsorted(step, [b, b + span]).tolist()
+            ts, ids = step[a:z].tolist(), owner[a:z].tolist()
+            own = {t: {} for t in range(b, min(b + span, self.steps.stop))}
+            rows = [[] for _ in ts]
+            for t, vid, row in zip(ts, ids, rows):
+                own[t][vid] = row
+            qx, qy = xy[a:z].T
+            for i, j, d in _pairs(qx, qy, step[a:z], qx, qy, step[a:z], width, radius):
+                if i != j:
+                    rows[i].append((ids[j], d))
+            # the still-parked cars of the active sets of the block's steps
+            first, last = (bisect_right(sets, t) - 1 for t in (b, b + span - 1))
+            c, e = np.searchsorted(key, [first, last + 1]).tolist()
+            for i, j, d in _pairs(qx, qy, step_set[a:z], sx[c:e], sy[c:e], key[c:e], width, radius):
+                mine, vid = own[ts[i]], still_id[c + j]
+                row = mine.get(vid)
+                if row is None:  # a copy, so the shared row stays as it is
+                    row = mine[vid] = list(parked[still_set[c + j]][vid])
+                row.append((ids[i], d))
+                rows[i].append((vid, d))
+            for t, mine in own.items():
+                self.near[t] = ChainMap(mine, parked[bisect_right(sets, t) - 1])
+
+
+def _pairs(qx, qy, qkey, ex, ey, ekey, width, radius):
+    """``channel.disk_join`` as (query index, entry index, distance) Python values."""
+    return zip(*(a.tolist() for a in channel.disk_join(qx, qy, qkey, ex, ey, ekey, width, radius)))
 
 
 @dataclass(slots=True, eq=False)
@@ -294,7 +337,7 @@ class _Node:
     est: Position2D | None
     cov: Covariance | None = None
     iso: int = 0  # steps since a neighbor was last selected
-    gnss_n: int = 0  # GNSS fixes averaged while halted; 0 restarts the sum
+    gnss_n: int = 0  # GNSS fixes in gnss_sum, drawn while halted; 0 restarts the sum
     gnss_sum: tuple[float, float] = (0.0, 0.0)
     errors: list[float] = field(default_factory=list)
     anchors: int = 0
@@ -381,10 +424,28 @@ def run_episode(
 
             if proposed and halted:
                 # stationary bootstrap: GNSS averaging, assisted by anchors
-                fix = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gnss"))
-                n = node.gnss_n + 1
-                sx, sy = node.gnss_sum if n > 1 else (0.0, 0.0)
-                sx, sy = sx + fix.x, sy + fix.y
+                if kind is MotionKind.PARKED:
+                    # halted since its first step, it averages one fix per step;
+                    # below two anchors its mean is read by nothing, so the fixes
+                    # are drawn when a step first reads them, and summed in order
+                    n = t - rec.start_step + 1
+                    anchors = sum(1 for j, _ in near[vid] if (sent := heard.get(j)) is not None
+                                  and sent[0] is NodeClass.ANCHOR)
+                    if anchors < 2:  # it cannot rank, and no error is read
+                        node.role = classify_stationary(kind, anchors, n, math.inf, pol)
+                        if node.role is NodeClass.ANCHOR:
+                            node.est = truth
+                        continue
+                    sx, sy = node.gnss_sum
+                    for s in range(rec.start_step + node.gnss_n, t + 1):
+                        fix = channel.measure_gps(rec.position_at(s), cfg.noise,
+                                                  stream(vid, s, "gnss"))
+                        sx, sy = sx + fix.x, sy + fix.y
+                else:  # a queued car broadcasts its estimate, so it averages eagerly
+                    fix = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gnss"))
+                    n = node.gnss_n + 1
+                    sx, sy = node.gnss_sum if n > 1 else (0.0, 0.0)
+                    sx, sy = sx + fix.x, sy + fix.y
                 node.gnss_n, node.gnss_sum = n, (sx, sy)
                 gnss_mean = Position2D(sx / n, sy / n)
 
@@ -406,17 +467,20 @@ def run_episode(
             # driving (or halted in traditional mode, where nothing is promoted)
             node.gnss_n = 0
             vel_true = rec.velocity_at(t - 1)  # motion from t-1 to t
-            g = stream(vid, t, "vel")
-            noise_v = g.normal(0.0, cfg.noise.velocity_std, size=2).tolist()
-            vel_meas = Velocity2D(vel_true.vx + noise_v[0], vel_true.vy + noise_v[1])
-            prior = dead_reckon(node.est, vel_meas, dt)
+            # normal(0.0, velocity_std, 2), as in channel.measure_gps
+            zx, zy = stream(vid, t, "vel").standard_normal(2).tolist()
+            sv = cfg.noise.velocity_std
+            vel_meas = Velocity2D(vel_true.vx + (0.0 + sv * zx), vel_true.vy + (0.0 + sv * zy))
+            if use_ekf:  # its predicted state is dead_reckon(node.est, vel_meas, dt)
+                prior, p_cov = ekf_predict(node.est, node.cov, vel_meas, cfg.ekf)
+            else:
+                prior = dead_reckon(node.est, vel_meas, dt)
 
             selected, _ = _ranked_candidates(
                 near[vid], heard, vid, prior, cfg.zone, cfg.noise, stream, t
             )
             if use_ekf:
-                pred, p_cov = ekf_predict(node.est, node.cov, vel_meas, cfg.ekf)
-                new_est, node.cov = ekf_update(pred, p_cov, selected, cfg.ekf)
+                new_est, node.cov = ekf_update(prior, p_cov, selected, cfg.ekf)
             else:
                 problem = LocalizationProblem(tuple(selected), prior)
                 new_est = gcpso_localize(problem, cfg.gcpso, stream(vid, t, "pso")).position
@@ -450,24 +514,22 @@ def trace_metrics(
 ) -> dict[int, tuple[int, float]]:
     """(parked vehicles ever within ``radius``, km travelled) of each tracked
     (moving-kind) vehicle. Both depend only on the trace."""
-    width = channel.cell_width(radius, _extent(records))
-    cells = channel.grid(
-        ((k, *r.positions[0]) for k, r in enumerate(records) if r.kind is MotionKind.PARKED),
-        width,
-    )
-
-    return {
-        r.vehicle_id: (
-            len({
-                k
-                for x, y in set(r.positions)
-                for k, _ in channel.within(cells, x, y, width, radius)
-            }),
-            r.path_length() / 1000.0,
-        )
-        for r in records
-        if r.kind is MotionKind.MOVING
-    }
+    tracked = [r for r in records if r.kind is MotionKind.MOVING]
+    parked = np.array([r.positions[0] for r in records if r.kind is MotionKind.PARKED],
+                      float).reshape(-1, 2)
+    distinct = [set(r.positions) for r in tracked]
+    xy = np.fromiter(chain.from_iterable(chain.from_iterable(distinct)), float,
+                     2 * sum(map(len, distinct))).reshape(-1, 2)
+    cars = np.repeat(np.arange(len(tracked)), list(map(len, distinct)))
+    width = channel.cell_width(radius, _extent(parked, xy))
+    pairs = set()  # (car, parked car) of each pair ever in range
+    for a in range(0, len(xy), _BLOCK):
+        qx, qy = xy[a:a + _BLOCK].T
+        q, e, _ = channel.disk_join(qx, qy, np.zeros(len(qx), np.int64), *parked.T,
+                                    np.zeros(len(parked), np.int64), width, radius)
+        pairs.update(zip(cars[a + q].tolist(), e.tolist()))
+    found = Counter(car for car, _ in pairs)
+    return {r.vehicle_id: (found[k], r.path_length() / 1000.0) for k, r in enumerate(tracked)}
 
 
 def rmse(errors: Sequence[float] | np.ndarray) -> float:

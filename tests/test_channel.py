@@ -1,12 +1,23 @@
 import math
+from functools import partial
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkcp.channel import CommZone, NoiseModel, measure_gps, measure_range, neighbors
-from parkcp.harness import _Trace
+from parkcp.channel import (
+    CommZone,
+    NoiseModel,
+    cell_width,
+    disk_join,
+    measure_gps,
+    measure_range,
+    neighbors,
+)
+from parkcp import harness
+from parkcp.harness import _Trace, substream
 from parkcp.model import MotionKind, NodeClass, Position2D, VehicleRecord, Velocity2D, distance
 
 
@@ -166,6 +177,62 @@ far_coordinate = st.one_of(
 partner = st.sampled_from([None, (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (0.6, 0.8)])
 
 
+def _joined(queries, entries, radius):
+    """``disk_join`` of (x, y, key) lists on the cells of the narrowest valid
+    width, as sorted (query, entry, distance bits)."""
+    extent = max((abs(c) for x, y, _ in queries + entries for c in (x, y)), default=0.0)
+    q, e = (np.array(side, float).reshape(-1, 3) for side in (queries, entries))
+    qi, ei, d = disk_join(q[:, 0], q[:, 1], q[:, 2].astype(np.int64),
+                          e[:, 0], e[:, 1], e[:, 2].astype(np.int64),
+                          cell_width(radius, extent), radius)
+    assert (np.diff(qi) >= 0).all()  # grouped by query
+    return sorted(zip(qi.tolist(), ei.tolist(), [v.hex() for v in d.tolist()]))
+
+
+def _scanned(queries, entries, radius):
+    """Every pair with equal keys, by the exact ``math.hypot <= radius`` test."""
+    return sorted(
+        (i, j, math.hypot(qx - ex, qy - ey).hex())
+        for i, (qx, qy, qk) in enumerate(queries) for j, (ex, ey, ek) in enumerate(entries)
+        if qk == ek and math.hypot(qx - ex, qy - ey) <= radius
+    )
+
+
+joined_coordinate = st.one_of(
+    coordinate,
+    *(st.floats(c - 300.0, c + 300.0) for c in (1e6, -1e6)),
+    *(st.floats(c - 2000.0, c + 2000.0) for c in (1e15, -1e15)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(joined_coordinate, joined_coordinate, st.integers(0, 2)), max_size=12),
+    st.lists(st.tuples(joined_coordinate, joined_coordinate, st.integers(0, 2)), max_size=12),
+    st.sampled_from([0.5, 15.0, 100.0]),
+    st.lists(st.tuples(st.integers(0, 11), partner.filter(bool)), max_size=6),
+)
+def test_disk_join_equals_an_all_pairs_scan(queries, entries, radius, partners):
+    """Grouped keys, empty sides, pairs at exactly the radius (an entry
+    placed at the radius from a query), and points about 1e6 and 1e15 m
+    from the origin, where cells are far wider than the radius."""
+    for i, (ux, uy) in partners:
+        if i < len(queries):
+            x, y, key = queries[i]
+            entries = entries + [(x + ux * radius, y + uy * radius, key)]
+    assert _joined(queries, entries, radius) == _scanned(queries, entries, radius)
+
+
+@pytest.mark.parametrize("spacing,radius", [(24.0, 15.0), (15.0, 15.0), (12.5, 25.0),
+                                            (0.25, 0.5), (50.0, 100.0)])
+def test_disk_join_equals_an_all_pairs_scan_on_cell_edges(spacing, radius):
+    pts = _grid_aligned(spacing, radius)
+    queries = [(x, y, i % 2) for i, (x, y) in enumerate(pts)]
+    entries = [(x, y, (i // 3) % 2) for i, (x, y) in enumerate(pts)]
+    for q, e in ((queries, entries), (queries, []), ([], entries)):
+        assert _joined(q, e, radius) == _scanned(q, e, radius)
+
+
 # how a car moves: it stands still parked, stands parked but jitters within
 # the ingest tolerance, or drives at -1, 0 or 1 times the velocity
 motion = st.sampled_from(["still", "jitter", "driving"])
@@ -237,6 +304,11 @@ def test_trace_rows_hold_what_neighbors_finds(cars, radius, velocity, stop):
                 assert d.hex() == distance(own, world[j][0]).hex()
             heard = sorted(j for j in found if roles[j][1] is not NodeClass.INACTIVE)
             assert heard == neighbors(roles, vid, zone) == _all_pairs(roles, vid, zone)
+    with patch.object(harness, "_BLOCK", 1):  # a join per step, whatever the active sets
+        stepwise = _Trace(records, 1.0, radius)
+    for t in trace.steps:
+        assert ({i: sorted(row) for i, row in stepwise.near[t].items()}
+                == {i: sorted(row) for i, row in trace.near[t].items()})
 
 
 def test_measure_range_noiseless_identity():
@@ -304,6 +376,24 @@ def test_fixed_seed_reproduces_measurement_stream():
         stream.append(measure_gps(Position2D(1, 2), noise, rng))
         out.append(stream)
     assert out[0] == out[1]
+
+
+@pytest.mark.parametrize("std", [0.0, 0.5, 4.0, 6.0])
+def test_measurements_scale_standard_normals_as_numpy_normal_does(std):
+    """numpy's normal(loc, scale) draws loc + scale * z from one standard
+    normal z per value, so 0.0 + std * z is its draw bit for bit, including
+    its +0.0 at std = 0; the measurements draw that way on fresh substreams."""
+    noise = NoiseModel(range_std=std, gps_std=std)
+    for vid in range(40):
+        fresh = partial(substream, 7, 3, vid, 11, "range")
+        scalar = fresh().normal(0.0, std)
+        assert (0.0 + std * fresh().standard_normal()).hex() == scalar.hex()
+        pair = fresh().normal(0.0, std, size=2).tolist()
+        z = fresh().standard_normal(2).tolist()
+        assert [(0.0 + std * v).hex() for v in z] == [v.hex() for v in pair]
+        assert measure_range(9.0, noise, fresh()) == max(0.0, 9.0 + scalar)
+        fix = measure_gps(Position2D(3.0, -4.0), noise, fresh())
+        assert [c.hex() for c in fix] == [(3.0 + pair[0]).hex(), (-4.0 + pair[1]).hex()]
 
 
 def test_noise_model_rejects_negative_std():

@@ -23,7 +23,7 @@ from parkcp.harness import (
     trace_metrics,
 )
 from parkcp.localize import EkfParams
-from parkcp.model import MotionKind, Position2D, VehicleRecord, Velocity2D, distance
+from parkcp.model import MotionKind, NodeClass, Position2D, VehicleRecord, Velocity2D, distance
 from parkcp.policy import Mode, PolicyConfig
 from parkcp.scenario import ChokePoint, ScenarioConfig, gen_circuit, generate
 from dataclasses import replace
@@ -431,19 +431,10 @@ def _halted_scene(kind, n_anchors, duration=12):
     ]
 
 
-def _halted_run(monkeypatch, kind, n_anchors, drop_probability=0.0):
-    """The (step, purpose, neighbor) of every stream the halted car opens in
-    a bootstrap episode with exact ranges and 5 m GNSS noise."""
-    opened = []
-    real = harness.substream
-
-    def spy(*args):
-        if args[2] == HALTED:
-            opened.append((args[3], args[4], args[5]))
-        return real(*args)
-
-    monkeypatch.setattr(harness, "substream", spy)
-    cfg = make_run_config(
+def _bootstrap_cfg(drop_probability=0.0):
+    """EKF bootstrap episodes with exact ranges, 5 m GNSS noise, a 20 m zone
+    and a GNSS window of ``GNSS_WINDOW`` steps."""
+    return make_run_config(
         algorithm=Algorithm.EKF,
         scenario=ScenarioConfig(kind="circuit", duration=12),
         noise=NoiseModel(range_std=0.0, gps_std=5.0, velocity_std=0.0),
@@ -451,7 +442,23 @@ def _halted_run(monkeypatch, kind, n_anchors, drop_probability=0.0):
         policy=PolicyConfig(anchors_preloaded=False, gnss_window=GNSS_WINDOW),
         n_runs=1,
     )
-    run_episode(cfg, 0, _halted_scene(kind, n_anchors), mode=Mode.PROPOSED)
+
+
+def _halted_run(monkeypatch, kind, n_anchors, drop_probability=0.0, vid=HALTED):
+    """The (step, purpose, neighbor) of every stream car ``vid`` of
+    ``_halted_scene`` opens in a bootstrap episode with exact ranges."""
+    opened = []
+    real = harness.substream
+
+    def spy(*args):
+        if args[2] == vid:
+            opened.append((args[3], args[4], args[5]))
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "substream", spy)
+        run_episode(_bootstrap_cfg(drop_probability), 0, _halted_scene(kind, n_anchors),
+                    mode=Mode.PROPOSED)
     return opened
 
 
@@ -460,11 +467,86 @@ def _halted_run(monkeypatch, kind, n_anchors, drop_probability=0.0):
 def test_a_halted_car_beside_fewer_than_two_anchors_ranges_nothing(monkeypatch, kind, n_anchors):
     # its fix is its GNSS mean whatever it ranges, so it opens no range
     # stream, and it reaches anchor grade only when its GNSS window is full
-    # (a queued car's first fix is a GPS one, which does not count)
     opened = _halted_run(monkeypatch, kind, n_anchors)
     assert [s for s in opened if s[1] == "range"] == []
-    window_full = START + GNSS_WINDOW - 1 + (kind is MotionKind.QUEUED)
-    assert max(step for step, _, _ in opened) == window_full
+    if kind is MotionKind.QUEUED:
+        # it broadcasts its estimate, so it averages on every step (its first
+        # fix is a GPS one, which does not count)
+        assert max(step for step, _, _ in opened) == START + GNSS_WINDOW
+    else:
+        # a parked car's mean is read by nothing here: it draws its first fix
+        # and no other, and the passing car first ranges it on the step after
+        # its window is full
+        assert opened == [(START, "gnss", 0)]
+        passing = _halted_run(monkeypatch, kind, n_anchors, vid=0)
+        assert min(step for step, purpose, j in passing
+                   if purpose == "range" and j == HALTED) == START + GNSS_WINDOW
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.2])
+def test_a_parked_car_draws_its_missed_fixes_when_a_second_anchor_arrives(monkeypatch, jitter):
+    """A parked car (HALTED) beside anchor 1 hears anchor 2, which parks
+    later, only from step ``k``. At k it draws the GNSS fixes of its steps
+    START+1..k, in order, at their true positions (which an ingested trace
+    may move within INGEST_TOLERANCE), and its two-anchor fix and role are
+    those of the eagerly summed mean. Car 0 drives out of range and opens a
+    stream on every step, so the highest step opened so far is the clock."""
+    late, steps = 2, 12
+    k = late + GNSS_WINDOW  # anchor 2 is promoted at late + GNSS_WINDOW - 1
+    still = [Velocity2D(0.0, 0.0)] * steps
+    halted_at = [Position2D(5.0 + jitter * (t % 2), 8.0) for t in range(START, steps)]
+    records = [
+        VehicleRecord(0, MotionKind.MOVING, 0, [Position2D(500.0 + t, 0.0) for t in range(steps)],
+                      [Velocity2D(1.0, 0.0)] * steps),
+        VehicleRecord(HALTED, MotionKind.PARKED, START, halted_at, still[START:]),
+        VehicleRecord(1, MotionKind.PARKED, 0, [Position2D(0.0, 0.0)] * steps, still),
+        VehicleRecord(2, MotionKind.PARKED, late, [Position2D(12.0, 0.0)] * (steps - late),
+                      still[late:]),
+    ]
+    cfg = _bootstrap_cfg()
+    opened, priors, roles = [], [], []
+    clock = [0]
+    real_stream, real_fix, real_role = (
+        harness.substream, harness.bilaterate_with_prior, harness.classify_stationary)
+
+    def stream_spy(*args):
+        clock[0] = max(clock[0], args[3])
+        if args[2] == HALTED:
+            opened.append((clock[0], args[3], args[4], args[5]))
+        return real_stream(*args)
+
+    def fix_spy(*args):
+        priors.append(args[4])
+        return real_fix(*args)
+
+    def role_spy(*args):
+        role = real_role(*args)
+        if args[1] >= 2:
+            roles.append((args, role))
+        return role
+
+    monkeypatch.setattr(harness, "substream", stream_spy)
+    monkeypatch.setattr(harness, "bilaterate_with_prior", fix_spy)
+    monkeypatch.setattr(harness, "classify_stationary", role_spy)
+    run_episode(cfg, 0, records, mode=Mode.PROPOSED)
+
+    assert opened == [(START, START, "gnss", 0)] + [
+        (k, s, "gnss", 0) for s in range(START + 1, k + 1)
+    ] + [(k, k, "range", 1), (k, k, "range", 2)]
+    sx = sy = 0.0
+    for s in range(START, k + 1):  # the eager sum, one fix per step in order
+        fix = channel.measure_gps(halted_at[s - START], cfg.noise,
+                                  real_stream(cfg.seed, 0, HALTED, s, "gnss"))
+        sx, sy = sx + fix.x, sy + fix.y
+    n = k - START + 1
+    mean = Position2D(sx / n, sy / n)
+    assert [(p.x.hex(), p.y.hex()) for p in priors] == [(mean.x.hex(), mean.y.hex())]
+    truth = halted_at[k - START]
+    fix = real_fix(Position2D(0.0, 0.0), distance(truth, Position2D(0.0, 0.0)),
+                   Position2D(12.0, 0.0), distance(truth, Position2D(12.0, 0.0)), mean)
+    expected = (MotionKind.PARKED, 2, n, distance(fix, truth), cfg.policy)
+    assert roles == [(expected, real_role(*expected))]
+    assert roles[0][1] is NodeClass.ANCHOR
 
 
 @pytest.mark.parametrize("kind", [MotionKind.PARKED, MotionKind.QUEUED])
@@ -878,8 +960,7 @@ def test_episodes_do_no_neighbor_geometry(monkeypatch):
     def no_geometry(*args):
         raise AssertionError("an episode looked up neighbors itself")
 
-    monkeypatch.setattr(channel, "grid", no_geometry)
-    monkeypatch.setattr(channel, "within", no_geometry)
+    monkeypatch.setattr(channel, "disk_join", no_geometry)
     for algorithm in Algorithm:
         for mode in Mode:
             for preloaded in (True, False):
