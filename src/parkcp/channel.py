@@ -2,9 +2,9 @@
 
 The radio model is a hard line-of-sight disk: two powered-on vehicles are
 neighbors iff their true separation is within the communication-zone radius.
-Every such question is answered by one vectorized join, ``disk_join``: from
-``harness._Trace``, which builds a trace's neighbor table once, from
-``neighbors``, and from ``harness.trace_metrics``.
+Every such question is answered by one vectorized join, ``disk_join``, which
+sizes its grid cells from the points it is given: from ``harness._Trace``,
+which builds a trace's neighbor table once, and from ``neighbors``.
 Noise is zero-mean Gaussian, independent per link and per step; there is no
 packet loss unless ``drop_probability`` is set.
 """
@@ -48,8 +48,8 @@ class CommZone:
 
 
 def cell_width(radius: float, extent: float) -> float:
-    """Width of the grid cells for ``radius`` when no point joined by
-    ``disk_join`` has a coordinate above ``extent`` in magnitude.
+    """Width of ``disk_join``'s grid cells for ``radius`` when no point it
+    joins has a coordinate above ``extent`` in magnitude.
 
     A pair within ``radius`` has |dx|, |dy| <= radius * (1 + 2**-53), and each
     cell division is off by at most ``extent`` * 2**-53 / width cells, so with
@@ -62,7 +62,7 @@ def cell_width(radius: float, extent: float) -> float:
 def disk_join(
     qx: np.ndarray, qy: np.ndarray, qkey: np.ndarray,
     ex: np.ndarray, ey: np.ndarray, ekey: np.ndarray,
-    width: float, radius: float,
+    radius: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(query index, entry index, distance) of every pair of a query point
     (qx, qy) and an entry point (ex, ey) with equal integer keys whose exact
@@ -70,13 +70,17 @@ def disk_join(
     it equals ``model.distance`` of the two points bit for bit. Pairs come
     grouped by query, in ascending query order.
 
-    Points must be finite, on cells of a ``cell_width`` that covers every
-    coordinate. Each point's cell is ``floor(x / width)``, which numpy rounds
-    as Python does. The entries are stable-sorted by (key, cell x, cell y),
-    packed as ranks of their distinct values, so that for each query one
-    search per adjacent column of cells finds the entries of its own and the
-    8 adjacent cells.
+    A non-finite coordinate raises ValueError. Each point's cell is
+    ``floor(x / width)``, which numpy rounds as Python does, at the
+    ``cell_width`` of the largest coordinate magnitude given. The entries
+    are stable-sorted by (key, cell x, cell y), packed as ranks of their
+    distinct values, so that for each query one search per adjacent column
+    of cells finds the entries of its own and the 8 adjacent cells.
     """
+    # numpy's max passes a NaN on, and cell_width a NaN or an infinity
+    width = cell_width(radius, np.max([np.abs(a).max(initial=0.0) for a in (qx, qy, ex, ey)]))
+    if not math.isfinite(width):
+        raise ValueError("disk_join needs finite coordinates")
     if not len(qx) or not len(ex):
         return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
     keys, k_rank = np.unique(ekey, return_inverse=True)
@@ -134,10 +138,9 @@ def neighbors(
               if role is not NodeClass.INACTIVE and pos.is_finite()}
     ids = list(placed)
     ex, ey = np.array([*placed.values()], float).reshape(-1, 2).T
-    extent = float(np.abs([*own, *ex, *ey]).max())
     _, found, _ = disk_join(
         np.array([own.x]), np.array([own.y]), np.zeros(1, np.int64),
-        ex, ey, np.zeros(len(ids), np.int64), cell_width(zone.radius, extent), zone.radius,
+        ex, ey, np.zeros(len(ids), np.int64), zone.radius,
     )
     return sorted(ids[k] for k in found.tolist() if ids[k] != vehicle_id)
 

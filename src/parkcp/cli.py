@@ -124,12 +124,25 @@ def _merged(values: dict, **flags) -> dict:
     return {**values, **{k: v for k, v in flags.items() if v is not None}}
 
 
-# how a section's structured JSON values become field values, by field name
+def _number(value, where: str, expected: type = float):
+    """JSON number ``value`` of the key that ``where`` names, as
+    ``expected``: never a string or a bool, and only an int for an int."""
+    if not _has_type(value, expected):
+        raise ConfigError(f"{where} entries must be {expected.__name__}, got {value!r}")
+    try:
+        return expected(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is out of range: {value}") from None
+
+
+# how a section's structured JSON values become field values, by field name;
+# each is given the value and the words that name its key in an error
 _CONVERT = {
-    "circuit": lambda v: tuple(Position2D(float(x), float(y)) for x, y in v),
-    "area": lambda v: tuple(map(float, v)),
-    "choke_points": lambda v: tuple(
-        ChokePoint(float(x), float(y), float(r), int(h)) for x, y, r, h in v
+    "circuit": lambda v, at: tuple(Position2D(_number(x, at), _number(y, at)) for x, y in v),
+    "area": lambda v, at: tuple(_number(c, at) for c in v),
+    "choke_points": lambda v, at: tuple(
+        ChokePoint(_number(x, at), _number(y, at), _number(r, at), _number(h, at, int))
+        for x, y, r, h in v
     ),
 }
 
@@ -140,7 +153,8 @@ def _section(raw: dict, name: str, base, **flags):
     A value that the section's class rejects is a ConfigError naming it."""
     values = _merged(raw.get(name, {}), **flags)
     try:
-        return replace(base, **{k: _CONVERT.get(k, lambda v: v)(v) for k, v in values.items()})
+        return replace(base, **{k: _CONVERT[k](v, f"{name} key {k!r}") if k in _CONVERT else v
+                                for k, v in values.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config section {name!r}: {exc}") from None
 

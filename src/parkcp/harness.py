@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import ChainMap, Counter, defaultdict
+from collections import ChainMap, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -230,11 +230,6 @@ def _anchor_fix(anchors: list[Candidate], prior: Position2D) -> Position2D:
 _BLOCK = 1024  # query points per disk join: its temporaries grow with them
 
 
-def _extent(*points: np.ndarray) -> float:
-    """Largest coordinate magnitude in the arrays."""
-    return max((float(np.abs(a).max()) for a in points if a.size), default=0.0)
-
-
 class _Trace:
     """Trace records, checked against ``step_seconds`` and for vehicles and
     unique ids, with the records active from each step at which the active
@@ -275,7 +270,7 @@ class _Trace:
                  if r.vehicle_id in self.still_parked]
         still_set = [k for k, _ in still]
         still_id = [r.vehicle_id for _, r in still]
-        sxy = np.array([r.positions[0] for _, r in still], float).reshape(-1, 2)
+        sx, sy = np.array([r.positions[0] for _, r in still], float).reshape(-1, 2).T
         # every other car at each of its steps, in step order
         moving = [r for r in records if r.vehicle_id not in self.still_parked]
         step = np.array([t for r in moving for t in range(r.start_step, r.end_step)], np.int64)
@@ -285,14 +280,12 @@ class _Trace:
         order = np.argsort(step, kind="stable")
         step, owner, xy = step[order], owner[order], xy[order]
         step_set = np.searchsorted(sets, step, side="right") - 1
-        width = channel.cell_width(radius, _extent(sxy, xy))
 
         parked: list[dict] = [{} for _ in sets]
         for k, vid in zip(still_set, still_id):
             parked[k][vid] = []
-        sx, sy = sxy.T
         key = np.array(still_set, np.int64)
-        for i, j, d in _pairs(sx, sy, key, sx, sy, key, width, radius):
+        for i, j, d in _pairs(sx, sy, key, sx, sy, key, radius):
             if i != j:
                 parked[still_set[i]][still_id[i]].append((still_id[j], d))
 
@@ -306,13 +299,13 @@ class _Trace:
             for t, vid, row in zip(ts, ids, rows):
                 own[t][vid] = row
             qx, qy = xy[a:z].T
-            for i, j, d in _pairs(qx, qy, step[a:z], qx, qy, step[a:z], width, radius):
+            for i, j, d in _pairs(qx, qy, step[a:z], qx, qy, step[a:z], radius):
                 if i != j:
                     rows[i].append((ids[j], d))
             # the still-parked cars of the active sets of the block's steps
             first, last = (bisect_right(sets, t) - 1 for t in (b, b + span - 1))
             c, e = np.searchsorted(key, [first, last + 1]).tolist()
-            for i, j, d in _pairs(qx, qy, step_set[a:z], sx[c:e], sy[c:e], key[c:e], width, radius):
+            for i, j, d in _pairs(qx, qy, step_set[a:z], sx[c:e], sy[c:e], key[c:e], radius):
                 mine, vid = own[ts[i]], still_id[c + j]
                 row = mine.get(vid)
                 if row is None:  # a copy, so the shared row stays as it is
@@ -323,9 +316,9 @@ class _Trace:
                 self.near[t] = ChainMap(mine, parked[bisect_right(sets, t) - 1])
 
 
-def _pairs(qx, qy, qkey, ex, ey, ekey, width, radius):
+def _pairs(qx, qy, qkey, ex, ey, ekey, radius):
     """``channel.disk_join`` as (query index, entry index, distance) Python values."""
-    return zip(*(a.tolist() for a in channel.disk_join(qx, qy, qkey, ex, ey, ekey, width, radius)))
+    return zip(*(a.tolist() for a in channel.disk_join(qx, qy, qkey, ex, ey, ekey, radius)))
 
 
 @dataclass(slots=True, eq=False)
@@ -509,27 +502,18 @@ def run_episode(
     )
 
 
-def trace_metrics(
-    records: Sequence[VehicleRecord], radius: float
-) -> dict[int, tuple[int, float]]:
-    """(parked vehicles ever within ``radius``, km travelled) of each tracked
-    (moving-kind) vehicle. Both depend only on the trace."""
-    tracked = [r for r in records if r.kind is MotionKind.MOVING]
-    parked = np.array([r.positions[0] for r in records if r.kind is MotionKind.PARKED],
-                      float).reshape(-1, 2)
-    distinct = [set(r.positions) for r in tracked]
-    xy = np.fromiter(chain.from_iterable(chain.from_iterable(distinct)), float,
-                     2 * sum(map(len, distinct))).reshape(-1, 2)
-    cars = np.repeat(np.arange(len(tracked)), list(map(len, distinct)))
-    width = channel.cell_width(radius, _extent(parked, xy))
-    pairs = set()  # (car, parked car) of each pair ever in range
-    for a in range(0, len(xy), _BLOCK):
-        qx, qy = xy[a:a + _BLOCK].T
-        q, e, _ = channel.disk_join(qx, qy, np.zeros(len(qx), np.int64), *parked.T,
-                                    np.zeros(len(parked), np.int64), width, radius)
-        pairs.update(zip(cars[a + q].tolist(), e.tolist()))
-    found = Counter(car for car, _ in pairs)
-    return {r.vehicle_id: (found[k], r.path_length() / 1000.0) for k, r in enumerate(tracked)}
+def trace_metrics(trace: _Trace) -> dict[int, tuple[int, float]]:
+    """(parked vehicles met, km travelled) of each tracked (moving-kind)
+    vehicle. It meets each parked one in its ``trace.near`` rows: one that
+    is active and within the trace's radius at a step of its own."""
+    parked = {r.vehicle_id for r in trace.records if r.kind is MotionKind.PARKED}
+    metrics = {}
+    for r in trace.records:
+        if r.kind is MotionKind.MOVING:
+            rows = (trace.near[t][r.vehicle_id] for t in range(r.start_step, r.end_step))
+            met = parked.intersection(j for row in rows for j, _ in row)
+            metrics[r.vehicle_id] = (len(met), r.path_length() / 1000.0)
+    return metrics
 
 
 def rmse(errors: Sequence[float] | np.ndarray) -> float:
@@ -637,7 +621,7 @@ def ensemble(
             results = list(pool.map(_episode_task, tasks, chunksize=1))
 
     by_run = list(zip(results[0::2], results[1::2]))  # (traditional, proposed)
-    per_trace = trace_metrics(trace.records, cfg.zone.radius)
+    per_trace = trace_metrics(trace)
     vehicles = []
     for vid in sorted(per_trace):
         trad = np.array([rmse(t.errors[vid]) for t, _ in by_run])

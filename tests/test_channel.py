@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from parkcp.channel import (
     CommZone,
     NoiseModel,
-    cell_width,
     disk_join,
     measure_gps,
     measure_range,
@@ -178,13 +177,10 @@ partner = st.sampled_from([None, (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (0.6, 0.8
 
 
 def _joined(queries, entries, radius):
-    """``disk_join`` of (x, y, key) lists on the cells of the narrowest valid
-    width, as sorted (query, entry, distance bits)."""
-    extent = max((abs(c) for x, y, _ in queries + entries for c in (x, y)), default=0.0)
+    """``disk_join`` of (x, y, key) lists, as sorted (query, entry, distance bits)."""
     q, e = (np.array(side, float).reshape(-1, 3) for side in (queries, entries))
     qi, ei, d = disk_join(q[:, 0], q[:, 1], q[:, 2].astype(np.int64),
-                          e[:, 0], e[:, 1], e[:, 2].astype(np.int64),
-                          cell_width(radius, extent), radius)
+                          e[:, 0], e[:, 1], e[:, 2].astype(np.int64), radius)
     assert (np.diff(qi) >= 0).all()  # grouped by query
     return sorted(zip(qi.tolist(), ei.tolist(), [v.hex() for v in d.tolist()]))
 
@@ -231,6 +227,23 @@ def test_disk_join_equals_an_all_pairs_scan_on_cell_edges(spacing, radius):
     entries = [(x, y, (i // 3) % 2) for i, (x, y) in enumerate(pts)]
     for q, e in ((queries, entries), (queries, []), ([], entries)):
         assert _joined(q, e, radius) == _scanned(q, e, radius)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", range(4))
+def test_disk_join_rejects_a_non_finite_coordinate(side, bad):
+    """On either side and either axis, also when the other side is empty."""
+    def join(qx, qy, ex, ey):
+        return disk_join(qx, qy, np.zeros(len(qx), np.int64),
+                         ex, ey, np.zeros(len(ex), np.int64), 15.0)
+
+    coords = [np.array([0.0, 3.0]) for _ in range(4)]
+    coords[side][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        join(*coords)
+    alone = [c if k // 2 == side // 2 else np.empty(0) for k, c in enumerate(coords)]
+    with pytest.raises(ValueError, match="finite"):
+        join(*alone)
 
 
 # how a car moves: it stands still parked, stands parked but jitters within

@@ -187,6 +187,45 @@ def test_sim_bad_town_geometry_names_the_key(tmp_path, capsys, values, key):
     assert err.startswith("error: ") and key in err and "trace" not in err
 
 
+@pytest.mark.parametrize("values, message", [
+    ({"choke_points": [[70, "60", 8, 15]]}, "'choke_points' entries must be float, got '60'"),
+    ({"choke_points": [[70, 60, True, 15]]}, "'choke_points' entries must be float, got True"),
+    ({"choke_points": [[70, 60, 8, 2.9]]}, "'choke_points' entries must be int, got 2.9"),
+    ({"choke_points": [[70, 60, 8, 15.0]]}, "'choke_points' entries must be int, got 15.0"),
+    ({"choke_points": [[70, 60, 8, False]]}, "'choke_points' entries must be int, got False"),
+    ({"area": [0, 0, "500", 400]}, "'area' entries must be float, got '500'"),
+    ({"area": [0, False, 500, 400]}, "'area' entries must be float, got False"),
+    ({"circuit": [[0, 0], [100, "0"], [100, 100]]}, "'circuit' entries must be float, got '0'"),
+    ({"area": [0, 0, 10**400, 400]}, "scenario key 'area' is out of range: 1000"),
+    ({"circuit": [[0, 0], [-10**400, 0], [0, 100]]}, "scenario key 'circuit' is out of range"),
+    ({"choke_points": [[10**400, 60, 8, 15]]}, "scenario key 'choke_points' is out of range"),
+], ids=["str-x", "bool-radius", "float-hold", "integral-float-hold", "bool-hold", "str-area",
+        "bool-area", "str-circuit", "huge-area", "huge-circuit", "huge-choke"])
+def test_sim_structured_values_take_json_numbers_only(tmp_path, capsys, values, message):
+    config = json.loads(json.dumps(CIRCUIT_CONFIG))
+    config["scenario"] = {"kind": "town", "duration": 20, "n_moving": 2, "n_parked": 4,
+                          **values}
+    path = tmp_path / "bad.cfg"
+    path.write_text(json.dumps(config))
+    code = main(["sim", "--config", str(path), "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_structured_json_ints_configure_as_floats(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario": {
+        "area": [0, 0, 500, 400], "circuit": [[0, 0], [100, 0.5]],
+        "choke_points": [[70, 60.5, 8, 15]],
+    }}))
+    scenario = cli._scenario(cli.load_config(str(path)))
+    assert [type(c) for c in scenario.area] == [float] * 4
+    assert [type(c) for p in scenario.circuit for c in p] == [float] * 4
+    choke, = scenario.choke_points
+    assert choke == (70.0, 60.5, 8.0, 15) and type(choke.x) is float and type(choke.hold_steps) is int
+
+
 def test_sim_row_accounting(tmp_path, config_path, capsys):
     out = tmp_path / "results.csv"
     code = main(["sim", "--config", config_path, "--out", str(out)])

@@ -205,11 +205,12 @@ def test_episode_tracks_parked_and_distance():
     records = gen_circuit(cfg.scenario)
     # one lap of the 480 m rectangle at 10 m/s takes 48 steps; 60 steps pass
     # every parked car at least once
-    encountered, km = trace_metrics(records, cfg.zone.radius)[0]
+    step = cfg.scenario.step_seconds
+    encountered, km = trace_metrics(harness._Trace(records, step, cfg.zone.radius))[0]
     assert encountered == 12
     assert km == pytest.approx(0.59, abs=0.02)
     # the parked cars stand 5 m off the driven line
-    assert trace_metrics(records, 4.0)[0] == (0, km)
+    assert trace_metrics(harness._Trace(records, step, 4.0))[0] == (0, km)
     assert run_episode(cfg, 0).anchors_used[0] > 0
     summary = ensemble(replace(cfg, n_runs=1))
     assert summary.vehicles[0].parked_encountered == 12.0
@@ -221,33 +222,87 @@ _lattice = st.integers(-8, 8).map(lambda k: k * 0.75)
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.lists(st.lists(st.tuples(_lattice, _lattice), min_size=1, max_size=8),
+    st.lists(st.tuples(st.integers(0, 3),
+                       st.lists(st.tuples(_lattice, _lattice), min_size=1, max_size=8)),
              min_size=1, max_size=4),
-    st.lists(st.tuples(_lattice, _lattice), max_size=10),
+    st.lists(st.tuples(_lattice, _lattice, st.integers(0, 6), st.integers(1, 6), st.booleans()),
+             max_size=10),
     st.sampled_from([3.75, 15.0, 4.5, 0.1, 0.75, 1.5, 3.0]),
     st.tuples(st.sampled_from([0.0, 1e6, -1e6]), st.sampled_from([0.0, 1e6, -1e6])),
 )
 def test_trace_metrics_count_matches_every_pair(paths, stations, radius, origin):
+    """Each tracked car drives its path from its start step; each parked car
+    stands over its own window, still or jittering 0.375 m along x every
+    other step. A tracked car meets the parked cars within the radius at a
+    step when both are active, as an all-pairs scan of the shared steps
+    finds them."""
     # lattice points make distances of exactly the radius (3-4-5 steps) common;
     # radii of a whole number of lattice steps put pairs on cell edges, and
     # the lattice stays exact when shifted to about 1e6 m from the origin
-    def at(xy):
-        return Position2D(origin[0] + xy[0], origin[1] + xy[1])
+    def at(x, y):
+        return Position2D(origin[0] + x, origin[1] + y)
+
+    records = []
+    for vid, (start, path) in enumerate(paths):
+        positions = [at(*xy) for xy in path]
+        velocities = [Velocity2D(q.x - p.x, q.y - p.y) for p, q in zip(positions, positions[1:])]
+        records.append(VehicleRecord(vid, MotionKind.MOVING, start, positions,
+                                     velocities + [Velocity2D(0.0, 0.0)]))
+    for k, (x, y, start, length, jitter) in enumerate(stations):
+        positions = [at(x + 0.375 * (t % 2) * jitter, y) for t in range(start, start + length)]
+        records.append(VehicleRecord(100 + k, MotionKind.PARKED, start, positions,
+                                     [Velocity2D(0.0, 0.0)] * length))
+    metrics = trace_metrics(harness._Trace(records, 1.0, radius))
+    parked = records[len(paths):]
+    for r in records[:len(paths)]:
+        expected = sum(1 for q in parked if any(
+            distance(r.position_at(t), q.position_at(t)) <= radius
+            for t in range(max(r.start_step, q.start_step), min(r.end_step, q.end_step))
+        ))
+        assert metrics[r.vehicle_id] == (expected, r.path_length() / 1000.0)
+
+
+def test_trace_metrics_meets_a_parked_car_where_it_stands_at_that_step():
+    """The tracked car drives from x = 0 to 9 along y = 0 over steps 3 to
+    12, and the radius is 2 m. Car 1 stands 1 m off x = 8 over steps 0 to
+    2, before the car comes: not met. Cars 2 and 3 jitter at x = 5 between
+    1.9 and 2.3 m off the road: at step 8, when the car is at x = 5, car 2
+    stands at 1.9 m (met) and car 3 at 2.3 m (not met), though car 3 starts
+    at 1.9 m and car 2 at 2.3 m."""
+    zero = Velocity2D(0.0, 0.0)
+    track = [Position2D(float(t - 3), 0.0) for t in range(3, 13)]
+
+    def jittering(vid, near_at_even):
+        ys = [1.9 if (t % 2 == 0) == near_at_even else 2.3 for t in range(1, 13)]
+        return VehicleRecord(vid, MotionKind.PARKED, 1, [Position2D(5.0, y) for y in ys],
+                             [zero] * len(ys))
 
     records = [
-        VehicleRecord(vid, MotionKind.MOVING, 0, [at(xy) for xy in path],
-                      [Velocity2D(0.0, 0.0)] * len(path))
-        for vid, path in enumerate(paths)
-    ] + [
-        VehicleRecord(100 + k, MotionKind.PARKED, 0, [at(xy)], [Velocity2D(0.0, 0.0)])
-        for k, xy in enumerate(stations)
+        VehicleRecord(0, MotionKind.MOVING, 3, track, [Velocity2D(1.0, 0.0)] * len(track)),
+        VehicleRecord(1, MotionKind.PARKED, 0, [Position2D(8.0, 1.0)] * 3, [zero] * 3),
+        jittering(2, near_at_even=True),
+        jittering(3, near_at_even=False),
     ]
-    parked = [at(xy) for xy in stations]
-    for r in records[:len(paths)]:
-        expected = sum(
-            1 for q in parked if any(distance(p, q) <= radius for p in r.positions)
-        )
-        assert trace_metrics(records, radius)[r.vehicle_id][0] == expected
+    trace = harness._Trace(records, 1.0, 2.0)
+    assert [j for j, _ in trace.near[8][0]] == [2]
+    assert trace_metrics(trace) == {0: (1, 0.009)}
+
+
+def test_an_ensemble_joins_disks_only_to_build_its_trace(monkeypatch):
+    cfg = replace(golden_town_cfg(Algorithm.EKF), n_runs=1)
+    records = generate(cfg.scenario)
+    calls = []
+    real = channel.disk_join
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(channel, "disk_join", counting)
+    harness._Trace(records, cfg.scenario.step_seconds, cfg.zone.radius)
+    built = len(calls)
+    ensemble(cfg, records)
+    assert built > 0 and len(calls) == 2 * built
 
 
 def test_traditional_mode_never_uses_anchors():
