@@ -980,6 +980,69 @@ def test_town_link_drops_keep_their_per_step_errors(algorithm, preloaded):
     assert hashlib.sha256(dump.encode()).hexdigest() == DROP_STEPS[algorithm, preloaded]
 
 
+def _staggered_town(algorithm, drop_probability):
+    """The golden town with its k-th parked car arriving at step 11k mod 66
+    (in groups of two or three, from step 0 to 55, not in id order), a 30 m
+    zone and a 30-step GNSS window. The first anchors appear mid-run, when
+    the first cars' windows fill and they settle; cars that parked later
+    stay dormant until two anchors are in range, then range and are
+    promoted."""
+    cfg = golden_town_cfg(algorithm)
+    cfg = replace(cfg, zone=CommZone(30.0, drop_probability),
+                  policy=replace(cfg.policy, gnss_window=30))
+    records, k = [], 0
+    for r in generate(cfg.scenario):
+        if r.kind is MotionKind.PARKED:
+            s, k = 11 * k % 66, k + 1
+            r = replace(r, start_step=s, positions=r.positions[s:], velocities=r.velocities[s:])
+        records.append(r)
+    return cfg, records
+
+
+def test_staggered_parked_cars_range_once_anchors_appear(monkeypatch):
+    cfg, records = _staggered_town(Algorithm.EKF, 0.0)
+    start = {r.vehicle_id: r.start_step for r in records if r.kind is MotionKind.PARKED}
+    first_range = {}
+    real = harness.substream
+
+    def spy(*args):
+        if args[2] in start and args[4] == "range":
+            first_range.setdefault(args[2], args[3])
+        return real(*args)
+
+    monkeypatch.setattr(harness, "substream", spy)
+    run_episode(cfg, 0, records, Mode.PROPOSED)
+    # no parked car ranges before the first GNSS windows fill, and some that
+    # arrived since then wait, dormant, for anchors before they range
+    assert min(first_range.values()) >= cfg.policy.gnss_window - 1
+    assert sum(start[v] < s - 1 for v, s in first_range.items()) >= 3
+
+
+# sha256 of the per-step error dump (6 decimals, both modes) of
+# _staggered_town: a dormant parked car must count the anchors it hears
+# exactly once they appear mid-run, settled ones included, with and
+# without link drops
+STAGGERED_STEPS = {
+    (Algorithm.GCPSO, 0.0):
+        "3b0830d64c88df06e7dc3eb374e6dcc7f7d8eff7c3fc1bb0e7d3820421221a3b",
+    (Algorithm.GCPSO, 0.3):
+        "d222042a08cbf209508eb82848f47c532bf424f4bd7a558dab0c218f84f436cb",
+    (Algorithm.EKF, 0.0):
+        "263c35caa3b14b7300234879320e19a9c393ca29a8981a96965e75eab324586b",
+    (Algorithm.EKF, 0.3):
+        "ddb8cb75c856b33529b533c8e3d233a17f4754535f777bcddd2da84c72b6ef6d",
+}
+
+
+@pytest.mark.parametrize("algorithm, drop", list(STAGGERED_STEPS))
+def test_staggered_parked_cars_keep_their_per_step_errors(algorithm, drop):
+    cfg, records = _staggered_town(algorithm, drop)
+    summary = ensemble(cfg, records, keep_episodes=True)
+    dump = format_steps_csv([summary])
+    assert {mode for _, mode, _ in summary.episodes} == set(Mode)
+    assert hashlib.sha256(dump.encode()).hexdigest() == STAGGERED_STEPS[algorithm, drop]
+
+
 @pytest.mark.parametrize("preloaded", [True, False])
 @pytest.mark.parametrize("drop", [0.0, 0.3])
 @pytest.mark.parametrize("algorithm", [Algorithm.GCPSO, Algorithm.EKF])
