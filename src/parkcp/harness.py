@@ -60,6 +60,11 @@ from .policy import (
 )
 from .scenario import ScenarioConfig, generate, validate_records
 
+# members read once: each NodeClass.X or MotionKind.X read costs an enum
+# class lookup, and an episode makes several per car-step
+_ANCHOR, _INACTIVE = NodeClass.ANCHOR, NodeClass.INACTIVE
+_MOVING, _QUEUED, _PARKED = MotionKind.MOVING, MotionKind.QUEUED, MotionKind.PARKED
+
 
 class Algorithm(Enum):
     GCPSO = "gcpso"
@@ -183,26 +188,27 @@ def _ranked_candidates(
     only measured for the top three neighbors under (priority, distance from
     own reference to the shared position, id); the final order is then fixed
     by select_neighbors on measured ranges. Returns (selected candidates,
-    anchors whose broadcast arrived this step, after drops). With fewer than
-    ``min_anchors`` such anchors nothing is ranked or ranged and no candidate
-    is selected; range draws are keyed by counter, so skipping them moves no
-    other draw.
+    anchors whose broadcast arrived this step, after drops). With nothing
+    heard, or fewer than ``min_anchors`` such anchors, nothing is ranked or
+    ranged and no candidate is selected; range draws are keyed by counter,
+    so skipping them moves no other draw.
     """
+    drop = zone.drop_probability
+    rx, ry = reference
     ranked = []
     anchors_in_range = 0
     for j, true_d in row:
         sent = heard.get(j)
         if sent is None:
             continue  # silent: inactive, in its first active step, or parked in traditional
-        if zone.drop_probability > 0.0:
-            if stream(vehicle_id, step, "drop", j).random() < zone.drop_probability:
-                continue  # broadcast lost this step
+        if drop > 0.0 and stream(vehicle_id, step, "drop", j).random() < drop:
+            continue  # broadcast lost this step
         ncls, shared, prio = sent
-        if ncls is NodeClass.ANCHOR:
+        if ncls is _ANCHOR:
             anchors_in_range += 1
-        gap = math.hypot(reference.x - shared.x, reference.y - shared.y)
-        ranked.append((prio, gap, j, true_d, ncls, shared))
-    if anchors_in_range < min_anchors:
+        sx, sy = shared
+        ranked.append((prio, math.hypot(rx - sx, ry - sy), j, true_d, ncls, shared))
+    if not ranked or anchors_in_range < min_anchors:
         return [], anchors_in_range
     ranked.sort()  # ids are unique in a row, so no comparison goes past the id
     candidates = []
@@ -370,68 +376,87 @@ def run_episode(
     # A still parked anchor is halted for good, so its step is a no-op and
     # its broadcast never changes: it settles, and is skipped from then on.
     settled: set[int] = set()
+    # Until an anchor has broadcast, no car hears one, so a dormant parked
+    # car's anchor count is 0 without a look at its row. Set for good then.
+    anchor_heard = False
 
     others: list[VehicleRecord] = []  # active, not settled, and not parked in traditional mode
     for t in trace.steps:
         if t in trace.active_from:
             others = [r for r in trace.active_from[t] if r.vehicle_id not in settled
-                      and (proposed or r.kind is not MotionKind.PARKED)]
-        near = trace.near[t]
+                      and (proposed or r.kind is not _PARKED)]
+        # near[t] is a ChainMap of the step's own rows over the shared
+        # still-parked ones; its maps are read directly, skipping its lookup
+        own, shared = trace.near[t].maps
 
         for rec in others:
             vid = rec.vehicle_id
             node = nodes.get(vid)
             if node is not None:  # a vehicle broadcasts from its second step
                 role = node.role  # an anchor shares its position, any other role its estimate
-                heard[vid] = None if role is NodeClass.INACTIVE else (
-                    role, rec.position_at(t) if role is NodeClass.ANCHOR else node.est,
-                    priority(role))
-                if vid in trace.still_parked and role is NodeClass.ANCHOR:
-                    settled.add(vid)
+                if role is _INACTIVE:
+                    heard[vid] = None
+                elif role is _ANCHOR:
+                    heard[vid] = (role, rec.positions[t - rec.start_step], priority(role))
+                    anchor_heard = True
+                    if vid in trace.still_parked:
+                        settled.add(vid)
+                else:
+                    heard[vid] = (role, node.est, priority(role))
         others = [r for r in others if r.vehicle_id not in settled]  # their step is a no-op
 
         for rec in others:
             vid, kind = rec.vehicle_id, rec.kind
-            truth = rec.position_at(t)
+            i = t - rec.start_step
+            truth = rec.positions[i]
             node = nodes.get(vid)
             if node is None:  # first active step: initialise only
-                if kind is not MotionKind.PARKED:
+                if kind is not _PARKED:
                     fix = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gps"))
                     node = nodes[vid] = _Node(NodeClass.BLIND, fix, gps_cov)
-                    if kind is MotionKind.MOVING:
+                    if kind is _MOVING:
                         node.errors.append(distance(fix, truth))
                 elif pol.anchors_preloaded:
-                    nodes[vid] = _Node(NodeClass.ANCHOR, truth)
+                    nodes[vid] = _Node(_ANCHOR, truth)
                 else:
                     fix = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gnss"))
-                    nodes[vid] = _Node(NodeClass.INACTIVE, None, gnss_n=1, gnss_sum=fix)
+                    nodes[vid] = _Node(_INACTIVE, None, gnss_n=1, gnss_sum=fix)
                 continue
-            vel_now = rec.velocity_at(t)
-            halted = kind is MotionKind.PARKED or (
-                kind is MotionKind.QUEUED and vel_now.vx == 0.0 and vel_now.vy == 0.0
-            )
-            if node.role is NodeClass.ANCHOR:
+            if kind is _PARKED:
+                halted = True
+            else:
+                vel_now = rec.velocities[i]
+                halted = kind is _QUEUED and vel_now.vx == 0.0 and vel_now.vy == 0.0
+            if node.role is _ANCHOR:
                 if halted:
                     continue  # keeps serving its precisely known position
                 node.role = NodeClass.BLIND  # pulled back into traffic
+            row = own.get(vid)
+            if row is None:
+                row = shared[vid]
 
             if proposed and halted:
                 # stationary bootstrap: GNSS averaging, assisted by anchors
-                if kind is MotionKind.PARKED:
+                if kind is _PARKED:
                     # halted since its first step, it averages one fix per step;
                     # below two anchors its mean is read by nothing, so the fixes
                     # are drawn when a step first reads them, and summed in order
-                    n = t - rec.start_step + 1
-                    anchors = sum(1 for j, _ in near[vid] if (sent := heard.get(j)) is not None
-                                  and sent[0] is NodeClass.ANCHOR)
+                    n = i + 1
+                    anchors = 0
+                    if anchor_heard:
+                        for j, _ in row:
+                            sent = heard.get(j)
+                            if sent is not None and sent[0] is _ANCHOR:
+                                anchors += 1
                     if anchors < 2:  # it cannot rank, and no error is read
                         node.role = classify_stationary(kind, anchors, n, math.inf, pol)
-                        if node.role is NodeClass.ANCHOR:
+                        if node.role is _ANCHOR:
                             node.est = truth
                         continue
                     sx, sy = node.gnss_sum
-                    for s in range(rec.start_step + node.gnss_n, t + 1):
-                        fix = channel.measure_gps(rec.position_at(s), cfg.noise,
+                    positions, start = rec.positions, rec.start_step
+                    for s in range(start + node.gnss_n, t + 1):
+                        fix = channel.measure_gps(positions[s - start], cfg.noise,
                                                   stream(vid, s, "gnss"))
                         sx, sy = sx + fix.x, sy + fix.y
                 else:  # a queued car broadcasts its estimate, so it averages eagerly
@@ -444,22 +469,19 @@ def run_episode(
 
                 # below two anchors _anchor_fix gives gnss_mean whatever is ranged
                 selected, anchors_in_range = _ranked_candidates(
-                    near[vid], heard, vid, gnss_mean, cfg.zone, cfg.noise, stream, t,
-                    min_anchors=2,
+                    row, heard, vid, gnss_mean, cfg.zone, cfg.noise, stream, t, min_anchors=2,
                 )
-                new_est = _anchor_fix(
-                    [c for c in selected if c.node_class is NodeClass.ANCHOR], gnss_mean
-                )
+                new_est = _anchor_fix([c for c in selected if c.node_class is _ANCHOR], gnss_mean)
                 node.role = classify_stationary(
                     kind, anchors_in_range, n, distance(new_est, truth), pol
                 )
-                node.est = truth if node.role is NodeClass.ANCHOR else new_est
+                node.est = truth if node.role is _ANCHOR else new_est
                 node.cov = (gps_var / n, 0.0, gps_var / n)
                 continue
 
             # driving (or halted in traditional mode, where nothing is promoted)
             node.gnss_n = 0
-            vel_true = rec.velocity_at(t - 1)  # motion from t-1 to t
+            vel_true = rec.velocities[i - 1]  # motion from t-1 to t
             # normal(0.0, velocity_std, 2), as in channel.measure_gps
             zx, zy = stream(vid, t, "vel").standard_normal(2).tolist()
             sv = cfg.noise.velocity_std
@@ -470,7 +492,7 @@ def run_episode(
                 prior = dead_reckon(node.est, vel_meas, dt)
 
             selected, _ = _ranked_candidates(
-                near[vid], heard, vid, prior, cfg.zone, cfg.noise, stream, t
+                row, heard, vid, prior, cfg.zone, cfg.noise, stream, t
             )
             if use_ekf:
                 new_est, node.cov = ekf_update(prior, p_cov, selected, cfg.ekf)
@@ -487,10 +509,13 @@ def run_episode(
                     node.cov = gps_cov
                     node.iso = 0
 
-            n_anch = sum(1 for c in selected if c.node_class is NodeClass.ANCHOR)
+            n_anch = 0
+            for c in selected:
+                if c.node_class is _ANCHOR:
+                    n_anch += 1
             node.role = classify_moving(n_anch)
             node.est = new_est
-            if kind is MotionKind.MOVING:
+            if kind is _MOVING:
                 node.anchors += n_anch
                 node.errors.append(distance(new_est, truth))
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,11 @@ class EkfParams:
         if not all(0 < v < math.inf for v in (self.range_std, self.process_std,
                                               self.velocity_std, self.step_seconds)):
             raise ValueError("EKF parameters must be finite and > 0")
+
+    @cached_property
+    def step_variance(self) -> float:
+        """Variance added to each axis per predicted step."""
+        return self.process_std**2 + (self.step_seconds * self.velocity_std) ** 2
 
 
 @dataclass(frozen=True)
@@ -261,9 +267,8 @@ def ekf_predict(
     """Propagate the position with the measured velocity and inflate the
     covariance by the process and velocity-input noise."""
     a, b, d = _require_psd(cov)
-    dt = params.step_seconds
-    q = params.process_std**2 + (dt * params.velocity_std) ** 2
-    return dead_reckon(state, velocity, dt), (a + q, b, d + q)
+    q = params.step_variance
+    return dead_reckon(state, velocity, params.step_seconds), (a + q, b, d + q)
 
 
 def ekf_update(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import MotionKind, NodeClass, Position2D, Velocity2D
 
@@ -36,34 +36,47 @@ class PolicyConfig:
             raise ValueError("windows must be > 0")
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """A neighbor offered to the localizer: its broadcast position plus the
-    measured range to it, in meters."""
-
+class _CandidateFields(NamedTuple):
     vehicle_id: int
     node_class: NodeClass
     shared_position: Position2D
     measured_range: float
 
-    def __post_init__(self):
-        if self.node_class is NodeClass.INACTIVE:
+
+_INACTIVE = NodeClass.INACTIVE
+# members read once: each NodeClass.X read costs an enum class lookup
+_ANCHOR, _PSEUDO_ANCHOR, _BLIND = NodeClass.ANCHOR, NodeClass.PSEUDO_ANCHOR, NodeClass.BLIND
+
+
+class Candidate(_CandidateFields):
+    """A neighbor offered to the localizer: its broadcast position plus the
+    measured range to it, in meters. An immutable named tuple; an inactive
+    node cannot be one."""
+
+    __slots__ = ()
+
+    def __new__(cls, vehicle_id: int, node_class: NodeClass, shared_position: Position2D,
+                measured_range: float):
+        if node_class is _INACTIVE:
             raise ValueError("inactive nodes cannot be candidates")
+        return tuple.__new__(cls, (vehicle_id, node_class, shared_position, measured_range))
 
-
-_PRIORITY = {
-    NodeClass.ANCHOR: 1,
-    NodeClass.PSEUDO_ANCHOR: 2,
-    NodeClass.BLIND: 3,
-}
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
 def priority(node_class: NodeClass) -> int:
-    """Selection priority: anchors first, then pseudo-anchors, then blind."""
-    try:
-        return _PRIORITY[node_class]
-    except KeyError:
-        raise ValueError(f"{node_class} has no priority") from None
+    """Selection priority: anchors first, then pseudo-anchors, then blind.
+    Tested by identity: hashing a member for a dict runs Enum.__hash__ in
+    Python."""
+    if node_class is _ANCHOR:
+        return 1
+    if node_class is _PSEUDO_ANCHOR:
+        return 2
+    if node_class is _BLIND:
+        return 3
+    raise ValueError(f"{node_class} has no priority")
 
 
 def selection_key(candidate: Candidate) -> tuple[int, float, int]:

@@ -29,9 +29,35 @@ def test_priority_rejects_inactive():
         priority(NodeClass.INACTIVE)
 
 
+@pytest.mark.parametrize("value", ["anchor", 1, None, MotionKind.PARKED])
+def test_priority_rejects_a_value_that_is_not_a_node_class(value):
+    with pytest.raises(ValueError, match="has no priority"):
+        priority(value)
+
+
 def test_candidate_rejects_inactive(make_candidate):
     with pytest.raises(ValueError):
         make_candidate(node_class=NodeClass.INACTIVE)
+    with pytest.raises(ValueError):
+        make_candidate()._replace(node_class=NodeClass.INACTIVE)
+
+
+def test_candidate_fields_equality_and_immutability():
+    c = Candidate(4, NodeClass.PSEUDO_ANCHOR, Position2D(1.0, 2.0), 7.5)
+    assert (c.vehicle_id, c.node_class, c.shared_position, c.measured_range) == (
+        4, NodeClass.PSEUDO_ANCHOR, Position2D(1.0, 2.0), 7.5)
+    same = Candidate(vehicle_id=4, node_class=NodeClass.PSEUDO_ANCHOR,
+                     shared_position=Position2D(1.0, 2.0), measured_range=7.5)
+    assert c == same and hash(c) == hash(same)
+    assert c != Candidate(4, NodeClass.PSEUDO_ANCHOR, Position2D(1.0, 2.0), 7.25)
+    assert c != Candidate(5, NodeClass.PSEUDO_ANCHOR, Position2D(1.0, 2.0), 7.5)
+    assert c._replace(measured_range=7.25).measured_range == 7.25
+    for field in ("vehicle_id", "node_class", "shared_position", "measured_range"):
+        with pytest.raises(AttributeError):
+            setattr(c, field, None)
+    with pytest.raises(AttributeError):
+        c.extra = 1  # no instance dict
+    assert repr(c).startswith("Candidate(vehicle_id=4, ")
 
 
 def test_select_neighbors_lexicographic(make_candidate):
@@ -77,6 +103,23 @@ def test_select_neighbors_optimality(entries, k):
         worst_chosen = max(selection_key(c) for c in chosen)
         best_left = min(selection_key(c) for c in left_out)
         assert worst_chosen <= best_left
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(_classes, st.sampled_from([0.0, 1.5, 3.0]) | st.floats(0, 100),
+                  st.integers(0, 12)),
+        max_size=12, unique_by=lambda e: e[2],
+    ),
+    st.integers(min_value=1, max_value=5),
+)
+def test_select_neighbors_orders_as_a_reference_sort(entries, k):
+    # few distinct ranges, so that ties in priority and range are common
+    cands = [Candidate(vid, ncls, Position2D(0, 0), dist) for ncls, dist, vid in entries]
+    rank = {NodeClass.ANCHOR: 1, NodeClass.PSEUDO_ANCHOR: 2, NodeClass.BLIND: 3}
+    reference = sorted(cands, key=lambda c: (rank[c.node_class], c.measured_range, c.vehicle_id))
+    assert select_neighbors(cands, k) == reference[:k]
 
 
 def test_classify_stationary_gnss_window_reaches_anchor():
