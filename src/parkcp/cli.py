@@ -135,14 +135,26 @@ def _number(value, where: str, expected: type = float):
         raise ConfigError(f"{where} is out of range: {value}") from None
 
 
+def _array(value, where: str, length: int | None = None) -> list:
+    """JSON array ``value`` of what ``where`` names, of ``length`` entries
+    when given."""
+    if not isinstance(value, list) or length is not None and len(value) != length:
+        size = "" if length is None else f" of {length}"
+        raise ConfigError(f"{where} must be an array{size}, got {value!r}")
+    return value
+
+
 # how a section's structured JSON values become field values, by field name;
 # each is given the value and the words that name its key in an error
 _CONVERT = {
-    "circuit": lambda v, at: tuple(Position2D(_number(x, at), _number(y, at)) for x, y in v),
-    "area": lambda v, at: tuple(_number(c, at) for c in v),
+    "circuit": lambda v, at: tuple(
+        Position2D(*(_number(c, at) for c in _array(p, f"{at} entries", 2)))
+        for p in _array(v, at)
+    ),
+    "area": lambda v, at: tuple(_number(c, at) for c in _array(v, at)),
     "choke_points": lambda v, at: tuple(
         ChokePoint(_number(x, at), _number(y, at), _number(r, at), _number(h, at, int))
-        for x, y, r, h in v
+        for x, y, r, h in (_array(p, f"{at} entries", 4) for p in _array(v, at))
     ),
 }
 

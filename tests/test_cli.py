@@ -213,6 +213,34 @@ def test_sim_structured_values_take_json_numbers_only(tmp_path, capsys, values, 
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("command", ["sim", "gen"])
+@pytest.mark.parametrize("values, message", [
+    ({"choke_points": [[1, 2, 3]]},
+     "scenario key 'choke_points' entries must be an array of 4, got [1, 2, 3]"),
+    ({"choke_points": [[1, 2, 3, 4, 5]]}, "scenario key 'choke_points' entries must be an array of 4"),
+    ({"choke_points": [5]}, "scenario key 'choke_points' entries must be an array of 4, got 5"),
+    ({"choke_points": {"x": 1}}, "scenario key 'choke_points' must be an array, got {'x': 1}"),
+    ({"circuit": [[0, 0], [1, 2, 3], [4, 5]]},
+     "scenario key 'circuit' entries must be an array of 2, got [1, 2, 3]"),
+    ({"circuit": [[0, 0], [1], [4, 5]]}, "scenario key 'circuit' entries must be an array of 2"),
+    ({"circuit": [5, 6]}, "scenario key 'circuit' entries must be an array of 2, got 5"),
+    ({"circuit": 5}, "scenario key 'circuit' must be an array, got 5"),
+    ({"area": 5}, "scenario key 'area' must be an array, got 5"),
+], ids=["choke-3", "choke-5", "choke-number", "choke-object", "circuit-3", "circuit-1",
+        "circuit-numbers", "circuit-number", "area-number"])
+def test_structured_values_of_the_wrong_shape_name_the_key(tmp_path, capsys, command, values,
+                                                           message):
+    config = json.loads(json.dumps(CIRCUIT_CONFIG))
+    config["scenario"] = {"kind": "town", "duration": 20, "n_moving": 2, "n_parked": 4,
+                          **values}
+    path = tmp_path / "bad.cfg"
+    path.write_text(json.dumps(config))
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+
+
 def test_structured_json_ints_configure_as_floats(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scenario": {
