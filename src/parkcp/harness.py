@@ -367,8 +367,11 @@ def run_episode(
     def stream(vid, step, purpose, extra=0):
         return substream(cfg.seed, run_seed, vid, step, purpose, extra)
 
-    gps_var = cfg.noise.gps_std**2
+    zone, noise, ekf_params = cfg.zone, cfg.noise, cfg.ekf
+    gps_var = noise.gps_std**2
     gps_cov = (gps_var, 0.0, gps_var)
+    vel_std = noise.velocity_std
+    still_parked = trace.still_parked
     nodes: dict[int, _Node] = {}
     # each vehicle's latest broadcast (role, shared position, priority) from
     # its second active step; None while it is inactive, which is silent
@@ -399,7 +402,7 @@ def run_episode(
                 elif role is _ANCHOR:
                     heard[vid] = (role, rec.positions[t - rec.start_step], priority(role))
                     anchor_heard = True
-                    if vid in trace.still_parked:
+                    if vid in still_parked:
                         settled.add(vid)
                 else:
                     heard[vid] = (role, node.est, priority(role))
@@ -412,14 +415,14 @@ def run_episode(
             node = nodes.get(vid)
             if node is None:  # first active step: initialise only
                 if kind is not _PARKED:
-                    fix = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gps"))
+                    fix = channel.measure_gps(truth, noise, stream(vid, t, "gps"))
                     node = nodes[vid] = _Node(NodeClass.BLIND, fix, gps_cov)
                     if kind is _MOVING:
                         node.errors.append(distance(fix, truth))
                 elif pol.anchors_preloaded:
                     nodes[vid] = _Node(_ANCHOR, truth)
                 else:
-                    fix = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gnss"))
+                    fix = channel.measure_gps(truth, noise, stream(vid, t, "gnss"))
                     nodes[vid] = _Node(_INACTIVE, None, gnss_n=1, gnss_sum=fix)
                 continue
             if kind is _PARKED:
@@ -456,11 +459,11 @@ def run_episode(
                     sx, sy = node.gnss_sum
                     positions, start = rec.positions, rec.start_step
                     for s in range(start + node.gnss_n, t + 1):
-                        fix = channel.measure_gps(positions[s - start], cfg.noise,
+                        fix = channel.measure_gps(positions[s - start], noise,
                                                   stream(vid, s, "gnss"))
                         sx, sy = sx + fix.x, sy + fix.y
                 else:  # a queued car broadcasts its estimate, so it averages eagerly
-                    fix = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gnss"))
+                    fix = channel.measure_gps(truth, noise, stream(vid, t, "gnss"))
                     n = node.gnss_n + 1
                     sx, sy = node.gnss_sum if n > 1 else (0.0, 0.0)
                     sx, sy = sx + fix.x, sy + fix.y
@@ -469,7 +472,7 @@ def run_episode(
 
                 # below two anchors _anchor_fix gives gnss_mean whatever is ranged
                 selected, anchors_in_range = _ranked_candidates(
-                    row, heard, vid, gnss_mean, cfg.zone, cfg.noise, stream, t, min_anchors=2,
+                    row, heard, vid, gnss_mean, zone, noise, stream, t, min_anchors=2,
                 )
                 new_est = _anchor_fix([c for c in selected if c.node_class is _ANCHOR], gnss_mean)
                 node.role = classify_stationary(
@@ -484,18 +487,16 @@ def run_episode(
             vel_true = rec.velocities[i - 1]  # motion from t-1 to t
             # normal(0.0, velocity_std, 2), as in channel.measure_gps
             zx, zy = stream(vid, t, "vel").standard_normal(2).tolist()
-            sv = cfg.noise.velocity_std
-            vel_meas = Velocity2D(vel_true.vx + (0.0 + sv * zx), vel_true.vy + (0.0 + sv * zy))
+            vel_meas = Velocity2D(vel_true.vx + (0.0 + vel_std * zx),
+                                  vel_true.vy + (0.0 + vel_std * zy))
             if use_ekf:  # its predicted state is dead_reckon(node.est, vel_meas, dt)
-                prior, p_cov = ekf_predict(node.est, node.cov, vel_meas, cfg.ekf)
+                prior, p_cov = ekf_predict(node.est, node.cov, vel_meas, ekf_params)
             else:
                 prior = dead_reckon(node.est, vel_meas, dt)
 
-            selected, _ = _ranked_candidates(
-                row, heard, vid, prior, cfg.zone, cfg.noise, stream, t
-            )
+            selected, _ = _ranked_candidates(row, heard, vid, prior, zone, noise, stream, t)
             if use_ekf:
-                new_est, node.cov = ekf_update(prior, p_cov, selected, cfg.ekf)
+                new_est, node.cov = ekf_update(prior, p_cov, selected, ekf_params)
             else:
                 problem = LocalizationProblem(tuple(selected), prior)
                 new_est = gcpso_localize(problem, cfg.gcpso, stream(vid, t, "pso")).position
@@ -505,7 +506,7 @@ def run_episode(
             else:
                 node.iso += 1
                 if node.iso >= pol.gps_reset_interval:
-                    new_est = channel.measure_gps(truth, cfg.noise, stream(vid, t, "gps"))
+                    new_est = channel.measure_gps(truth, noise, stream(vid, t, "gps"))
                     node.cov = gps_cov
                     node.iso = 0
 

@@ -217,7 +217,8 @@ def test_sim_structured_values_take_json_numbers_only(tmp_path, capsys, values, 
 @pytest.mark.parametrize("values, message", [
     ({"choke_points": [[1, 2, 3]]},
      "scenario key 'choke_points' entries must be an array of 4, got [1, 2, 3]"),
-    ({"choke_points": [[1, 2, 3, 4, 5]]}, "scenario key 'choke_points' entries must be an array of 4"),
+    ({"choke_points": [[1, 2, 3, 4, 5]]},
+     "scenario key 'choke_points' entries must be an array of 4"),
     ({"choke_points": [5]}, "scenario key 'choke_points' entries must be an array of 4, got 5"),
     ({"choke_points": {"x": 1}}, "scenario key 'choke_points' must be an array, got {'x': 1}"),
     ({"circuit": [[0, 0], [1, 2, 3], [4, 5]]},
