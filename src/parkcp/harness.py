@@ -425,11 +425,10 @@ def run_episode(
                     fix = channel.measure_gps(truth, noise, stream(vid, t, "gnss"))
                     nodes[vid] = _Node(_INACTIVE, None, gnss_n=1, gnss_sum=fix)
                 continue
-            if kind is _PARKED:
-                halted = True
-            else:
-                vel_now = rec.velocities[i]
-                halted = kind is _QUEUED and vel_now.vx == 0.0 and vel_now.vy == 0.0
+            vel_now = rec.velocities[i]
+            halted = kind is _PARKED or (
+                kind is _QUEUED and vel_now.vx == 0.0 and vel_now.vy == 0.0
+            )
             if node.role is _ANCHOR:
                 if halted:
                     continue  # keeps serving its precisely known position
