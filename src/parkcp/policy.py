@@ -36,16 +36,16 @@ class PolicyConfig:
             raise ValueError("windows must be > 0")
 
 
+# members read once: each NodeClass.X read costs an enum class lookup
+_ANCHOR, _PSEUDO_ANCHOR, _BLIND, _INACTIVE = (
+    NodeClass.ANCHOR, NodeClass.PSEUDO_ANCHOR, NodeClass.BLIND, NodeClass.INACTIVE)
+
+
 class _CandidateFields(NamedTuple):
     vehicle_id: int
     node_class: NodeClass
     shared_position: Position2D
     measured_range: float
-
-
-_INACTIVE = NodeClass.INACTIVE
-# members read once: each NodeClass.X read costs an enum class lookup
-_ANCHOR, _PSEUDO_ANCHOR, _BLIND = NodeClass.ANCHOR, NodeClass.PSEUDO_ANCHOR, NodeClass.BLIND
 
 
 class Candidate(_CandidateFields):
