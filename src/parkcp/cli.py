@@ -236,6 +236,8 @@ def cmd_sim(args) -> int:
         [Algorithm.GCPSO, Algorithm.EKF] if algorithm == "both" else [Algorithm(algorithm)]
     )
     sigmas = args.sigma_r or [None]  # None: the config's noise.range_std
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
 
     records = None
     if args.trace is not None:

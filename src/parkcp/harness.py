@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import ChainMap, defaultdict
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -240,9 +240,12 @@ class _Trace:
     """Trace records, checked against ``step_seconds`` and for vehicles and
     unique ids, with the records active from each step at which the active
     set changes, in trace order, the ids of the parked vehicles with one
-    position over their whole window, and ``near[t][i]``, the (id,
-    ``model.distance``) of every other car active at step t within
-    ``radius`` of car i. Shared by an ensemble's episodes."""
+    position over their whole window, and ``near[t]``, a pair (own, shared)
+    of maps from each car active at step t to its row: the (id,
+    ``model.distance``) of every other car within ``radius``. A still-parked
+    car's row is in ``shared``, one map per active set, unless a car that is
+    not still parked is in range; every other row is in ``own``. Shared by
+    an ensemble's episodes."""
 
     def __init__(self, records: Sequence[VehicleRecord], step_seconds: float, radius: float):
         try:
@@ -295,7 +298,7 @@ class _Trace:
             if i != j:
                 parked[still_set[i]][still_id[i]].append((still_id[j], d))
 
-        self.near: dict[int, ChainMap] = {}
+        self.near: dict[int, tuple[dict, dict]] = {}
         span = max(1, _BLOCK * len(self.steps) // max(len(step), 1))  # steps per join
         for b in range(self.steps.start, self.steps.stop, span):
             a, z = np.searchsorted(step, [b, b + span]).tolist()
@@ -319,7 +322,7 @@ class _Trace:
                 row.append((ids[i], d))
                 rows[i].append((vid, d))
             for t, mine in own.items():
-                self.near[t] = ChainMap(mine, parked[bisect_right(sets, t) - 1])
+                self.near[t] = mine, parked[bisect_right(sets, t) - 1]
 
 
 def _pairs(qx, qy, qkey, ex, ey, ekey, radius):
@@ -388,9 +391,7 @@ def run_episode(
         if t in trace.active_from:
             others = [r for r in trace.active_from[t] if r.vehicle_id not in settled
                       and (proposed or r.kind is not _PARKED)]
-        # near[t] is a ChainMap of the step's own rows over the shared
-        # still-parked ones; its maps are read directly, skipping its lookup
-        own, shared = trace.near[t].maps
+        own, shared = trace.near[t]
 
         for rec in others:
             vid = rec.vehicle_id
@@ -433,16 +434,13 @@ def run_episode(
                 if halted:
                     continue  # keeps serving its precisely known position
                 node.role = NodeClass.BLIND  # pulled back into traffic
-            row = own.get(vid)
-            if row is None:
-                row = shared[vid]
+            row = own[vid] if vid in own else shared[vid]
 
             if proposed and halted:
-                # stationary bootstrap: GNSS averaging, assisted by anchors
+                # stationary bootstrap: GNSS averaging over its halt, assisted by anchors
                 if kind is _PARKED:
-                    # halted since its first step, it averages one fix per step;
-                    # below two anchors its mean is read by nothing, so the fixes
-                    # are drawn when a step first reads them, and summed in order
+                    # halted since its first step; below two anchors its mean is
+                    # read by nothing, so its fixes are drawn when a step reads it
                     n = i + 1
                     anchors = 0
                     if anchor_heard:
@@ -455,16 +453,13 @@ def run_episode(
                         if node.role is _ANCHOR:
                             node.est = truth
                         continue
-                    sx, sy = node.gnss_sum
-                    positions, start = rec.positions, rec.start_step
-                    for s in range(start + node.gnss_n, t + 1):
-                        fix = channel.measure_gps(positions[s - start], noise,
-                                                  stream(vid, s, "gnss"))
-                        sx, sy = sx + fix.x, sy + fix.y
-                else:  # a queued car broadcasts its estimate, so it averages eagerly
-                    fix = channel.measure_gps(truth, noise, stream(vid, t, "gnss"))
+                else:  # a queued car broadcasts its estimate, so it averages every step
                     n = node.gnss_n + 1
-                    sx, sy = node.gnss_sum if n > 1 else (0.0, 0.0)
+                # draw and sum, in step order, the fixes not yet in gnss_sum
+                sx, sy = node.gnss_sum if node.gnss_n else (0.0, 0.0)
+                positions, start = rec.positions, rec.start_step
+                for s in range(t + 1 - n + node.gnss_n, t + 1):
+                    fix = channel.measure_gps(positions[s - start], noise, stream(vid, s, "gnss"))
                     sx, sy = sx + fix.x, sy + fix.y
                 node.gnss_n, node.gnss_sum = n, (sx, sy)
                 gnss_mean = Position2D(sx / n, sy / n)
@@ -535,7 +530,7 @@ def trace_metrics(trace: _Trace) -> dict[int, tuple[int, float]]:
     metrics = {}
     for r in trace.records:
         if r.kind is MotionKind.MOVING:
-            rows = (trace.near[t][r.vehicle_id] for t in range(r.start_step, r.end_step))
+            rows = (trace.near[t][0][r.vehicle_id] for t in range(r.start_step, r.end_step))
             met = parked.intersection(j for row in rows for j, _ in row)
             metrics[r.vehicle_id] = (len(met), r.path_length() / 1000.0)
     return metrics

@@ -75,21 +75,6 @@ class VehicleRecord:
         """First step index after the vehicle's active window."""
         return self.start_step + len(self.positions)
 
-    def position_at(self, step: int) -> Position2D:
-        return self.positions[self._index(step)]
-
-    def velocity_at(self, step: int) -> Velocity2D:
-        return self.velocities[self._index(step)]
-
-    def _index(self, step: int) -> int:
-        """Sample index of ``step``; IndexError outside the active window,
-        where a plain negative index would wrap around."""
-        i = step - self.start_step
-        if not 0 <= i < len(self.positions):
-            raise IndexError(f"vehicle {self.vehicle_id}: step {step} is outside its "
-                             f"window [{self.start_step}, {self.end_step})")
-        return i
-
     def path_length(self) -> float:
         """Total distance travelled along the trajectory, in meters."""
         return sum(

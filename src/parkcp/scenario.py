@@ -81,6 +81,8 @@ class ScenarioConfig:
     choke_points: tuple[ChokePoint, ...] = ()
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         for name in ("step_seconds", "parked_spacing", "speed"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")

@@ -1,4 +1,5 @@
 import math
+from collections import ChainMap
 from functools import partial
 from unittest.mock import patch
 
@@ -303,13 +304,19 @@ def test_trace_rows_hold_what_neighbors_finds(cars, radius, velocity, stop):
     trace = _Trace(records, 1.0, radius)
     zone = CommZone(radius)
     for t in trace.steps:
-        active = [(ids[i], r.position_at(t), placed[i][2]) for i, r in enumerate(records)
-                  if r.start_step <= t < r.end_step]
+        active = [(ids[i], r.positions[t - r.start_step], placed[i][2])
+                  for i, r in enumerate(records) if r.start_step <= t < r.end_step]
         world = _world([(vid, *pos, NodeClass.BLIND) for vid, pos, _ in active])
         roles = _world([(vid, *pos, ncls) for vid, pos, ncls in active])
-        assert set(trace.near[t]) == set(world)
+        own_rows, shared_rows = trace.near[t]
+        near = ChainMap(own_rows, shared_rows)
+        assert set(near) == set(world)
+        # a row is shared only if its car and every car in it are still parked
+        assert set(world) - trace.still_parked <= own_rows.keys()
+        for vid in shared_rows.keys() - own_rows.keys():
+            assert all(j in trace.still_parked for j, _ in near[vid])
         for vid, (own, _) in world.items():
-            row = trace.near[t][vid]
+            row = near[vid]
             found = sorted(j for j, _ in row)
             assert vid not in found
             assert found == neighbors(world, vid, zone) == _all_pairs(world, vid, zone)
@@ -320,8 +327,8 @@ def test_trace_rows_hold_what_neighbors_finds(cars, radius, velocity, stop):
     with patch.object(harness, "_BLOCK", 1):  # a join per step, whatever the active sets
         stepwise = _Trace(records, 1.0, radius)
     for t in trace.steps:
-        assert ({i: sorted(row) for i, row in stepwise.near[t].items()}
-                == {i: sorted(row) for i, row in trace.near[t].items()})
+        assert ({i: sorted(row) for i, row in ChainMap(*stepwise.near[t]).items()}
+                == {i: sorted(row) for i, row in ChainMap(*trace.near[t]).items()})
 
 
 def test_measure_range_noiseless_identity():

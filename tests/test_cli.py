@@ -472,6 +472,25 @@ def test_sim_jobs_byte_identical(tmp_path, config_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sim_jobs_below_one_exits_2(tmp_path, config_path, capsys, jobs):
+    out = tmp_path / "results.csv"
+    code = main(["sim", "--config", config_path, "--out", str(out), "--jobs", jobs])
+    assert code == 2
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["circuit", "town"])
+def test_gen_negative_seed_exits_2(tmp_path, config_path, capsys, kind):
+    out = tmp_path / "trace.csv"
+    code = main(["gen", "--config", config_path, "--out", str(out),
+                 "--kind", kind, "--seed", "-1"])
+    assert code == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 AREA_CSV = (
     "polygon,x,y\n"
     "0,0.0,0.0\n0,100.0,0.0\n0,100.0,100.0\n0,0.0,100.0\n"

@@ -256,7 +256,7 @@ def test_trace_metrics_count_matches_every_pair(paths, stations, radius, origin)
     parked = records[len(paths):]
     for r in records[:len(paths)]:
         expected = sum(1 for q in parked if any(
-            distance(r.position_at(t), q.position_at(t)) <= radius
+            distance(r.positions[t - r.start_step], q.positions[t - q.start_step]) <= radius
             for t in range(max(r.start_step, q.start_step), min(r.end_step, q.end_step))
         ))
         assert metrics[r.vehicle_id] == (expected, r.path_length() / 1000.0)
@@ -284,7 +284,7 @@ def test_trace_metrics_meets_a_parked_car_where_it_stands_at_that_step():
         jittering(3, near_at_even=False),
     ]
     trace = harness._Trace(records, 1.0, 2.0)
-    assert [j for j, _ in trace.near[8][0]] == [2]
+    assert [j for j, _ in trace.near[8][0][0]] == [2]
     assert trace_metrics(trace) == {0: (1, 0.009)}
 
 
@@ -602,6 +602,46 @@ def test_a_parked_car_draws_its_missed_fixes_when_a_second_anchor_arrives(monkey
     expected = (MotionKind.PARKED, 2, n, distance(fix, truth), cfg.policy)
     assert roles == [(expected, real_role(*expected))]
     assert roles[0][1] is NodeClass.ANCHOR
+
+
+def test_a_queued_car_restarts_its_gnss_mean_on_each_halt(monkeypatch):
+    """A lone queued car halts at steps 1-2, drives at steps 3-4 and halts
+    again from step 5. Each halt averages its own fixes: at step 5 the mean
+    is that step's single fix, not one summed onto the first halt's. The
+    full window promotes it at step 9, after which it draws nothing."""
+    move, halt = Velocity2D(1.0, 0.0), Velocity2D(0.0, 0.0)
+    velocities = [move if t in (3, 4) else halt for t in range(12)]
+    positions = [Position2D(5.0, 8.0)]
+    for v in velocities[:-1]:
+        positions.append(Position2D(positions[-1].x + v.vx, positions[-1].y + v.vy))
+    records = [VehicleRecord(HALTED, MotionKind.QUEUED, 0, positions, velocities)]
+    cfg = _bootstrap_cfg()
+    gnss, roles = [], []
+    real_stream, real_role = harness.substream, harness.classify_stationary
+
+    def stream_spy(*args):
+        if args[4] == "gnss":
+            gnss.append(args[3])
+        return real_stream(*args)
+
+    def role_spy(*args):
+        roles.append((gnss[-1], args[2], args[3]))
+        return real_role(*args)
+
+    monkeypatch.setattr(harness, "substream", stream_spy)
+    monkeypatch.setattr(harness, "classify_stationary", role_spy)
+    run_episode(cfg, 0, records, mode=Mode.PROPOSED)
+
+    assert gnss == [1, 2, 5, 6, 7, 8, 9]
+    expected = []
+    for halt_steps in ([1, 2], [5, 6, 7, 8, 9]):
+        sx = sy = 0.0
+        for n, s in enumerate(halt_steps, start=1):  # the mean of this halt's fixes
+            fix = channel.measure_gps(positions[s], cfg.noise,
+                                      real_stream(cfg.seed, 0, HALTED, s, "gnss"))
+            sx, sy = sx + fix.x, sy + fix.y
+            expected.append((s, n, distance(Position2D(sx / n, sy / n), positions[s])))
+    assert roles == expected  # roles[2] is step 5's: n == 1, the mean its single fix
 
 
 @pytest.mark.parametrize("kind", [MotionKind.PARKED, MotionKind.QUEUED])

