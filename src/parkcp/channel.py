@@ -162,5 +162,5 @@ def measure_gps(
 ) -> Position2D:
     """Noisy GPS fix: independent per-axis Gaussian error."""
     zx, zy = rng.standard_normal(2).tolist()  # normal(0.0, gps_std, 2), as in measure_range
-    return Position2D(true_pos.x + (0.0 + noise.gps_std * zx),
-                      true_pos.y + (0.0 + noise.gps_std * zy))
+    return tuple.__new__(Position2D, (true_pos.x + (0.0 + noise.gps_std * zx),
+                                      true_pos.y + (0.0 + noise.gps_std * zy)))

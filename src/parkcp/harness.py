@@ -173,7 +173,8 @@ def substream(
 
 def _ranked_candidates(
     row: list[tuple[int, float]],
-    heard: dict[int, tuple | None],
+    heard: list[tuple | None],
+    ids: list[int],
     vehicle_id: int,
     reference: Position2D,
     zone: CommZone,
@@ -183,38 +184,39 @@ def _ranked_candidates(
     min_anchors: int = 0,
 ) -> tuple[list[Candidate], int]:
     """Broadcast-data pre-ranking and ranging of the neighbors in ``row``,
-    the vehicle's (id, true distance) row of ``_Trace.near``, heard through
-    ``heard``; a silent neighbor is skipped before its drop draw. Ranges are
-    only measured for the top three neighbors under (priority, distance from
-    own reference to the shared position, id); the final order is then fixed
-    by select_neighbors on measured ranges. Returns (selected candidates,
-    anchors whose broadcast arrived this step, after drops). With nothing
-    heard, or fewer than ``min_anchors`` such anchors, nothing is ranked or
-    ranged and no candidate is selected; range draws are keyed by counter,
-    so skipping them moves no other draw.
-    """
+    the vehicle's (index j, true distance) row of ``_Trace.near``, heard
+    through ``heard[j]``; draws, ties and candidates use the id ``ids[j]``.
+    A silent neighbor is skipped before its drop draw. Ranges are only
+    measured for the top three neighbors under (priority, distance from own
+    reference to the shared position, id); select_neighbors then fixes the
+    final order on measured ranges. Returns (selected candidates, anchors
+    whose broadcast arrived this step, after drops). With nothing heard, or
+    fewer than ``min_anchors`` such anchors, nothing is ranked or ranged and
+    no candidate is selected; range draws are keyed by counter, so skipping
+    them moves no other draw."""
     drop = zone.drop_probability
     rx, ry = reference
     ranked = []
     anchors_in_range = 0
     for j, true_d in row:
-        sent = heard.get(j)
+        sent = heard[j]
         if sent is None:
             continue  # silent: inactive, in its first active step, or parked in traditional
-        if drop > 0.0 and stream(vehicle_id, step, "drop", j).random() < drop:
+        vid = ids[j]
+        if drop > 0.0 and stream(vehicle_id, step, "drop", vid).random() < drop:
             continue  # broadcast lost this step
         ncls, shared, prio = sent
         if ncls is _ANCHOR:
             anchors_in_range += 1
         sx, sy = shared
-        ranked.append((prio, math.hypot(rx - sx, ry - sy), j, true_d, ncls, shared))
+        ranked.append((prio, math.hypot(rx - sx, ry - sy), vid, true_d, ncls, shared))
     if not ranked or anchors_in_range < min_anchors:
         return [], anchors_in_range
     ranked.sort()  # ids are unique in a row, so no comparison goes past the id
     candidates = []
-    for _, _, j, true_d, ncls, shared in ranked[:3]:
-        measured = channel.measure_range(true_d, noise, stream(vehicle_id, step, "range", j))
-        candidates.append(Candidate(j, ncls, shared, measured))
+    for _, _, vid, true_d, ncls, shared in ranked[:3]:
+        measured = channel.measure_range(true_d, noise, stream(vehicle_id, step, "range", vid))
+        candidates.append(Candidate(vid, ncls, shared, measured))
     return select_neighbors(candidates), anchors_in_range
 
 
@@ -238,14 +240,15 @@ _BLOCK = 1024  # query points per disk join: its temporaries grow with them
 
 class _Trace:
     """Trace records, checked against ``step_seconds`` and for vehicles and
-    unique ids, with the records active from each step at which the active
-    set changes, in trace order, the ids of the parked vehicles with one
-    position over their whole window, and ``near[t]``, a pair (own, shared)
-    of maps from each car active at step t to its row: the (id,
-    ``model.distance``) of every other car within ``radius``. A still-parked
-    car's row is in ``shared``, one map per active set, unless a car that is
-    not still parked is in range; every other row is in ``own``. Shared by
-    an ensemble's episodes."""
+    unique ids, numbered 0..V-1 in trace order (``ids[k]`` is record k's id),
+    with the indices of the records active from each step at which the
+    active set changes, ascending, the indices of the still-parked cars (one
+    position over their whole window), and ``near[t]``, a pair (own, shared)
+    of maps from the index of each car active at step t to its row: the
+    (index, ``model.distance``) of every other car within ``radius``. A
+    still-parked car's row is in ``shared``, one map per active set, unless
+    a car that is not still parked is in range; every other row is in
+    ``own``. Shared by an ensemble's episodes."""
 
     def __init__(self, records: Sequence[VehicleRecord], step_seconds: float, radius: float):
         try:
@@ -254,80 +257,80 @@ class _Trace:
             raise ConfigError(f"trace inconsistent with configured step: {exc}") from None
         if not records:
             raise ConfigError("trace has no vehicles")
-        if len({r.vehicle_id for r in records}) < len(records):
-            raise ConfigError("trace has more than one record for a vehicle id")
         self.records = records
+        self.ids = [r.vehicle_id for r in records]
+        if len(set(self.ids)) < len(records):
+            raise ConfigError("trace has more than one record for a vehicle id")
         starts: dict[int, list[int]] = defaultdict(list)
         ends: dict[int, set[int]] = defaultdict(set)
-        for i, r in enumerate(records):
-            starts[r.start_step].append(i)
-            ends[r.end_step].add(i)
-        self.active_from: dict[int, list[VehicleRecord]] = {}
+        for k, r in enumerate(records):
+            starts[r.start_step].append(k)
+            ends[r.end_step].add(k)
+        self.active_from: dict[int, list[int]] = {}
         live: list[int] = []
         for t in sorted(starts.keys() | ends.keys()):
-            live = sorted([i for i in live if i not in ends[t]] + starts[t])
-            self.active_from[t] = [records[i] for i in live]
+            live = self.active_from[t] = sorted({*live, *starts[t]} - ends[t])
         self.steps = range(min(starts), max(ends))
         self.still_parked = {
-            r.vehicle_id for r in records
+            k for k, r in enumerate(records)
             if r.kind is MotionKind.PARKED and r.positions.count(r.positions[0]) == len(r.positions)
         }
         self.radius = radius
         sets = sorted(self.active_from)  # the steps at which the active set changes
         # still-parked cars are paired once per active set, keyed by its index
-        still = [(k, r) for k, t in enumerate(sets) for r in self.active_from[t]
-                 if r.vehicle_id in self.still_parked]
-        still_set = [k for k, _ in still]
-        still_id = [r.vehicle_id for _, r in still]
-        sx, sy = np.array([r.positions[0] for _, r in still], float).reshape(-1, 2).T
+        still = [(s, k) for s, t in enumerate(sets) for k in self.active_from[t]
+                 if k in self.still_parked]
+        still_car = [k for _, k in still]
+        sx, sy = np.array([records[k].positions[0] for k in still_car], float).reshape(-1, 2).T
         # every other car at each of its steps, in step order
-        moving = [r for r in records if r.vehicle_id not in self.still_parked]
-        step = np.array([t for r in moving for t in range(r.start_step, r.end_step)], np.int64)
-        owner = np.array([r.vehicle_id for r in moving for _ in r.positions], np.int64)
-        xy = np.fromiter(chain.from_iterable(chain.from_iterable(r.positions for r in moving)),
+        moving = [(k, r) for k, r in enumerate(records) if k not in self.still_parked]
+        step = np.array([t for _, r in moving for t in range(r.start_step, r.end_step)], np.int64)
+        owner = np.array([k for k, r in moving for _ in r.positions], np.int64)
+        xy = np.fromiter(chain.from_iterable(chain.from_iterable(r.positions for _, r in moving)),
                          float, 2 * len(step)).reshape(-1, 2)
         order = np.argsort(step, kind="stable")
         step, owner, xy = step[order], owner[order], xy[order]
         step_set = np.searchsorted(sets, step, side="right") - 1
 
         parked: list[dict] = [{} for _ in sets]
-        for k, vid in zip(still_set, still_id):
-            parked[k][vid] = []
-        key = np.array(still_set, np.int64)
-        for i, j, d in _pairs(sx, sy, key, sx, sy, key, radius):
-            if i != j:
-                parked[still_set[i]][still_id[i]].append((still_id[j], d))
+        still_rows = [parked[s].setdefault(k, []) for s, k in still]
+        key = np.array([s for s, _ in still], np.int64)
+        for i, k, d in _self_pairs(sx, sy, key, np.array(still_car, np.int64), radius):
+            still_rows[i].append((k, d))
 
         self.near: dict[int, tuple[dict, dict]] = {}
         span = max(1, _BLOCK * len(self.steps) // max(len(step), 1))  # steps per join
         for b in range(self.steps.start, self.steps.stop, span):
             a, z = np.searchsorted(step, [b, b + span]).tolist()
-            ts, ids = step[a:z].tolist(), owner[a:z].tolist()
+            ts, cars = step[a:z].tolist(), owner[a:z].tolist()
             own = {t: {} for t in range(b, min(b + span, self.steps.stop))}
             rows = [[] for _ in ts]
-            for t, vid, row in zip(ts, ids, rows):
-                own[t][vid] = row
+            for t, k, row in zip(ts, cars, rows):
+                own[t][k] = row
             qx, qy = xy[a:z].T
-            for i, j, d in _pairs(qx, qy, step[a:z], qx, qy, step[a:z], radius):
-                if i != j:
-                    rows[i].append((ids[j], d))
+            for i, k, d in _self_pairs(qx, qy, step[a:z], owner[a:z], radius):
+                rows[i].append((k, d))
             # the still-parked cars of the active sets of the block's steps
             first, last = (bisect_right(sets, t) - 1 for t in (b, b + span - 1))
             c, e = np.searchsorted(key, [first, last + 1]).tolist()
-            for i, j, d in _pairs(qx, qy, step_set[a:z], sx[c:e], sy[c:e], key[c:e], radius):
-                mine, vid = own[ts[i]], still_id[c + j]
-                row = mine.get(vid)
+            found = channel.disk_join(qx, qy, step_set[a:z], sx[c:e], sy[c:e], key[c:e], radius)
+            for i, j, d in zip(*(v.tolist() for v in found)):
+                mine, k = own[ts[i]], still_car[c + j]
+                row = mine.get(k)
                 if row is None:  # a copy, so the shared row stays as it is
-                    row = mine[vid] = list(parked[still_set[c + j]][vid])
-                row.append((ids[i], d))
-                rows[i].append((vid, d))
+                    row = mine[k] = list(still_rows[c + j])
+                row.append((cars[i], d))
+                rows[i].append((k, d))
             for t, mine in own.items():
                 self.near[t] = mine, parked[bisect_right(sets, t) - 1]
 
 
-def _pairs(qx, qy, qkey, ex, ey, ekey, radius):
-    """``channel.disk_join`` as (query index, entry index, distance) Python values."""
-    return zip(*(a.tolist() for a in channel.disk_join(qx, qy, qkey, ex, ey, ekey, radius)))
+def _self_pairs(x, y, key, car, radius):
+    """``channel.disk_join`` of points with themselves, less each point's pair
+    with itself, as (point index, ``car`` of the other, distance) Python values."""
+    q, e, d = channel.disk_join(x, y, key, x, y, key, radius)
+    keep = q != e
+    return zip(q[keep].tolist(), car[e[keep]].tolist(), d[keep].tolist())
 
 
 @dataclass(slots=True, eq=False)
@@ -374,57 +377,58 @@ def run_episode(
     gps_var = noise.gps_std**2
     gps_cov = (gps_var, 0.0, gps_var)
     vel_std = noise.velocity_std
-    still_parked = trace.still_parked
-    nodes: dict[int, _Node] = {}
-    # each vehicle's latest broadcast (role, shared position, priority) from
-    # its second active step; None while it is inactive, which is silent
-    heard: dict[int, tuple | None] = {}
+    records, ids, still_parked = trace.records, trace.ids, trace.still_parked
+    nodes: list[_Node | None] = [None] * len(ids)
+    # each car's latest broadcast (role, shared position, priority) from its
+    # second active step; None while it is inactive, which is silent
+    heard: list[tuple | None] = [None] * len(ids)
     # A still parked anchor is halted for good, so its step is a no-op and
     # its broadcast never changes: it settles, and is skipped from then on.
-    settled: set[int] = set()
+    settled = [False] * len(ids)
     # Until an anchor has broadcast, no car hears one, so a dormant parked
     # car's anchor count is 0 without a look at its row. Set for good then.
     anchor_heard = False
 
-    others: list[VehicleRecord] = []  # active, not settled, and not parked in traditional mode
+    others: list[int] = []  # active, not settled, and not parked in traditional mode
     for t in trace.steps:
         if t in trace.active_from:
-            others = [r for r in trace.active_from[t] if r.vehicle_id not in settled
-                      and (proposed or r.kind is not _PARKED)]
+            others = [k for k in trace.active_from[t] if not settled[k]
+                      and (proposed or records[k].kind is not _PARKED)]
         own, shared = trace.near[t]
 
-        for rec in others:
-            vid = rec.vehicle_id
-            node = nodes.get(vid)
+        for k in others:
+            node = nodes[k]
             if node is not None:  # a vehicle broadcasts from its second step
                 role = node.role  # an anchor shares its position, any other role its estimate
                 if role is _INACTIVE:
-                    heard[vid] = None
+                    heard[k] = None
                 elif role is _ANCHOR:
-                    heard[vid] = (role, rec.positions[t - rec.start_step], priority(role))
+                    rec = records[k]
+                    heard[k] = (role, rec.positions[t - rec.start_step], priority(role))
                     anchor_heard = True
-                    if vid in still_parked:
-                        settled.add(vid)
+                    if k in still_parked:
+                        settled[k] = True
                 else:
-                    heard[vid] = (role, node.est, priority(role))
-        others = [r for r in others if r.vehicle_id not in settled]  # their step is a no-op
+                    heard[k] = (role, node.est, priority(role))
+        others = [k for k in others if not settled[k]]  # their step is a no-op
 
-        for rec in others:
-            vid, kind = rec.vehicle_id, rec.kind
+        for k in others:
+            rec = records[k]
+            vid, kind = ids[k], rec.kind
             i = t - rec.start_step
             truth = rec.positions[i]
-            node = nodes.get(vid)
+            node = nodes[k]
             if node is None:  # first active step: initialise only
                 if kind is not _PARKED:
                     fix = channel.measure_gps(truth, noise, stream(vid, t, "gps"))
-                    node = nodes[vid] = _Node(NodeClass.BLIND, fix, gps_cov)
+                    node = nodes[k] = _Node(NodeClass.BLIND, fix, gps_cov)
                     if kind is _MOVING:
                         node.errors.append(distance(fix, truth))
                 elif pol.anchors_preloaded:
-                    nodes[vid] = _Node(_ANCHOR, truth)
+                    nodes[k] = _Node(_ANCHOR, truth)
                 else:
                     fix = channel.measure_gps(truth, noise, stream(vid, t, "gnss"))
-                    nodes[vid] = _Node(_INACTIVE, None, gnss_n=1, gnss_sum=fix)
+                    nodes[k] = _Node(_INACTIVE, None, gnss_n=1, gnss_sum=fix)
                 continue
             vel_now = rec.velocities[i]
             halted = kind is _PARKED or (
@@ -434,7 +438,7 @@ def run_episode(
                 if halted:
                     continue  # keeps serving its precisely known position
                 node.role = NodeClass.BLIND  # pulled back into traffic
-            row = own[vid] if vid in own else shared[vid]
+            row = own[k] if k in own else shared[k]
 
             if proposed and halted:
                 # stationary bootstrap: GNSS averaging over its halt, assisted by anchors
@@ -445,7 +449,7 @@ def run_episode(
                     anchors = 0
                     if anchor_heard:
                         for j, _ in row:
-                            sent = heard.get(j)
+                            sent = heard[j]
                             if sent is not None and sent[0] is _ANCHOR:
                                 anchors += 1
                     if anchors < 2:  # it cannot rank, and no error is read
@@ -466,7 +470,7 @@ def run_episode(
 
                 # below two anchors _anchor_fix gives gnss_mean whatever is ranged
                 selected, anchors_in_range = _ranked_candidates(
-                    row, heard, vid, gnss_mean, zone, noise, stream, t, min_anchors=2,
+                    row, heard, ids, vid, gnss_mean, zone, noise, stream, t, min_anchors=2,
                 )
                 new_est = _anchor_fix([c for c in selected if c.node_class is _ANCHOR], gnss_mean)
                 node.role = classify_stationary(
@@ -481,16 +485,17 @@ def run_episode(
             vel_true = rec.velocities[i - 1]  # motion from t-1 to t
             # normal(0.0, velocity_std, 2), as in channel.measure_gps
             zx, zy = stream(vid, t, "vel").standard_normal(2).tolist()
-            vel_meas = Velocity2D(vel_true.vx + (0.0 + vel_std * zx),
-                                  vel_true.vy + (0.0 + vel_std * zy))
+            vel_meas = tuple.__new__(Velocity2D, (vel_true.vx + (0.0 + vel_std * zx),
+                                                  vel_true.vy + (0.0 + vel_std * zy)))
             if use_ekf:  # its predicted state is dead_reckon(node.est, vel_meas, dt)
                 prior, p_cov = ekf_predict(node.est, node.cov, vel_meas, ekf_params)
             else:
                 prior = dead_reckon(node.est, vel_meas, dt)
 
-            selected, _ = _ranked_candidates(row, heard, vid, prior, zone, noise, stream, t)
-            if use_ekf:
-                new_est, node.cov = ekf_update(prior, p_cov, selected, ekf_params)
+            selected, _ = _ranked_candidates(row, heard, ids, vid, prior, zone, noise, stream, t)
+            if use_ekf:  # empty: ekf_update would give (prior, p_cov); ekf_predict checks p_cov
+                new_est, node.cov = (ekf_update(prior, p_cov, selected, ekf_params)
+                                     if selected else (prior, p_cov))
             else:
                 problem = LocalizationProblem(tuple(selected), prior)
                 new_est = gcpso_localize(problem, cfg.gcpso, stream(vid, t, "pso")).position
@@ -512,25 +517,25 @@ def run_episode(
             node.est = new_est
             if kind is _MOVING:
                 node.anchors += n_anch
-                node.errors.append(distance(new_est, truth))
+                node.errors.append(math.hypot(new_est.x - truth.x, new_est.y - truth.y))
 
-    tracked = [r for r in trace.records if r.kind is MotionKind.MOVING]
+    tracked = [k for k, r in enumerate(records) if r.kind is MotionKind.MOVING]
     return EpisodeResult(
-        errors={r.vehicle_id: np.asarray(nodes[r.vehicle_id].errors) for r in tracked},
-        first_step={r.vehicle_id: r.start_step for r in tracked},
-        anchors_used={r.vehicle_id: nodes[r.vehicle_id].anchors for r in tracked},
+        errors={ids[k]: np.asarray(nodes[k].errors) for k in tracked},
+        first_step={ids[k]: records[k].start_step for k in tracked},
+        anchors_used={ids[k]: nodes[k].anchors for k in tracked},
     )
 
 
 def trace_metrics(trace: _Trace) -> dict[int, tuple[int, float]]:
     """(parked vehicles met, km travelled) of each tracked (moving-kind)
-    vehicle. It meets each parked one in its ``trace.near`` rows: one that
-    is active and within the trace's radius at a step of its own."""
-    parked = {r.vehicle_id for r in trace.records if r.kind is MotionKind.PARKED}
+    vehicle id. It meets each parked car in its ``trace.near`` rows, by index:
+    one that is active and within the trace's radius at a step of its own."""
+    parked = {k for k, r in enumerate(trace.records) if r.kind is MotionKind.PARKED}
     metrics = {}
-    for r in trace.records:
+    for k, r in enumerate(trace.records):
         if r.kind is MotionKind.MOVING:
-            rows = (trace.near[t][0][r.vehicle_id] for t in range(r.start_step, r.end_step))
+            rows = (trace.near[t][0][k] for t in range(r.start_step, r.end_step))
             met = parked.intersection(j for row in rows for j, _ in row)
             metrics[r.vehicle_id] = (len(met), r.path_length() / 1000.0)
     return metrics
@@ -627,7 +632,10 @@ def ensemble(
     """Run n_runs paired episodes (identical run seeds for Traditional and
     Proposed) and summarise per-vehicle RMSE and improvement. ``jobs`` > 1
     runs the episodes in a pool of at most ``jobs`` workers and no more
-    workers than episodes. Results are identical for any ``jobs`` value."""
+    workers than episodes; below 1 it raises. Results are identical for any
+    ``jobs`` value."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs!r}")
     modes = (Mode.TRADITIONAL, Mode.PROPOSED)
     trace = _Trace(records if records is not None else generate(cfg.scenario),
                    cfg.scenario.step_seconds, cfg.zone.radius)

@@ -298,7 +298,7 @@ def ekf_update(
         innov = cand.measured_range - dist - ux * (x - x0) - uy * (y - y0)
         x, y = x + gx * innov, y + gy * innov
         a, b, d = a - gx * pu_x, b - gx * pu_y, d - gy * pu_y
-    return Position2D(x, y), (a, b, d)
+    return tuple.__new__(Position2D, (x, y)), (a, b, d)
 
 
 def trilaterate(

@@ -124,7 +124,6 @@ def dead_reckon(
     prev_estimate: Position2D, velocity: Velocity2D, step_seconds: float
 ) -> Position2D:
     """Propagate an estimate one step with the measured velocity."""
-    return Position2D(
-        prev_estimate.x + step_seconds * velocity.vx,
-        prev_estimate.y + step_seconds * velocity.vy,
-    )
+    # tuple.__new__ skips the named tuple's Python-level __new__
+    return tuple.__new__(Position2D, (prev_estimate.x + step_seconds * velocity.vx,
+                                      prev_estimate.y + step_seconds * velocity.vy))

@@ -193,7 +193,8 @@ def _trace_rows(text: str) -> tuple[list, list, list, list, list, list]:
         raise ValueError("non-finite value")
     return (
         ts, rows, list(map(int, fields[0::n])),
-        list(map(Position2D, xs, ys)), list(map(Velocity2D, vxs, vys)), kinds,
+        list(map(tuple.__new__, repeat(Position2D), zip(xs, ys))),
+        list(map(tuple.__new__, repeat(Velocity2D), zip(vxs, vys))), kinds,
     )
 
 

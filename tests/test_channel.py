@@ -270,9 +270,10 @@ def test_trace_rows_hold_what_neighbors_finds(cars, radius, velocity, stop):
     step each active car's row holds exactly the ids that
     ``channel.neighbors`` and ``_all_pairs`` find over the active cars, each
     at ``model.distance`` bit for bit, and never the car itself; only active
-    cars have a row. Dropping the ids of cars in an inactive role leaves
-    what ``neighbors`` finds when those cars are inactive, as an episode
-    hears them."""
+    cars have a row. Rows hold car indices, whose vehicle ids are
+    ``trace.ids``. Dropping the ids of cars in an inactive role leaves what
+    ``neighbors`` finds when those cars are inactive, as an episode hears
+    them."""
     placed = []
     for x, y, ncls, how, start, length, offset in cars:
         placed.append((x, y, ncls, how, start, length))
@@ -302,19 +303,23 @@ def test_trace_rows_hold_what_neighbors_finds(cars, radius, velocity, stop):
         records.append(VehicleRecord(ids[i], kind, start, positions, velocities))
 
     trace = _Trace(records, 1.0, radius)
+    assert trace.ids == ids
     zone = CommZone(radius)
     for t in trace.steps:
         active = [(ids[i], r.positions[t - r.start_step], placed[i][2])
                   for i, r in enumerate(records) if r.start_step <= t < r.end_step]
         world = _world([(vid, *pos, NodeClass.BLIND) for vid, pos, _ in active])
         roles = _world([(vid, *pos, ncls) for vid, pos, ncls in active])
-        own_rows, shared_rows = trace.near[t]
+        # rows are keyed by, and hold, car indices in trace order
+        own_rows, shared_rows = ({ids[k]: [(ids[j], d) for j, d in row]
+                                  for k, row in rows.items()} for rows in trace.near[t])
+        still_parked = {ids[k] for k in trace.still_parked}
         near = ChainMap(own_rows, shared_rows)
         assert set(near) == set(world)
         # a row is shared only if its car and every car in it are still parked
-        assert set(world) - trace.still_parked <= own_rows.keys()
+        assert set(world) - still_parked <= own_rows.keys()
         for vid in shared_rows.keys() - own_rows.keys():
-            assert all(j in trace.still_parked for j, _ in near[vid])
+            assert all(j in still_parked for j, _ in near[vid])
         for vid, (own, _) in world.items():
             row = near[vid]
             found = sorted(j for j, _ in row)

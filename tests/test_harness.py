@@ -723,6 +723,12 @@ def test_ensemble_starts_no_more_workers_than_tasks(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_ensemble_rejects_jobs_below_one(jobs):
+    with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+        ensemble(circuit_cfg(n_runs=1, duration=30), jobs=jobs)
+
+
 def test_results_csv_shape():
     cfg = circuit_cfg(n_runs=2, seed=1)
     rows = summary_rows(ensemble(cfg))
@@ -1081,6 +1087,34 @@ def test_staggered_parked_cars_keep_their_per_step_errors(algorithm, drop):
     dump = format_steps_csv([summary])
     assert {mode for _, mode, _ in summary.episodes} == set(Mode)
     assert hashlib.sha256(dump.encode()).hexdigest() == STAGGERED_STEPS[algorithm, drop]
+
+
+@pytest.mark.parametrize("algorithm", [Algorithm.GCPSO, Algorithm.EKF])
+@pytest.mark.parametrize("staggered", [False, True])
+def test_ensemble_output_does_not_depend_on_record_order(staggered, algorithm):
+    """An episode numbers its cars in trace order, but draws, ties and
+    result keys use vehicle ids, so reversed or shuffled records give the
+    same results CSV, per-step error bytes and anchors used in both modes.
+    A generated trace numbers its cars by id, so no digest can show this."""
+    if staggered:
+        cfg, records = _staggered_town(algorithm, 0.3)
+    else:
+        cfg = golden_town_cfg(algorithm)
+        records = generate(cfg.scenario)
+    assert [r.vehicle_id for r in records] == list(range(len(records)))
+
+    def outputs(recs):
+        summary = ensemble(cfg, recs, keep_episodes=True)
+        assert {mode for _, mode, _ in summary.episodes} == set(Mode)
+        return format_results_csv(summary_rows(summary)), [
+            (run, mode, vid, ep.first_step[vid], ep.errors[vid].tobytes(), ep.anchors_used[vid])
+            for run, mode, ep in summary.episodes for vid in sorted(ep.errors)
+        ]
+
+    expected = outputs(records)
+    shuffled = [records[i] for i in np.random.default_rng(5).permutation(len(records))]
+    assert outputs(records[::-1]) == expected
+    assert outputs(shuffled) == expected
 
 
 @pytest.mark.parametrize("preloaded", [True, False])
