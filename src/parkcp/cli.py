@@ -15,9 +15,9 @@ from dataclasses import fields, replace
 
 from .channel import CommZone, NoiseModel
 from .coverage import (
+    DSRC_CLASSES,
     TransitArea,
     coverage_report,
-    dsrc_radius,
     format_coverage_csv,
     parse_area,
     parse_points,
@@ -36,6 +36,7 @@ from .localize import EkfParams, GcpsoParams
 from .model import MotionKind, Position2D
 from .policy import PolicyConfig
 from .scenario import (
+    GENERATORS,
     TRACE_HEADER,
     ChokePoint,
     ScenarioConfig,
@@ -58,7 +59,7 @@ def _schema(cls) -> dict[str, type | None]:
 
 
 _TOP_SCHEMA = {**_schema(RunConfig), "algorithm": str, "coverage": None}
-_ALGORITHMS = ("gcpso", "ekf", "both")
+_ALGORITHMS = (*(a.value for a in Algorithm), "both")
 _SECTION_SCHEMAS = {
     **{name: _schema(cls) for name, cls in _SECTIONS.items()},
     "coverage": {"cell_size": float},
@@ -174,8 +175,8 @@ def _section(raw: dict, name: str, base, **flags):
 def _scenario(raw: dict, **flags) -> ScenarioConfig:
     """The scenario section; its seed is the flag, else ``scenario.seed``,
     else the top-level ``seed``, else the dataclass default."""
-    base = ScenarioConfig(seed=raw.get("seed", ScenarioConfig.seed))
-    return _section(raw, "scenario", base, **flags)
+    section = {**{k: raw[k] for k in ("seed",) if k in raw}, **raw.get("scenario", {})}
+    return _section({"scenario": section}, "scenario", ScenarioConfig(), **flags)
 
 
 def run_config_from_config(
@@ -232,9 +233,7 @@ def cmd_sim(args) -> int:
             f"top-level key 'algorithm' must be one of {', '.join(_ALGORITHMS)}, "
             f"got {algorithm!r}"
         )
-    algorithms = (
-        [Algorithm.GCPSO, Algorithm.EKF] if algorithm == "both" else [Algorithm(algorithm)]
-    )
+    algorithms = list(Algorithm) if algorithm == "both" else [Algorithm(algorithm)]
     sigmas = args.sigma_r or [None]  # None: the config's noise.range_std
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
@@ -289,7 +288,7 @@ def _load_parked(path: str) -> list[Position2D]:
 
 def cmd_coverage(args) -> int:
     radii = [float(r) for r in args.radius or []]
-    radii.extend(dsrc_radius(c) for c in args.device_class or [])
+    radii.extend(DSRC_CLASSES[c] for c in args.device_class or [])
     if not radii:
         raise ConfigError("give at least one --radius or --class")
     raw = load_config(args.config) if args.config is not None else {}
@@ -332,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a synthetic mobility trace")
     p_gen.add_argument("--config", required=True, help="JSON config file")
     p_gen.add_argument("--out", required=True, help="trace CSV to write")
-    p_gen.add_argument("--kind", choices=("circuit", "town"))
+    p_gen.add_argument("--kind", choices=GENERATORS)
     p_gen.add_argument("--seed", type=int)
     p_gen.set_defaults(func=cmd_gen)
 
@@ -356,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--area", required=True, help="transit-area polygon CSV")
     p_cov.add_argument("--parked", required=True, help="parked positions (x,y or trace CSV)")
     p_cov.add_argument("--radius", type=_finite_float, action="append", help="repeatable")
-    p_cov.add_argument("--class", dest="device_class", choices=tuple("ABCD"),
+    p_cov.add_argument("--class", dest="device_class", choices=DSRC_CLASSES,
                        action="append", help="DSRC device class; repeatable")
     p_cov.add_argument("--config", help="JSON config (coverage.cell_size)")
     p_cov.add_argument("--cell-size", type=_finite_float,

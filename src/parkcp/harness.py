@@ -7,10 +7,11 @@ dead-reckoned prior. All reads of other vehicles go through the previous
 step's broadcast snapshot, so per-step updates are order-independent.
 
 Every random draw comes from a Philox substream keyed on (config seed, run
-seed) with the counter (purpose, vehicle, step, neighbor or 0); opening one
-re-keys a per-process generator (about 1 us). Paired Traditional and Proposed
-episodes thus draw identical noise for shared events, which keeps their
-comparison tight, and no draw depends on the worker count.
+seed) with the counter (purpose, vehicle, step, neighbor or 0). Paired
+Traditional and Proposed episodes thus draw identical noise for shared
+events, which keeps their comparison tight, and no draw depends on the
+worker count. Draws are read as Python floats, so no numpy scalar, whose
+every operation costs more, reaches an estimate, a filter or a swarm.
 """
 from __future__ import annotations
 
@@ -86,6 +87,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n_runs < 1:
             raise ConfigError("n_runs must be >= 1")
+        if not 0 <= self.seed < 1 << 64:  # substream keys on it mod 2**64
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed!r}")
         if self.ekf.step_seconds != self.scenario.step_seconds:
             raise ConfigError(f"ekf.step_seconds {self.ekf.step_seconds!r} must equal "
                               f"scenario.step_seconds {self.scenario.step_seconds!r}")
@@ -385,9 +388,6 @@ def run_episode(
     # A still parked anchor is halted for good, so its step is a no-op and
     # its broadcast never changes: it settles, and is skipped from then on.
     settled = [False] * len(ids)
-    # Until an anchor has broadcast, no car hears one, so a dormant parked
-    # car's anchor count is 0 without a look at its row. Set for good then.
-    anchor_heard = False
 
     others: list[int] = []  # active, not settled, and not parked in traditional mode
     for t in trace.steps:
@@ -405,7 +405,6 @@ def run_episode(
                 elif role is _ANCHOR:
                     rec = records[k]
                     heard[k] = (role, rec.positions[t - rec.start_step], priority(role))
-                    anchor_heard = True
                     if k in still_parked:
                         settled[k] = True
                 else:
@@ -426,9 +425,8 @@ def run_episode(
                         node.errors.append(distance(fix, truth))
                 elif pol.anchors_preloaded:
                     nodes[k] = _Node(_ANCHOR, truth)
-                else:
-                    fix = channel.measure_gps(truth, noise, stream(vid, t, "gnss"))
-                    nodes[k] = _Node(_INACTIVE, None, gnss_n=1, gnss_sum=fix)
+                else:  # dormant: it draws its fixes when a step reads their mean
+                    nodes[k] = _Node(_INACTIVE, None)
                 continue
             vel_now = rec.velocities[i]
             halted = kind is _PARKED or (
@@ -447,11 +445,10 @@ def run_episode(
                     # read by nothing, so its fixes are drawn when a step reads it
                     n = i + 1
                     anchors = 0
-                    if anchor_heard:
-                        for j, _ in row:
-                            sent = heard[j]
-                            if sent is not None and sent[0] is _ANCHOR:
-                                anchors += 1
+                    for j, _ in row:
+                        sent = heard[j]
+                        if sent is not None and sent[0] is _ANCHOR:
+                            anchors += 1
                     if anchors < 2:  # it cannot rank, and no error is read
                         node.role = classify_stationary(kind, anchors, n, math.inf, pol)
                         if node.role is _ANCHOR:

@@ -100,7 +100,7 @@ class ScenarioConfig:
             raise ConfigError("speed must be > 0")
         if not 0.0 <= self.parked_offset <= 15.0:
             raise ConfigError("parked_offset must lie within 15 m of the road")
-        if self.kind not in ("circuit", "town"):
+        if self.kind not in GENERATORS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if len(self.area) != 4:
             raise ConfigError("area must be four numbers: xmin, ymin, xmax, ymax")
@@ -547,6 +547,9 @@ def gen_town(config: ScenarioConfig) -> list[VehicleRecord]:
     return records
 
 
+GENERATORS = {"circuit": gen_circuit, "town": gen_town}  # by scenario kind
+
+
 def generate(config: ScenarioConfig) -> list[VehicleRecord]:
     """Dispatch on ``config.kind``."""
-    return gen_town(config) if config.kind == "town" else gen_circuit(config)
+    return GENERATORS[config.kind](config)

@@ -374,6 +374,9 @@ def test_top_level_seed_is_the_default_scenario_seed(tmp_path):
     assert gen(town(top=7, scenario_seed=3)) == gen(town(scenario_seed=3))
     assert gen(town(top=7, scenario_seed=3), "--seed", "5") == gen(town(scenario_seed=5))
     assert gen(town()) == gen(town(), "--seed", "0")
+    # an invalid top-level seed that something overrides is never read
+    assert gen(town(top=-1, scenario_seed=5)) == gen(town(scenario_seed=5))
+    assert gen(town(top=-1, scenario_seed=5), "--seed", "3") == gen(town(scenario_seed=3))
     # sim seeds the scenario it generates the same way
     assert _sim_rows(tmp_path, town(top=7), "--algorithm", "ekf") == _sim_rows(
         tmp_path, town(top=7), "--algorithm", "ekf", "--seed", "7"
