@@ -11,9 +11,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
-from .channel import CommZone, NoiseModel
 from .coverage import (
     DSRC_CLASSES,
     TransitArea,
@@ -29,12 +28,9 @@ from .harness import (
     ensemble,
     format_results_csv,
     format_steps_csv,
-    make_run_config,
     summary_rows,
 )
-from .localize import EkfParams, GcpsoParams
 from .model import MotionKind, Position2D
-from .policy import PolicyConfig
 from .scenario import (
     GENERATORS,
     TRACE_HEADER,
@@ -45,10 +41,7 @@ from .scenario import (
     serialize_trace,
 )
 
-_SECTIONS = {
-    "zone": CommZone, "noise": NoiseModel, "policy": PolicyConfig,
-    "gcpso": GcpsoParams, "ekf": EkfParams, "scenario": ScenarioConfig,
-}
+_DEFAULTS = RunConfig()
 _JSON_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 
 
@@ -60,8 +53,10 @@ def _schema(cls) -> dict[str, type | None]:
 
 _TOP_SCHEMA = {**_schema(RunConfig), "algorithm": str, "coverage": None}
 _ALGORITHMS = (*(a.value for a in Algorithm), "both")
+# a config section for each dataclass-valued RunConfig field, and coverage
 _SECTION_SCHEMAS = {
-    **{name: _schema(cls) for name, cls in _SECTIONS.items()},
+    **{f.name: _schema(type(value)) for f in fields(RunConfig)
+       if is_dataclass(value := getattr(_DEFAULTS, f.name))},
     "coverage": {"cell_size": float},
 }
 
@@ -174,9 +169,9 @@ def _section(raw: dict, name: str, base, **flags):
 
 def _scenario(raw: dict, **flags) -> ScenarioConfig:
     """The scenario section; its seed is the flag, else ``scenario.seed``,
-    else the top-level ``seed``, else the dataclass default."""
+    else the top-level ``seed``, else RunConfig's default."""
     section = {**{k: raw[k] for k in ("seed",) if k in raw}, **raw.get("scenario", {})}
-    return _section({"scenario": section}, "scenario", ScenarioConfig(), **flags)
+    return _section({"scenario": section}, "scenario", _DEFAULTS.scenario, **flags)
 
 
 def run_config_from_config(
@@ -187,14 +182,14 @@ def run_config_from_config(
     n_runs: int | None,
     seed: int | None,
 ) -> RunConfig:
-    """RunConfig built through make_run_config, so that defaults, including
-    the noise- and scenario-derived EKF ones, have one source; file sections
-    and flags override only the keys they name."""
+    """RunConfig built directly, so that its defaults, including the noise-
+    and scenario-derived EKF ones, are the only ones; file sections and
+    flags override only the keys they name."""
     top = _merged({k: raw[k] for k in ("n_runs", "seed") if k in raw}, n_runs=n_runs, seed=seed)
-    cfg = make_run_config(
+    cfg = RunConfig(
         algorithm=algorithm,
         scenario=_scenario(raw, seed=seed),
-        noise=_section(raw, "noise", NoiseModel(), range_std=range_std),
+        noise=_section(raw, "noise", _DEFAULTS.noise, range_std=range_std),
         **top,
     )
     return replace(

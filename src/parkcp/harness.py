@@ -74,17 +74,29 @@ class Algorithm(Enum):
 
 @dataclass(frozen=True)
 class RunConfig:
-    scenario: ScenarioConfig
-    zone: CommZone
-    noise: NoiseModel
-    algorithm: Algorithm
-    policy: PolicyConfig
-    gcpso: GcpsoParams
-    ekf: EkfParams
-    n_runs: int
-    seed: int
+    """Run settings with their defaults; the one place they are set. The
+    EKF's assumed range and velocity noise follow the world noise unless
+    given explicitly (floored at 1e-3 for noiseless runs) and its step
+    duration follows the scenario; a given EKF's step must equal the
+    scenario's."""
+
+    algorithm: Algorithm = Algorithm.GCPSO
+    scenario: ScenarioConfig = ScenarioConfig()
+    zone: CommZone = CommZone(15.0)
+    noise: NoiseModel = NoiseModel()
+    policy: PolicyConfig = PolicyConfig()
+    gcpso: GcpsoParams = GcpsoParams()
+    ekf: EkfParams | None = None  # None: derived from noise and scenario
+    n_runs: int = 40
+    seed: int = 0
 
     def __post_init__(self):
+        if self.ekf is None:
+            object.__setattr__(self, "ekf", EkfParams(
+                range_std=max(self.noise.range_std, 1e-3),
+                velocity_std=max(self.noise.velocity_std, 1e-3),
+                step_seconds=self.scenario.step_seconds,
+            ))
         if self.n_runs < 1:
             raise ConfigError("n_runs must be >= 1")
         if not 0 <= self.seed < 1 << 64:  # substream keys on it mod 2**64
@@ -94,40 +106,7 @@ class RunConfig:
                               f"scenario.step_seconds {self.scenario.step_seconds!r}")
 
 
-def make_run_config(
-    algorithm: Algorithm = Algorithm.GCPSO,
-    scenario: ScenarioConfig | None = None,
-    zone: CommZone | None = None,
-    noise: NoiseModel | None = None,
-    policy: PolicyConfig | None = None,
-    gcpso: GcpsoParams | None = None,
-    ekf: EkfParams | None = None,
-    n_runs: int = 40,
-    seed: int = 0,
-) -> RunConfig:
-    """RunConfig with defaults; the one place they are set. The EKF's assumed
-    range and velocity noise follow the world noise unless given explicitly
-    (floored at 1e-3 for noiseless runs) and its step duration follows the
-    scenario; a given EKF's step must equal the scenario's."""
-    noise = noise if noise is not None else NoiseModel()
-    scenario = scenario if scenario is not None else ScenarioConfig()
-    if ekf is None:
-        ekf = EkfParams(
-            range_std=max(noise.range_std, 1e-3),
-            velocity_std=max(noise.velocity_std, 1e-3),
-            step_seconds=scenario.step_seconds,
-        )
-    return RunConfig(
-        scenario=scenario,
-        zone=zone if zone is not None else CommZone(15.0),
-        noise=noise,
-        algorithm=algorithm,
-        policy=policy if policy is not None else PolicyConfig(),
-        gcpso=gcpso if gcpso is not None else GcpsoParams(),
-        ekf=ekf,
-        n_runs=n_runs,
-        seed=seed,
-    )
+make_run_config = RunConfig  # the name that scripts and benchmarks import
 
 
 @dataclass(eq=False)
@@ -278,7 +257,7 @@ class _Trace:
             k for k, r in enumerate(records)
             if r.kind is MotionKind.PARKED and r.positions.count(r.positions[0]) == len(r.positions)
         }
-        self.radius = radius
+        self.step_seconds, self.radius = step_seconds, radius
         sets = sorted(self.active_from)  # the steps at which the active set changes
         # still-parked cars are paired once per active set, keyed by its index
         still = [(s, k) for s, t in enumerate(sets) for k in self.active_from[t]
@@ -359,14 +338,16 @@ def run_episode(
 ) -> EpisodeResult:
     """Run one episode of ``mode``; deterministic given (cfg, run_seed,
     mode). Parked cars take no part in a traditional episode. ``records``
-    is a ``_Trace`` for the zone radius, as ``ensemble`` passes, or records
-    to check as one; None generates the configured scenario's trace."""
+    is a ``_Trace`` for the scenario's step and the zone radius, as
+    ``ensemble`` passes, or records to check as one; None generates the
+    configured scenario's trace."""
     scn = cfg.scenario
     trace = records if isinstance(records, _Trace) else _Trace(
         records if records is not None else generate(scn), scn.step_seconds, cfg.zone.radius)
-    if trace.radius != cfg.zone.radius:
-        raise ConfigError(f"trace neighbors are for radius {trace.radius!r}, "
-                          f"not the zone radius {cfg.zone.radius!r}")
+    if (trace.step_seconds, trace.radius) != (scn.step_seconds, cfg.zone.radius):
+        raise ConfigError(f"trace neighbors are at step {trace.step_seconds!r} for radius "
+                          f"{trace.radius!r}, not the zone radius {cfg.zone.radius!r} "
+                          f"at the scenario step {scn.step_seconds!r}")
 
     proposed = mode is Mode.PROPOSED
     use_ekf = cfg.algorithm is Algorithm.EKF

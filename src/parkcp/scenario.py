@@ -109,6 +109,12 @@ class ScenarioConfig:
         xmin, ymin, xmax, ymax = self.area
         if not (xmax > xmin and ymax > ymin):
             raise ConfigError("area is degenerate")
+        # a walker's next goal is redrawn until it lies a step away; from
+        # every point some point of the area lies half its diagonal away
+        step, half = self.speed * self.step_seconds, math.hypot(xmax - xmin, ymax - ymin) / 2
+        if self.kind == "town" and self.n_moving + self.n_entering > 0 and not step < half:
+            raise ConfigError(f"a town walker's step speed * step_seconds ({step!r}) must be "
+                              f"shorter than half the diagonal of area ({half!r})")
         if not all(math.isfinite(c) for p in self.circuit for c in p):
             raise ConfigError("circuit needs finite vertices")
         if not all(math.isfinite(ck.x) and math.isfinite(ck.y) for ck in self.choke_points):

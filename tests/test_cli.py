@@ -6,6 +6,7 @@ import pytest
 from parkcp import cli
 from parkcp.channel import CommZone
 from parkcp.cli import main
+from parkcp.harness import Algorithm, RunConfig
 
 CIRCUIT_CONFIG = {
     "seed": 7,
@@ -95,8 +96,10 @@ def test_unknown_section_key_rejected(tmp_path, capsys, section):
     assert f"unknown {section} keys: tpyo" in capsys.readouterr().err
 
 
-def sim_configs(tmp_path, monkeypatch, config, *flags):
-    """Run ``parkcp sim`` on ``config``; returns (exit code, RunConfigs used)."""
+def sim_configs(tmp_path, monkeypatch, config, *flags,
+                base=("--algorithm", "ekf", "--n-runs", "1")):
+    """Run ``parkcp sim`` on ``config`` with the ``base`` flags, then
+    ``flags``; returns (exit code, RunConfigs used)."""
     seen = []
 
     def recording_ensemble(cfg, *args, **kwargs):
@@ -107,9 +110,19 @@ def sim_configs(tmp_path, monkeypatch, config, *flags):
     monkeypatch.setattr(cli, "ensemble", recording_ensemble)
     path = tmp_path / "run.cfg"
     path.write_text(json.dumps(config))
-    code = main(["sim", "--config", str(path), "--out", str(tmp_path / "r.csv"),
-                 "--algorithm", "ekf", "--n-runs", "1", *flags])
+    code = main(["sim", "--config", str(path), "--out", str(tmp_path / "r.csv"), *base, *flags])
     return code, seen
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_sim_with_an_empty_config_runs_the_default_run_config(tmp_path, monkeypatch,
+                                                              config_path, algorithm):
+    trace = tmp_path / "trace.csv"  # a short trace keeps the 40 default runs cheap
+    assert main(["gen", "--config", config_path, "--out", str(trace)]) == 0
+    code, seen = sim_configs(tmp_path, monkeypatch, {}, "--trace", str(trace),
+                             base=("--algorithm", algorithm.value))
+    assert code == 0
+    assert seen == [RunConfig(algorithm=algorithm)]
 
 
 def test_sim_ekf_velocity_noise_follows_world_noise(tmp_path, monkeypatch):
@@ -491,6 +504,19 @@ def test_gen_negative_seed_exits_2(tmp_path, config_path, capsys, kind):
                  "--kind", kind, "--seed", "-1"])
     assert code == 2
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "sim"])
+def test_a_town_step_too_long_for_its_area_exits_2(tmp_path, capsys, command):
+    # a walker with no point a step away redrew its goal forever
+    path = tmp_path / "town.cfg"
+    path.write_text(json.dumps({"scenario": {"kind": "town", "area": [0, 0, 5, 5],
+                                             "n_moving": 1, "n_parked": 0, "duration": 10}}))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "speed" in err and "area" in err
     assert not out.exists()
 
 

@@ -11,6 +11,7 @@ from parkcp.channel import CommZone, NoiseModel
 from parkcp.errors import ConfigError
 from parkcp.harness import (
     Algorithm,
+    RunConfig,
     ensemble,
     format_results_csv,
     format_steps_csv,
@@ -22,7 +23,7 @@ from parkcp.harness import (
     summary_rows,
     trace_metrics,
 )
-from parkcp.localize import EkfParams
+from parkcp.localize import EkfParams, GcpsoParams
 from parkcp.model import MotionKind, NodeClass, Position2D, VehicleRecord, Velocity2D, distance
 from parkcp.policy import Mode, PolicyConfig
 from parkcp.scenario import ChokePoint, ScenarioConfig, gen_circuit, generate
@@ -200,6 +201,24 @@ def test_a_run_seed_outside_64_bits_is_rejected(seed, end):
     with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*64\), got "):
         make_run_config(seed=seed)
     assert make_run_config(seed=end).seed == end
+
+
+def test_run_config_holds_every_run_default():
+    assert make_run_config is RunConfig
+    cfg = RunConfig()
+    assert (cfg.algorithm, cfg.zone, cfg.n_runs, cfg.seed) == (
+        Algorithm.GCPSO, CommZone(15.0), 40, 0)
+    assert (cfg.scenario, cfg.noise, cfg.policy, cfg.gcpso) == (
+        ScenarioConfig(), NoiseModel(), PolicyConfig(), GcpsoParams())
+    noise = NoiseModel()
+    assert cfg.ekf == EkfParams(range_std=noise.range_std, velocity_std=noise.velocity_std,
+                                step_seconds=ScenarioConfig().step_seconds)
+    # positional arguments keep make_run_config's order, algorithm first,
+    # and the EKF follows the noise and scenario given
+    cfg = RunConfig(Algorithm.EKF, ScenarioConfig(step_seconds=0.5), CommZone(40.0),
+                    NoiseModel(range_std=0.0, velocity_std=2.0))
+    assert (cfg.algorithm, cfg.zone.radius) == (Algorithm.EKF, 40.0)
+    assert (cfg.ekf.range_std, cfg.ekf.velocity_std, cfg.ekf.step_seconds) == (1e-3, 2.0, 0.5)
 
 
 def test_trace_step_mismatch_rejected():
@@ -1150,6 +1169,19 @@ def test_an_episode_rejects_a_trace_built_for_another_radius(mode):
     with pytest.raises(ConfigError, match="radius 40.0, not the zone radius 15.0"):
         run_episode(cfg, 0, trace, mode=mode)
     run_episode(replace(cfg, zone=CommZone(40.0)), 0, trace, mode=mode)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_an_episode_rejects_a_trace_checked_for_another_step(mode):
+    cfg = circuit_cfg(duration=30)
+    trace = harness._Trace(gen_circuit(cfg.scenario), 1.0, cfg.zone.radius)
+    halved = replace(cfg, scenario=replace(cfg.scenario, step_seconds=0.5),
+                     ekf=replace(cfg.ekf, step_seconds=0.5))
+    # the records alone fail the check at 0.5 s, so a trace checked at 1 s must too
+    with pytest.raises(ConfigError, match="inconsistent with configured step"):
+        run_episode(halved, 0, trace.records, mode=mode)
+    with pytest.raises(ConfigError, match="at step 1.0 for radius 15.0, .* scenario step 0.5"):
+        run_episode(halved, 0, trace, mode=mode)
 
 
 def test_episodes_do_no_neighbor_geometry(monkeypatch):

@@ -600,6 +600,23 @@ def test_town_infeasible_parked_density():
         gen_town(cfg)
 
 
+@pytest.mark.parametrize("n_moving, n_entering", [(1, 0), (0, 1)])
+def test_a_town_step_of_half_the_diagonal_is_rejected(n_moving, n_entering):
+    # a walker redraws its goal until one lies a step away; at the centre of
+    # a 5 x 5 m area no point lies 10 m away, so generation never ended
+    town = dict(kind="town", area=(0.0, 0.0, 5.0, 5.0), n_moving=n_moving,
+                n_entering=n_entering, n_parked=0, duration=10)
+    with pytest.raises(ConfigError, match=r"speed \* step_seconds .*diagonal of area"):
+        ScenarioConfig(**town)
+    # exactly half the diagonal still leaves the centre with nowhere to go
+    with pytest.raises(ConfigError, match="speed"):
+        ScenarioConfig(**dict(town, area=(0.0, 0.0, 6.0, 8.0), speed=5.0))
+    ScenarioConfig(**dict(town, kind="circuit"))
+    ScenarioConfig(**dict(town, n_moving=0, n_entering=0))  # no walker, no step
+    assert len(gen_town(ScenarioConfig(**dict(town, area=(0.0, 0.0, 6.0, 8.0),
+                                              speed=4.9)))) == 1
+
+
 def test_town_choke_point_induces_queued_halt():
     cfg = ScenarioConfig(
         kind="town", seed=13, duration=30, n_moving=4, n_parked=0,
