@@ -38,6 +38,7 @@ from .localize import (
     bilaterate_with_prior,
     ekf_predict,
     ekf_update,
+    gcpso_keeps_prior,
     gcpso_localize,
     trilaterate,
 )
@@ -474,6 +475,8 @@ def run_episode(
             if use_ekf:  # empty: ekf_update would give (prior, p_cov); ekf_predict checks p_cov
                 new_est, node.cov = (ekf_update(prior, p_cov, selected, ekf_params)
                                      if selected else (prior, p_cov))
+            elif gcpso_keeps_prior(selected, prior, cfg.gcpso):
+                new_est = prior  # what the swarm would return, with no pso stream
             else:
                 problem = LocalizationProblem(tuple(selected), prior)
                 new_est = gcpso_localize(problem, cfg.gcpso, stream(vid, t, "pso")).position

@@ -23,6 +23,7 @@ the joint update (Bar-Shalom, Li & Kirubarajan, 2001).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -57,6 +58,10 @@ class GcpsoParams:
     fitness_stop: float = 0.0
 
     def __post_init__(self):
+        for name in ("particles", "iterations", "success_limit", "failure_limit"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.particles < 1 or self.iterations < 1:
             raise ValueError("particles and iterations must be >= 1")
         if self.success_limit < 1 or self.failure_limit < 1:
@@ -148,6 +153,15 @@ class GcpsoResult:
     history: np.ndarray = field(repr=False)  # global-best fitness per iteration
 
 
+def gcpso_keeps_prior(
+    selected: tuple[Candidate, ...] | list[Candidate], prior: Position2D, params: GcpsoParams
+) -> bool:
+    """Whether ``gcpso_localize`` returns ``prior`` itself and draws nothing:
+    with no neighbor the cost at a finite prior is exactly 0, where a swarm
+    with ``fitness_stop >= 0`` stops before it starts."""
+    return not selected and params.fitness_stop >= 0.0 and prior.is_finite()
+
+
 def gcpso_localize(
     problem: LocalizationProblem, params: GcpsoParams, rng: np.random.Generator
 ) -> GcpsoResult:
@@ -157,59 +171,62 @@ def gcpso_localize(
     neighbor's shared position and half on the prior (all on the prior when
     there is no neighbor), with zero initial velocities. Inertia decreases
     linearly across iterations; the globally best particle performs the
-    box-resampling update instead of the standard velocity rule. With no
-    neighbor the cost at the prior is exactly 0, so a swarm that would stop
-    there is not run.
+    box-resampling update instead of the standard velocity rule. Where
+    ``gcpso_keeps_prior`` holds, no swarm is run (``run_episode`` then makes
+    no call at all).
+
+    Each particle is one tuple (x, y, vx, vy, best x, best y, best f), read
+    once and replaced once per update; ``best_f`` mirrors the best f of each,
+    so the global best is its first minimum. One (iterations * n, 4) uniform
+    block is drawn, n rows per iteration.
     """
-    if not problem.selected and params.fitness_stop >= 0.0 and problem.prior.is_finite():
+    if gcpso_keeps_prior(problem.selected, problem.prior, params):
         return GcpsoResult(problem.prior, 0.0, np.zeros(1))
     n = params.particles
     rows = tuple((*c.shared_position, c.measured_range) for c in problem.selected)
     px0, py0 = problem.prior
-    if problem.selected:
-        bx, by = problem.selected[0].shared_position
-        xs = [bx if i < n // 2 else px0 for i in range(n)]
-        ys = [by if i < n // 2 else py0 for i in range(n)]
-    else:
-        xs = [px0] * n
-        ys = [py0] * n
-    vx = [0.0] * n
-    vy = [0.0] * n
-
-    best_x = list(xs)
-    best_y = list(ys)
-    best_f = [cost(Position2D(x, y), problem) for x, y in zip(xs, ys)]
+    sqrt = math.sqrt
+    starts = ([(rows[0][0], rows[0][1], n // 2), (px0, py0, n - n // 2)] if rows
+              else [(px0, py0, n)])
+    swarm: list[tuple[float, ...]] = []
+    for x, y, count in starts:  # cost(), inline
+        dx, dy = x - px0, y - py0
+        f = dx * dx + dy * dy
+        for ax, ay, r in rows:
+            ex, ey = x - ax, y - ay
+            m = r - sqrt(ex * ex + ey * ey)
+            f += m * m
+        swarm += [(x, y, 0.0, 0.0, x, y, f)] * count
+    best_f = [p[6] for p in swarm]
     g = best_f.index(min(best_f))
-    gx, gy, gf = best_x[g], best_y[g], best_f[g]
+    _, _, _, _, gx, gy, gf = swarm[g]
     history = [gf]
 
     radius = RadiusAdaptation(params.initial_radius, params.success_limit, params.failure_limit)
     iterations, stop = params.iterations, params.fitness_stop
     w_start, w_end = params.inertia_start, params.inertia_end
     c1, c2 = params.cognitive, params.social
-    sqrt = math.sqrt
     span = max(iterations - 1, 1)
     # one block holds exactly what one (n, 4) draw per iteration would; a
     # swarm that starts at fitness_stop needs none, and one whose fitness is
     # nan runs the loop, so it draws the block
-    draws = rng.random((iterations, n, 4)).tolist() if not gf <= stop else []
+    draws = iter(rng.random((iterations * n, 4)).tolist() if not gf <= stop else ())
     for it in range(iterations):
         if gf <= stop:
             break
         w = w_start + (w_end - w_start) * (it / span)
         rho = radius.radius
-        for i, (u0, u1, u2, u3) in enumerate(draws[it]):
-            x, y = xs[i], ys[i]
+        # range first: zip stops on it without taking the next iteration's row
+        for i, (u0, u1, u2, u3) in zip(range(n), draws):
+            x, y, vx, vy, bx, by, bf = swarm[i]
             if i == g:
-                nx = gx + w * vx[i] + rho * (1.0 - 2.0 * u0)
-                ny = gy + w * vy[i] + rho * (1.0 - 2.0 * u1)
-                vx[i], vy[i] = nx - x, ny - y
+                nx = gx + w * vx + rho * (1.0 - 2.0 * u0)
+                ny = gy + w * vy + rho * (1.0 - 2.0 * u1)
+                vx, vy = nx - x, ny - y
             else:
-                vxi = w * vx[i] + c1 * u0 * (best_x[i] - x) + c2 * u2 * (gx - x)
-                vyi = w * vy[i] + c1 * u1 * (best_y[i] - y) + c2 * u3 * (gy - y)
-                vx[i], vy[i] = vxi, vyi
-                nx, ny = x + vxi, y + vyi
-            xs[i], ys[i] = nx, ny
+                vx = w * vx + c1 * u0 * (bx - x) + c2 * u2 * (gx - x)
+                vy = w * vy + c1 * u1 * (by - y) + c2 * u3 * (gy - y)
+                nx, ny = x + vx, y + vy
             # cost(), inline
             dx, dy = nx - px0, ny - py0
             f = dx * dx + dy * dy
@@ -217,12 +234,14 @@ def gcpso_localize(
                 ex, ey = nx - ax, ny - ay
                 m = r - sqrt(ex * ex + ey * ey)
                 f += m * m
-            if f < best_f[i]:
-                best_f[i], best_x[i], best_y[i] = f, nx, ny
+            if f < bf:
+                bx, by, bf = nx, ny, f
+                best_f[i] = f
+            swarm[i] = (nx, ny, vx, vy, bx, by, bf)
         g = best_f.index(min(best_f))
-        improved = best_f[g] < gf
-        gx, gy, gf = best_x[g], best_y[g], best_f[g]
-        radius.update(improved)
+        _, _, _, _, gx, gy, bf = swarm[g]
+        radius.update(bf < gf)
+        gf = bf
         history.append(gf)
 
     return GcpsoResult(Position2D(gx, gy), gf, np.asarray(history))

@@ -698,6 +698,47 @@ def test_a_halted_car_draws_for_every_broadcast_it_may_lose(monkeypatch, kind, n
         assert {step for step, purpose, _ in opened if purpose == "range"} < set(halted)
 
 
+@pytest.mark.parametrize("fitness_stop", [0.0, -1.0])
+def test_a_gcpso_step_without_a_neighbor_runs_no_swarm(monkeypatch, fitness_stop):
+    # a lone car hears no one; at fitness_stop >= 0 the swarm would return its
+    # prior without a draw, so the step opens no pso stream and calls nothing
+    cfg = make_run_config(
+        algorithm=Algorithm.GCPSO,
+        scenario=ScenarioConfig(kind="circuit", duration=30, n_parked=0),
+        policy=PolicyConfig(gps_reset_interval=100_000),
+        gcpso=GcpsoParams(fitness_stop=fitness_stop), n_runs=1, seed=5,
+    )
+    purposes, swarms, priors = [], [], []
+    real_stream, real_swarm, real_reckon = (harness.substream, harness.gcpso_localize,
+                                            harness.dead_reckon)
+
+    def stream_spy(*args):
+        purposes.append(args[4])
+        return real_stream(*args)
+
+    def swarm_spy(problem, params, rng):
+        swarms.append(problem.selected)
+        return real_swarm(problem, params, rng)
+
+    def reckon_spy(*args):
+        priors.append(real_reckon(*args))
+        return priors[-1]
+
+    monkeypatch.setattr(harness, "substream", stream_spy)
+    monkeypatch.setattr(harness, "gcpso_localize", swarm_spy)
+    monkeypatch.setattr(harness, "dead_reckon", reckon_spy)
+    errors = run_episode(cfg, 0).errors[0]
+    assert len(priors) == len(errors) - 1 > 0  # every step after the first drives
+    if fitness_stop < 0.0:  # the prior's cost 0 is above the stop: the swarm runs
+        assert swarms == [()] * len(priors)
+        assert purposes.count("pso") == len(priors)
+        return
+    assert swarms == [] and "pso" not in purposes
+    truth = generate(cfg.scenario)[0].positions
+    assert errors[1:].tolist() == [math.hypot(p.x - q.x, p.y - q.y)
+                                   for p, q in zip(priors, truth[1:])]
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 def test_no_drop_draw_for_a_silent_neighbor(monkeypatch, mode):
     # parked cars are silent in traditional mode, and the neighbor table
@@ -1239,6 +1280,11 @@ def test_localizers_receive_python_floats(monkeypatch, make_cfg, algorithm, mode
     cfg = make_cfg(algorithm)
     cfg = replace(cfg, policy=replace(cfg.policy, anchors_preloaded=preloaded))
     run_episode(cfg, 1, mode=mode)
+    if (make_cfg, algorithm, mode) == (golden_circuit_cfg, Algorithm.GCPSO, Mode.TRADITIONAL):
+        # the Traditional circuit car never selects a neighbor, and a GCPSO
+        # step without one calls no localizer
+        assert received == []
+        return
     assert received
     assert {type(v) for values in received for v in values} == {float}
 

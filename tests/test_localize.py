@@ -10,6 +10,7 @@ from parkcp.errors import DegenerateGeometryError
 from parkcp.localize import (
     EkfParams,
     GcpsoParams,
+    GcpsoResult,
     LocalizationProblem,
     RadiusAdaptation,
     bilaterate_with_prior,
@@ -253,6 +254,114 @@ def test_gcpso_fitness_is_the_cost_of_its_position_bit_for_bit(rows, prior, seed
     res = gcpso_localize(problem, params, np.random.default_rng(seed))
     assert _bits([res.fitness]) == _bits([cost(res.position, problem)])
     assert res.fitness == res.history[-1]
+
+
+def _reference_gcpso_localize(problem, params, rng):
+    """The swarm as it was before each particle became one tuple, kept
+    verbatim as the oracle of ``gcpso_localize``."""
+    if not problem.selected and params.fitness_stop >= 0.0 and problem.prior.is_finite():
+        return GcpsoResult(problem.prior, 0.0, np.zeros(1))
+    n = params.particles
+    rows = tuple((*c.shared_position, c.measured_range) for c in problem.selected)
+    px0, py0 = problem.prior
+    if problem.selected:
+        bx, by = problem.selected[0].shared_position
+        xs = [bx if i < n // 2 else px0 for i in range(n)]
+        ys = [by if i < n // 2 else py0 for i in range(n)]
+    else:
+        xs = [px0] * n
+        ys = [py0] * n
+    vx = [0.0] * n
+    vy = [0.0] * n
+
+    best_x = list(xs)
+    best_y = list(ys)
+    best_f = [cost(Position2D(x, y), problem) for x, y in zip(xs, ys)]
+    g = best_f.index(min(best_f))
+    gx, gy, gf = best_x[g], best_y[g], best_f[g]
+    history = [gf]
+
+    radius = RadiusAdaptation(params.initial_radius, params.success_limit, params.failure_limit)
+    iterations, stop = params.iterations, params.fitness_stop
+    w_start, w_end = params.inertia_start, params.inertia_end
+    c1, c2 = params.cognitive, params.social
+    sqrt = math.sqrt
+    span = max(iterations - 1, 1)
+    # one block holds exactly what one (n, 4) draw per iteration would; a
+    # swarm that starts at fitness_stop needs none, and one whose fitness is
+    # nan runs the loop, so it draws the block
+    draws = rng.random((iterations, n, 4)).tolist() if not gf <= stop else []
+    for it in range(iterations):
+        if gf <= stop:
+            break
+        w = w_start + (w_end - w_start) * (it / span)
+        rho = radius.radius
+        for i, (u0, u1, u2, u3) in enumerate(draws[it]):
+            x, y = xs[i], ys[i]
+            if i == g:
+                nx = gx + w * vx[i] + rho * (1.0 - 2.0 * u0)
+                ny = gy + w * vy[i] + rho * (1.0 - 2.0 * u1)
+                vx[i], vy[i] = nx - x, ny - y
+            else:
+                vxi = w * vx[i] + c1 * u0 * (best_x[i] - x) + c2 * u2 * (gx - x)
+                vyi = w * vy[i] + c1 * u1 * (best_y[i] - y) + c2 * u3 * (gy - y)
+                vx[i], vy[i] = vxi, vyi
+                nx, ny = x + vxi, y + vyi
+            xs[i], ys[i] = nx, ny
+            # cost(), inline
+            dx, dy = nx - px0, ny - py0
+            f = dx * dx + dy * dy
+            for ax, ay, r in rows:
+                ex, ey = nx - ax, ny - ay
+                m = r - sqrt(ex * ex + ey * ey)
+                f += m * m
+            if f < best_f[i]:
+                best_f[i], best_x[i], best_y[i] = f, nx, ny
+        g = best_f.index(min(best_f))
+        improved = best_f[g] < gf
+        gx, gy, gf = best_x[g], best_y[g], best_f[g]
+        radius.update(improved)
+        history.append(gf)
+
+    return GcpsoResult(Position2D(gx, gy), gf, np.asarray(history))
+
+
+_prior = st.one_of(
+    st.tuples(_coordinate, _coordinate),
+    st.tuples(st.sampled_from([math.nan, math.inf, -math.inf]), _coordinate),
+    st.tuples(_coordinate, st.sampled_from([math.nan, math.inf, -math.inf])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_coordinate, _coordinate, st.floats(0.0, 200.0), st.booleans()),
+             max_size=3),
+    _prior,
+    st.integers(1, 8),
+    st.integers(1, 30),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from([-math.inf, 0.0, 1e-3, math.inf]),
+    st.integers(0, 2**32 - 1),
+)
+def test_gcpso_equals_the_reference_swarm_bit_for_bit(
+        rows, prior, particles, iterations, success_limit, failure_limit, fitness_stop, seed):
+    # same position, fitness and history bits, and the same draws consumed
+    problem = LocalizationProblem(
+        tuple(Candidate(j + 1, NodeClass.ANCHOR, Position2D(*(prior if at_prior else (x, y))), r)
+              for j, (x, y, r, at_prior) in enumerate(rows)),
+        Position2D(*prior),
+    )
+    params = GcpsoParams(particles=particles, iterations=iterations,
+                         success_limit=success_limit, failure_limit=failure_limit,
+                         fitness_stop=fitness_stop)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = gcpso_localize(problem, params, rng)
+    want = _reference_gcpso_localize(problem, params, ref_rng)
+    assert _bits([*got.position, got.fitness]) == _bits([*want.position, want.fitness])
+    assert got.history.tobytes() == want.history.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_radius_doubles_after_success_limit():
@@ -730,6 +839,14 @@ def test_ekf_params_reject_infinite_values(field, value):
     # an infinite process noise used to end an episode in "covariance must be finite"
     with pytest.raises(ValueError, match="finite"):
         EkfParams(**{"range_std": 1.0, field: value})
+
+
+@pytest.mark.parametrize("field", ["particles", "iterations", "success_limit", "failure_limit"])
+@pytest.mark.parametrize("value", [2.5, 3.0, 1.5, True, "4"])
+def test_gcpso_params_reject_non_integer_counts(field, value):
+    # particles=2.5 used to fail deep in the swarm, success_limit=1.5 to act as 2
+    with pytest.raises(ValueError, match=f"{field} must be an int, got {value!r}"):
+        GcpsoParams(**{field: value})
 
 
 @pytest.mark.parametrize("field", ["initial_radius", "cognitive", "social", "inertia_start"])
