@@ -156,9 +156,11 @@ class GcpsoResult:
 def gcpso_keeps_prior(
     selected: tuple[Candidate, ...] | list[Candidate], prior: Position2D, params: GcpsoParams
 ) -> bool:
-    """Whether ``gcpso_localize`` returns ``prior`` itself and draws nothing:
-    with no neighbor the cost at a finite prior is exactly 0, where a swarm
-    with ``fitness_stop >= 0`` stops before it starts."""
+    """Whether a GCPSO step can keep ``prior`` without running a swarm: with
+    no neighbor the cost at a finite prior is exactly 0, where a swarm with
+    ``fitness_stop >= 0`` stops before its first iteration, so
+    ``gcpso_localize`` would return a position equal to the prior, fitness 0
+    and no draw. ``run_episode`` makes no call where this holds."""
     return not selected and params.fitness_stop >= 0.0 and prior.is_finite()
 
 
@@ -171,17 +173,16 @@ def gcpso_localize(
     neighbor's shared position and half on the prior (all on the prior when
     there is no neighbor), with zero initial velocities. Inertia decreases
     linearly across iterations; the globally best particle performs the
-    box-resampling update instead of the standard velocity rule. Where
-    ``gcpso_keeps_prior`` holds, no swarm is run (``run_episode`` then makes
-    no call at all).
+    box-resampling update instead of the standard velocity rule. A swarm
+    that starts at or below ``fitness_stop`` draws nothing and returns its
+    start; ``run_episode`` skips the call where ``gcpso_keeps_prior`` says
+    that start is the prior.
 
     Each particle is one tuple (x, y, vx, vy, best x, best y, best f), read
     once and replaced once per update; ``best_f`` mirrors the best f of each,
     so the global best is its first minimum. One (iterations * n, 4) uniform
     block is drawn, n rows per iteration.
     """
-    if gcpso_keeps_prior(problem.selected, problem.prior, params):
-        return GcpsoResult(problem.prior, 0.0, np.zeros(1))
     n = params.particles
     rows = tuple((*c.shared_position, c.measured_range) for c in problem.selected)
     px0, py0 = problem.prior
@@ -189,13 +190,8 @@ def gcpso_localize(
     starts = ([(rows[0][0], rows[0][1], n // 2), (px0, py0, n - n // 2)] if rows
               else [(px0, py0, n)])
     swarm: list[tuple[float, ...]] = []
-    for x, y, count in starts:  # cost(), inline
-        dx, dy = x - px0, y - py0
-        f = dx * dx + dy * dy
-        for ax, ay, r in rows:
-            ex, ey = x - ax, y - ay
-            m = r - sqrt(ex * ex + ey * ey)
-            f += m * m
+    for x, y, count in starts:
+        f = cost(Position2D(x, y), problem)
         swarm += [(x, y, 0.0, 0.0, x, y, f)] * count
     best_f = [p[6] for p in swarm]
     g = best_f.index(min(best_f))

@@ -17,6 +17,7 @@ from parkcp.localize import (
     cost,
     ekf_predict,
     ekf_update,
+    gcpso_keeps_prior,
     gcpso_localize,
     trilaterate,
     _COINCIDENT,
@@ -162,8 +163,9 @@ class _UntouchableRng:
 @pytest.mark.parametrize("fitness_stop", [0.0, 0.5])
 def test_gcpso_without_neighbors_returns_the_prior_without_a_swarm(fitness_stop):
     prior = Position2D(0.1 + 0.2, -0.0)
-    res = gcpso_localize(LocalizationProblem((), prior), GcpsoParams(fitness_stop=fitness_stop),
-                         _UntouchableRng())
+    params = GcpsoParams(fitness_stop=fitness_stop)
+    assert gcpso_keeps_prior((), prior, params)
+    res = gcpso_localize(LocalizationProblem((), prior), params, _UntouchableRng())
     assert (res.position.x, res.position.y) == (prior.x, prior.y)
     assert math.copysign(1.0, res.position.y) == -1.0
     assert res.fitness == 0.0
@@ -182,6 +184,25 @@ def test_gcpso_without_neighbors_runs_the_swarm_below_a_negative_fitness_stop():
     res = gcpso_localize(LocalizationProblem((), Position2D(4.5, -2.25)), params, CountingRng())
     assert used
     assert len(res.history) == params.iterations + 1
+
+
+@pytest.mark.parametrize("prior", [(1.5, -2.0), (math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
+@pytest.mark.parametrize("fitness_stop", [-math.inf, -1.0, 0.0, 1e-3, math.inf])
+@pytest.mark.parametrize("rows", [0, 1])
+def test_gcpso_keeps_prior_exactly_where_the_swarm_draws_nothing_and_returns_the_prior(
+        prior, fitness_stop, rows):
+    problem = anchored_problem([(10.0, 0.0)][:rows], [3.0][:rows], prior)
+    params = GcpsoParams(fitness_stop=fitness_stop)
+    used = []
+
+    class CountingRng:
+        def __getattr__(self, name):
+            used.append(name)
+            return getattr(np.random.default_rng(3), name)
+
+    res = gcpso_localize(problem, params, CountingRng())
+    kept = not used and res.fitness == 0.0 and res.position == problem.prior
+    assert gcpso_keeps_prior(problem.selected, problem.prior, params) == kept
 
 
 def test_gcpso_runs_a_swarm_whose_fitness_is_nan():
