@@ -1,13 +1,24 @@
 import functools
+import gc
 import math
+import re
+import struct
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parkcp import scenario
 from parkcp.errors import ConfigError, TraceParseError, TraceValidationError
-from parkcp.model import MotionKind, Position2D, VehicleRecord, Velocity2D, distance
+from parkcp.model import (
+    ZERO_VELOCITY,
+    MotionKind,
+    Position2D,
+    VehicleRecord,
+    Velocity2D,
+    distance,
+)
 from parkcp.scenario import (
     TRACE_HEADER,
     ChokePoint,
@@ -668,3 +679,106 @@ def test_scenario_config_rejects_a_non_finite_area(area):
 def test_scenario_config_rejects_non_finite_choke_points(x, y):
     with pytest.raises(ConfigError, match="choke_points"):
         ScenarioConfig(kind="town", choke_points=(ChokePoint(x, y, 5.0, 3),))
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(step_seconds=0.0), "step_seconds must be > 0"),
+    (dict(duration=0), "duration must be > 0"),
+    (dict(n_entering=-1), "vehicle counts must be >= 0"),
+    (dict(parked_spacing=0.0), "parked_spacing must be > 0"),
+    (dict(entry_interval=0), "entry_interval must be > 0"),
+    (dict(speed=0.0), "speed must be > 0"),
+    (dict(parked_offset=-0.5), "parked_offset must lie within 15 m of the road"),
+    (dict(parked_offset=15.5), "parked_offset must lie within 15 m of the road"),
+    (dict(kind="highway"), "unknown scenario kind 'highway'"),
+    (dict(area=(0.0, 0.0, 1.0)), "area must be four numbers: xmin, ymin, xmax, ymax"),
+    (dict(circuit=(Position2D(0.0, 0.0),)), "circuit needs at least 2 vertices"),
+    (dict(circuit=(Position2D(3.0, 4.0),) * 3), "circuit is degenerate (zero length)"),
+])
+def test_scenario_config_and_circuit_reject_bad_values(fields, message):
+    # a bad config raises as it is built; a bad circuit when it is generated
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        gen_circuit(ScenarioConfig(**fields))
+
+
+# ---------------------------------------------------------------------------
+# Trace building: samples in bulk, collector paused
+
+
+def _reference_exact_trajectory(xs, ys, step_seconds):
+    """The integrator as it was before it built its samples in bulk, kept
+    verbatim as the oracle of ``scenario._exact_trajectory``."""
+    px, py = xs[0], ys[0]
+    positions = [Position2D(px, py)]
+    velocities: list[Velocity2D] = []
+    for nx, ny in zip(islice(xs, 1, None), islice(ys, 1, None)):
+        vx, vy = (nx - px) / step_seconds, (ny - py) / step_seconds
+        velocities.append(Velocity2D(vx, vy))
+        px, py = px + step_seconds * vx, py + step_seconds * vy
+        positions.append(Position2D(px, py))
+    velocities.append(velocities[-1] if velocities else ZERO_VELOCITY)
+    return positions, velocities
+
+
+def _sample_bits(samples):
+    """Each sample's exact type, its floats' bits (-0.0 kept) and the index of
+    the first sample that is the same object, which ``serialize_trace`` reads."""
+    first = {}
+    return [(type(s), struct.pack("<2d", *s), first.setdefault(id(s), i))
+            for i, s in enumerate(samples)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-1e15, 1e15), st.floats(-1e15, 1e15), st.integers(1, 3)),
+             min_size=1, max_size=300),
+    st.sampled_from([1.0, 0.1, 0.7]),
+)
+@example([(-0.0, 0.0, 1)], 0.7)
+@example([(1e15, -0.0, 1), (-1e15, 0.0, 1)], 0.1)
+@example([(2.5, -3.0, 2)], 1.0)
+def test_exact_trajectory_equals_the_reference_bit_for_bit(waypoints, step_seconds):
+    # each waypoint repeats 1-3 times in a row: halted steps, as at a choke point
+    points = [(x, y) for x, y, n in waypoints for _ in range(n)][:300]
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    got = scenario._exact_trajectory(xs, ys, step_seconds)
+    want = _reference_exact_trajectory(xs, ys, step_seconds)
+    assert [_sample_bits(g) for g in got] == [_sample_bits(w) for w in want]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("build, arg, error", [
+    ("generate", ScenarioConfig(kind="circuit", duration=5, n_parked=2), None),
+    ("generate", ScenarioConfig(kind="town", duration=5, n_moving=0, n_parked=30,
+                                area=(0.0, 0.0, 2.0, 2.0)), (ConfigError, "density infeasible")),
+    ("parse_trace", f"{TRACE_HEADER}\n0,1,0.0,0.0,0.0,0.0,parked\n1,1,0.0,0.0,0.0,0.0,parked\n",
+     None),
+    ("parse_trace", f"{TRACE_HEADER}\n0,1,0.0,0.0,0.0,0.0,parked\n1,1,0.0,bogus,0.0,0.0,parked\n",
+     (TraceParseError, "line 3")),
+], ids=["generate", "generate-raises", "parse_trace", "parse_trace-raises"])
+def test_trace_building_pauses_the_collector_and_restores_it(
+        monkeypatch, build, arg, error, enabled):
+    seen = []
+
+    def spied(real):
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+        return spy
+
+    if build == "generate":
+        monkeypatch.setitem(scenario.GENERATORS, arg.kind, spied(scenario.GENERATORS[arg.kind]))
+    else:
+        monkeypatch.setattr(scenario, "_trace_rows", spied(scenario._trace_rows))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            getattr(scenario, build)(arg)
+        else:
+            with pytest.raises(error[0], match=error[1]):
+                getattr(scenario, build)(arg)
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False]
+    assert after is enabled
