@@ -154,55 +154,6 @@ def substream(
     return _GENERATOR
 
 
-def _ranked_candidates(
-    row: list[tuple[int, float]],
-    heard: list[tuple | None],
-    ids: list[int],
-    vehicle_id: int,
-    reference: Position2D,
-    zone: CommZone,
-    noise: NoiseModel,
-    stream,
-    step: int,
-    min_anchors: int = 0,
-) -> tuple[list[Candidate], int]:
-    """Broadcast-data pre-ranking and ranging of the neighbors in ``row``,
-    the vehicle's (index j, true distance) row of ``_Trace.near``, heard
-    through ``heard[j]``; draws, ties and candidates use the id ``ids[j]``.
-    A silent neighbor is skipped before its drop draw. Ranges are only
-    measured for the top three neighbors under (priority, distance from own
-    reference to the shared position, id); select_neighbors then fixes the
-    final order on measured ranges. Returns (selected candidates, anchors
-    whose broadcast arrived this step, after drops). With nothing heard, or
-    fewer than ``min_anchors`` such anchors, nothing is ranked or ranged and
-    no candidate is selected; range draws are keyed by counter, so skipping
-    them moves no other draw."""
-    drop = zone.drop_probability
-    rx, ry = reference
-    ranked = []
-    anchors_in_range = 0
-    for j, true_d in row:
-        sent = heard[j]
-        if sent is None:
-            continue  # silent: inactive, in its first active step, or parked in traditional
-        vid = ids[j]
-        if drop > 0.0 and stream(vehicle_id, step, "drop", vid).random() < drop:
-            continue  # broadcast lost this step
-        ncls, shared, prio = sent
-        if ncls is _ANCHOR:
-            anchors_in_range += 1
-        sx, sy = shared
-        ranked.append((prio, math.hypot(rx - sx, ry - sy), vid, true_d, ncls, shared))
-    if not ranked or anchors_in_range < min_anchors:
-        return [], anchors_in_range
-    ranked.sort()  # ids are unique in a row, so no comparison goes past the id
-    candidates = []
-    for _, _, vid, true_d, ncls, shared in ranked[:3]:
-        measured = channel.measure_range(true_d, noise, stream(vehicle_id, step, "range", vid))
-        candidates.append(Candidate(vid, ncls, shared, measured))
-    return select_neighbors(candidates), anchors_in_range
-
-
 def _anchor_fix(anchors: list[Candidate], prior: Position2D) -> Position2D:
     """Trilateration on the first three anchors, else the two-anchor fix
     nearer ``prior`` on the first two, else ``prior``; a fix whose anchors
@@ -358,7 +309,7 @@ def run_episode(
     def stream(vid, step, purpose, extra=0):
         return substream(cfg.seed, run_seed, vid, step, purpose, extra)
 
-    zone, noise, ekf_params = cfg.zone, cfg.noise, cfg.ekf
+    drop, noise, ekf_params = cfg.zone.drop_probability, cfg.noise, cfg.ekf
     gps_var = noise.gps_std**2
     gps_cov = (gps_var, 0.0, gps_var)
     vel_std = noise.velocity_std
@@ -370,6 +321,42 @@ def run_episode(
     # A still parked anchor is halted for good, so its step is a no-op and
     # its broadcast never changes: it settles, and is skipped from then on.
     settled = [False] * len(ids)
+
+    def ranked(row, vid, t, reference, min_anchors=0):
+        """Broadcast-data pre-ranking and ranging of the neighbors in ``row``,
+        the car's (index j, true distance) row of ``_Trace.near``, heard
+        through ``heard[j]``; draws, ties and candidates use the id ``ids[j]``.
+        A silent neighbor is skipped before its drop draw. Ranges are only
+        measured for the top three neighbors under (priority, distance from
+        ``reference`` to the shared position, id); select_neighbors then
+        fixes the final order on measured ranges. Returns (selected
+        candidates, anchors whose broadcast arrived this step, after drops).
+        With nothing heard, or fewer than ``min_anchors`` such anchors,
+        nothing is ranked or ranged and no candidate is selected; range draws
+        are keyed by counter, so skipping them moves no other draw."""
+        rx, ry = reference
+        found = []
+        anchors_in_range = 0
+        for j, true_d in row:
+            sent = heard[j]
+            if sent is None:
+                continue  # silent: inactive, in its first active step, or parked in traditional
+            nid = ids[j]
+            if drop > 0.0 and stream(vid, t, "drop", nid).random() < drop:
+                continue  # broadcast lost this step
+            ncls, shared, prio = sent
+            if ncls is _ANCHOR:
+                anchors_in_range += 1
+            sx, sy = shared
+            found.append((prio, math.hypot(rx - sx, ry - sy), nid, true_d, ncls, shared))
+        if not found or anchors_in_range < min_anchors:
+            return [], anchors_in_range
+        found.sort()  # ids are unique in a row, so no comparison goes past the id
+        candidates = []
+        for _, _, nid, true_d, ncls, shared in found[:3]:
+            measured = channel.measure_range(true_d, noise, stream(vid, t, "range", nid))
+            candidates.append(Candidate(nid, ncls, shared, measured))
+        return select_neighbors(candidates), anchors_in_range
 
     others: list[int] = []  # active, not settled, and not parked in traditional mode
     for t in trace.steps:
@@ -448,9 +435,7 @@ def run_episode(
                 gnss_mean = Position2D(sx / n, sy / n)
 
                 # below two anchors _anchor_fix gives gnss_mean whatever is ranged
-                selected, anchors_in_range = _ranked_candidates(
-                    row, heard, ids, vid, gnss_mean, zone, noise, stream, t, min_anchors=2,
-                )
+                selected, anchors_in_range = ranked(row, vid, t, gnss_mean, min_anchors=2)
                 new_est = _anchor_fix([c for c in selected if c.node_class is _ANCHOR], gnss_mean)
                 node.role = classify_stationary(
                     kind, anchors_in_range, n, distance(new_est, truth), pol
@@ -471,7 +456,7 @@ def run_episode(
             else:
                 prior = dead_reckon(node.est, vel_meas, dt)
 
-            selected, _ = _ranked_candidates(row, heard, ids, vid, prior, zone, noise, stream, t)
+            selected, _ = ranked(row, vid, t, prior)
             if use_ekf:  # empty: ekf_update would give (prior, p_cov); ekf_predict checks p_cov
                 new_est, node.cov = (ekf_update(prior, p_cov, selected, ekf_params)
                                      if selected else (prior, p_cov))
@@ -599,9 +584,9 @@ def _share_trace(trace: _Trace) -> None:
     _TRACE = trace
 
 
-def _episode_task(args, trace: _Trace | None = None) -> EpisodeResult:
+def _episode_task(args) -> EpisodeResult:
     cfg, mode, run_seed = args
-    return run_episode(cfg, run_seed, trace if trace is not None else _TRACE, mode)
+    return run_episode(cfg, run_seed, _TRACE, mode)
 
 
 def ensemble(
@@ -623,7 +608,7 @@ def ensemble(
     tasks = [(cfg, mode, run) for run in range(cfg.n_runs) for mode in modes]
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        results = [_episode_task(task, trace) for task in tasks]
+        results = [run_episode(cfg, run, trace, mode) for _, mode, run in tasks]
     else:
         # each worker receives the trace once, not with every task
         with ProcessPoolExecutor(workers, initializer=_share_trace, initargs=(trace,)) as pool:
