@@ -66,6 +66,7 @@ from .scenario import ScenarioConfig, generate, validate_records
 # class lookup, and an episode makes several per car-step
 _ANCHOR, _INACTIVE = NodeClass.ANCHOR, NodeClass.INACTIVE
 _MOVING, _QUEUED, _PARKED = MotionKind.MOVING, MotionKind.QUEUED, MotionKind.PARKED
+_EXACT = (0.0, 0.0, 0.0)  # an anchor's broadcast covariance
 
 
 class Algorithm(Enum):
@@ -315,8 +316,8 @@ def run_episode(
     vel_std = noise.velocity_std
     records, ids, still_parked = trace.records, trace.ids, trace.still_parked
     nodes: list[_Node | None] = [None] * len(ids)
-    # each car's latest broadcast (role, shared position, priority) from its
-    # second active step; None while it is inactive, which is silent
+    # each car's latest broadcast (role, shared position, priority, covariance)
+    # from its second active step; None while it is inactive, which is silent
     heard: list[tuple | None] = [None] * len(ids)
     # A still parked anchor is halted for good, so its step is a no-op and
     # its broadcast never changes: it settles, and is skipped from then on.
@@ -344,18 +345,18 @@ def run_episode(
             nid = ids[j]
             if drop > 0.0 and stream(vid, t, "drop", nid).random() < drop:
                 continue  # broadcast lost this step
-            ncls, shared, prio = sent
+            ncls, shared, prio, cov = sent
             if ncls is _ANCHOR:
                 anchors_in_range += 1
             sx, sy = shared
-            found.append((prio, math.hypot(rx - sx, ry - sy), nid, true_d, ncls, shared))
+            found.append((prio, math.hypot(rx - sx, ry - sy), nid, true_d, ncls, shared, cov))
         if not found or anchors_in_range < min_anchors:
             return [], anchors_in_range
         found.sort()  # ids are unique in a row, so no comparison goes past the id
         candidates = []
-        for _, _, nid, true_d, ncls, shared in found[:3]:
+        for _, _, nid, true_d, ncls, shared, cov in found[:3]:
             measured = channel.measure_range(true_d, noise, stream(vid, t, "range", nid))
-            candidates.append(Candidate(nid, ncls, shared, measured))
+            candidates.append(Candidate(nid, ncls, shared, measured, cov))
         return select_neighbors(candidates), anchors_in_range
 
     others: list[int] = []  # active, not settled, and not parked in traditional mode
@@ -373,11 +374,11 @@ def run_episode(
                     heard[k] = None
                 elif role is _ANCHOR:
                     rec = records[k]
-                    heard[k] = (role, rec.positions[t - rec.start_step], priority(role))
+                    heard[k] = (role, rec.positions[t - rec.start_step], priority(role), _EXACT)
                     if k in still_parked:
                         settled[k] = True
                 else:
-                    heard[k] = (role, node.est, priority(role))
+                    heard[k] = (role, node.est, priority(role), node.cov)
         others = [k for k in others if not settled[k]]  # their step is a no-op
 
         for k in others:

@@ -18,7 +18,10 @@ so the prediction inflates the covariance by
 process_std^2 + (step_seconds * velocity_std)^2 per axis. The covariance is
 the float triple (a, b, d) of [[a, b], [b, d]]. The update applies the range
 rows as scalar updates, all linearised at the predicted state, which equals
-the joint update (Bar-Shalom, Li & Kirubarajan, 2001).
+the joint update (Bar-Shalom, Li & Kirubarajan, 2001). A row's innovation
+variance adds the neighbor's broadcast covariance, projected on the row's
+direction, to the range variance: a neighbor's estimate is not taken as
+exact, and an anchor's, with zero covariance, is.
 """
 from __future__ import annotations
 
@@ -295,7 +298,9 @@ def ekf_update(
     """EKF update over the selected range measurements, one scalar update
     per row. Row j, h_j(x) = ||x - x_j||, is linearised at the predicted
     state x0 as u_j = (x0 - x_j)^T / ||x0 - x_j|| (rows coincident with x0
-    are skipped), and its innovation is corrected by -u_j (x - x0)."""
+    are skipped), and its innovation is corrected by -u_j (x - x0). Its
+    innovation variance is u_j P u_j^T + range_std^2 + u_j P_j u_j^T, with
+    P_j the neighbor's ``shared_cov``."""
     a, b, d = _require_psd(cov)
     x0, y0 = state
     x, y = x0, y0
@@ -308,7 +313,8 @@ def ekf_update(
             continue
         ux, uy = dx / dist, dy / dist
         pu_x, pu_y = a * ux + b * uy, b * ux + d * uy  # P u
-        s = ux * pu_x + uy * pu_y + r2
+        ja, jb, jd = cand.shared_cov
+        s = ux * pu_x + uy * pu_y + r2 + (ux * (ja * ux + jb * uy) + uy * (jb * ux + jd * uy))
         gx, gy = pu_x / s, pu_y / s
         innov = cand.measured_range - dist - ux * (x - x0) - uy * (y - y0)
         x, y = x + gx * innov, y + gy * innov

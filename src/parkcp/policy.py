@@ -46,20 +46,24 @@ class _CandidateFields(NamedTuple):
     node_class: NodeClass
     shared_position: Position2D
     measured_range: float
+    shared_cov: tuple[float, float, float]
 
 
 class Candidate(_CandidateFields):
-    """A neighbor offered to the localizer: its broadcast position plus the
-    measured range to it, in meters. An immutable named tuple; an inactive
-    node cannot be one."""
+    """A neighbor offered to the localizer: its broadcast position, the
+    measured range to it, in meters, and the covariance (a, b, d) of
+    [[a, b], [b, d]] broadcast with the position, zero for an anchor's
+    precisely known one. An immutable named tuple; an inactive node cannot
+    be one."""
 
     __slots__ = ()
 
     def __new__(cls, vehicle_id: int, node_class: NodeClass, shared_position: Position2D,
-                measured_range: float):
+                measured_range: float, shared_cov: tuple[float, float, float] = (0.0, 0.0, 0.0)):
         if node_class is _INACTIVE:
             raise ValueError("inactive nodes cannot be candidates")
-        return tuple.__new__(cls, (vehicle_id, node_class, shared_position, measured_range))
+        return tuple.__new__(
+            cls, (vehicle_id, node_class, shared_position, measured_range, shared_cov))
 
     @classmethod
     def _make(cls, iterable):  # so that _replace checks too

@@ -1051,9 +1051,9 @@ JITTER_STEPS = {
     (Algorithm.GCPSO, False):
         "edc644eb81b7eef6f62cae1d8d8a8b6ac4d6d06886922514b7075c3670cb018e",
     (Algorithm.EKF, True):
-        "5e1800867ae442b66f146589e3cd6ca246d5486eaf167dbf61c94ea1f8b4e57d",
+        "f493e4fa77e55ac92eb762e70918ed4c16c78ca90e23e1a727dcf6c68c08aca9",
     (Algorithm.EKF, False):
-        "c2df9d3fbd1c81093e7aa49cb0e25c6f436cf821843dfec7c733b5d65f6b5228",
+        "9827fb7ad5fce93e330805f152471bd917ffa196a8481aedd022cf9a067326ae",
 }
 
 
@@ -1077,9 +1077,9 @@ DROP_STEPS = {
     (Algorithm.GCPSO, False):
         "ba69895171acf972901b20466b441df8f7eaaf5c0711382e0cd24cf298966def",
     (Algorithm.EKF, True):
-        "18eaa44d388f8ef51cc7ad66293dbbb57c4ecd36d5b76121c8d851e344293a13",
+        "10f8404340b40a713fef694f7224d7bba1177b729bfdbfc8ac612d0af8f08461",
     (Algorithm.EKF, False):
-        "44036bfc894c6e9022173be0fa1e9ed1d361771a2895b8bcf5b91aeb4c84fa6e",
+        "eef82d59d9634cacb4efaf149c8ec6eece8ebb8e7b328263da66fc601bd01dd1",
 }
 
 
@@ -1142,9 +1142,9 @@ STAGGERED_STEPS = {
     (Algorithm.GCPSO, 0.3):
         "d222042a08cbf209508eb82848f47c532bf424f4bd7a558dab0c218f84f436cb",
     (Algorithm.EKF, 0.0):
-        "263c35caa3b14b7300234879320e19a9c393ca29a8981a96965e75eab324586b",
+        "5427f35b3822e1e1cb9811799b8d6779c2bba0e866709d608169b4babf63faaf",
     (Algorithm.EKF, 0.3):
-        "ddb8cb75c856b33529b533c8e3d233a17f4754535f777bcddd2da84c72b6ef6d",
+        "7998651498b8618c553077ac826c92e8d58f758c6f9641e31169c0f91f9fc552",
 }
 
 
@@ -1289,14 +1289,13 @@ def test_localizers_receive_python_floats(monkeypatch, make_cfg, algorithm, mode
     assert {type(v) for values in received for v in values} == {float}
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
 @pytest.mark.parametrize("range_std", [0.2, 1.0])
 def test_an_ekf_town_keeps_every_car_within_three_gps_sigmas(range_std):
     """The benchmark's bootstrapped town (seed 1, 20/10/80 cars on
     360 x 280 m, a 15 m zone) keeps every tracked car's mean RMSE within
-    3 * gps_std in both modes. The EKF ranges to a neighbor's broadcast
-    estimate as if it were exact, so today every Traditional car exceeds
-    the bound."""
+    3 * gps_std in both modes. An EKF that ranged to a neighbor's
+    broadcast estimate as if it were exact fed each car's error back into
+    the others, and every Traditional car exceeded the bound."""
     scenario = ScenarioConfig(
         seed=1, kind="town", area=(0.0, 0.0, 360.0, 280.0),
         n_moving=20, n_entering=10, n_parked=80,
