@@ -8,13 +8,7 @@ import argparse
 from itertools import product
 
 from parkcp.channel import CommZone, NoiseModel
-from parkcp.harness import (
-    Algorithm,
-    ensemble,
-    format_results_csv,
-    make_run_config,
-    summary_rows,
-)
+from parkcp.harness import Algorithm, RunConfig, ensemble, format_results_csv, summary_rows
 from parkcp.scenario import ScenarioConfig
 
 
@@ -36,7 +30,7 @@ def main() -> None:
     for radius, algorithm, sigma in product(
         (15.0, 100.0), (Algorithm.GCPSO, Algorithm.EKF), (0.2, 4.0)
     ):
-        cfg = make_run_config(
+        cfg = RunConfig(
             algorithm=algorithm,
             scenario=scenario,
             zone=CommZone(radius),

@@ -6,7 +6,7 @@ import argparse
 from dataclasses import replace
 
 from parkcp.channel import CommZone, NoiseModel
-from parkcp.harness import Algorithm, ensemble, make_run_config
+from parkcp.harness import Algorithm, RunConfig, ensemble
 from parkcp.scenario import ScenarioConfig
 
 
@@ -24,7 +24,7 @@ def main() -> None:
     print(f"{'n_parked':>9} {'per_km':>8} {'travelled':>10} {'improvement':>12}")
     for n_parked in (2, 4, 8, 16, 32):
         scenario = replace(base, n_parked=n_parked, parked_spacing=480.0 / n_parked)
-        cfg = make_run_config(
+        cfg = RunConfig(
             algorithm=Algorithm.EKF,
             scenario=scenario,
             zone=CommZone(15.0),

@@ -11,7 +11,6 @@ from .harness import (
     RunConfig,
     ensemble,
     improvement,
-    make_run_config,
     rmse,
     run_episode,
 )

@@ -108,7 +108,8 @@ class RunConfig:
                               f"scenario.step_seconds {self.scenario.step_seconds!r}")
 
 
-make_run_config = RunConfig  # the name that scripts and benchmarks import
+# the old name, which perfbench/workloads.py and tests/test_acceptance.py import
+make_run_config = RunConfig
 
 
 @dataclass(eq=False)

@@ -6,6 +6,7 @@ import pytest
 from parkcp import cli
 from parkcp.channel import CommZone
 from parkcp.cli import main
+from parkcp.errors import ConfigError
 from parkcp.harness import Algorithm, RunConfig
 
 CIRCUIT_CONFIG = {
@@ -654,6 +655,19 @@ def test_coverage_accepts_trace_with_byte_order_mark_as_parked_source(tmp_path, 
                      "--radius", "15", "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("text, match", [
+    ('{"seed": 7,', r"config file .*run\.cfg is not valid JSON: Expecting"),
+    ("[1, 2]", "config root must be a JSON object"),
+    ('{"zone": 15.0}', "config section 'zone' must be an object"),
+    ('{"scenario": ["circuit"]}', "config section 'scenario' must be an object"),
+], ids=["truncated", "array-root", "number-section", "array-section"])
+def test_config_file_of_the_wrong_shape_is_a_config_error(tmp_path, text, match):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=match):
+        cli.load_config(str(path))
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])

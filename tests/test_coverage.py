@@ -154,6 +154,8 @@ def test_parse_area_and_points():
 
     with pytest.raises(ValueError, match="header"):
         parse_area("0,0.0,0.0\n")
+    with pytest.raises(ValueError, match="area file contains no polygons"):
+        parse_area("polygon,x,y\n# no vertex\n")
 
 
 @pytest.mark.parametrize("parse, text", [
@@ -274,6 +276,19 @@ def test_coverage_report_equals_the_full_grid(name, cell, radius, free, far, on_
 def test_transit_area_rejects_a_bad_cell_size(cell_size, match):
     with pytest.raises(ValueError, match=match):
         TransitArea((square(),), cell_size=cell_size)
+
+
+@pytest.mark.parametrize("n_vertices", [0, 1, 2])
+def test_transit_area_rejects_a_polygon_of_fewer_than_three_vertices(n_vertices):
+    with pytest.raises(ValueError, match="polygons need at least 3 vertices"):
+        TransitArea((square(), square()[:n_vertices]))
+
+
+def test_an_area_with_no_cell_center_inside_is_rejected():
+    # a triangle inside one 1 m cell that misses the cell's center
+    area = TransitArea(((Position2D(0.1, 0.1), Position2D(0.2, 0.1), Position2D(0.2, 0.2)),))
+    with pytest.raises(ValueError, match="transit area contains no raster cells"):
+        coverage_report(area, [Position2D(0.0, 0.0)], 15.0)
 
 
 @pytest.mark.parametrize("vertex", [(math.inf, 0.0), (0.0, math.nan)])

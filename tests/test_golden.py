@@ -28,10 +28,10 @@ from parkcp.channel import CommZone, NoiseModel
 from parkcp.coverage import TransitArea, coverage_report, dsrc_radius
 from parkcp.harness import (
     Algorithm,
+    RunConfig,
     ensemble,
     format_results_csv,
     format_steps_csv,
-    make_run_config,
     summary_rows,
 )
 from parkcp.model import MotionKind, Position2D
@@ -61,17 +61,17 @@ def cases():
     for radius, algorithm, sigma in product(
         (15.0, 100.0), (Algorithm.GCPSO, Algorithm.EKF), (0.2, 4.0)
     ):
-        yield make_run_config(
+        yield RunConfig(
             algorithm=algorithm, scenario=circuit, zone=CommZone(radius),
             noise=NoiseModel(range_std=sigma), n_runs=N_RUNS, seed=SEED,
         )
-    yield make_run_config(
+    yield RunConfig(
         algorithm=Algorithm.GCPSO, scenario=circuit,
         zone=CommZone(100.0, drop_probability=0.3),
         noise=NoiseModel(range_std=4.0), n_runs=N_RUNS, seed=SEED,
     )
     for algorithm in (Algorithm.GCPSO, Algorithm.EKF):
-        yield make_run_config(
+        yield RunConfig(
             algorithm=algorithm, scenario=TOWN, zone=CommZone(15.0),
             noise=NoiseModel(range_std=4.0),
             policy=PolicyConfig(anchors_preloaded=False), n_runs=2, seed=SEED,

@@ -16,7 +16,6 @@ from parkcp.harness import (
     format_results_csv,
     format_steps_csv,
     improvement,
-    make_run_config,
     rmse,
     run_episode,
     substream,
@@ -33,7 +32,7 @@ from dataclasses import replace
 def circuit_cfg(algorithm=Algorithm.EKF, *, duration=60,
                 n_parked=12, parked_spacing=40.0, noise=None, zone=15.0,
                 n_runs=2, seed=0, preloaded=True):
-    return make_run_config(
+    return RunConfig(
         algorithm=algorithm,
         scenario=ScenarioConfig(kind="circuit", duration=duration,
                                 n_parked=n_parked, parked_spacing=parked_spacing),
@@ -130,7 +129,7 @@ def test_non_unit_step_duration_stays_consistent():
     # zero noise keeps dead reckoning exact only if every component uses the
     # scenario's step duration; a dt mismatch would leak in as drift
     for algorithm in (Algorithm.GCPSO, Algorithm.EKF):
-        cfg = make_run_config(
+        cfg = RunConfig(
             algorithm=algorithm,
             scenario=ScenarioConfig(kind="circuit", duration=40, n_parked=48,
                                     parked_spacing=10.0, step_seconds=0.5),
@@ -147,7 +146,7 @@ def test_traditional_isolated_error_stays_bounded():
     # of the last reset (Rayleigh sigma=6; P[R > 35 m] ~ 4e-8) plus the
     # dead-reckoning random walk over at most gps_reset_interval=10 steps
     # (per-axis std sqrt(10)*0.5; radial > 10 m is ~5-sigma). Bound: 45 m.
-    cfg = make_run_config(
+    cfg = RunConfig(
         algorithm=Algorithm.EKF,
         scenario=ScenarioConfig(kind="circuit", duration=1000, n_parked=0),
         n_runs=1, seed=17,
@@ -160,7 +159,7 @@ def test_traditional_isolated_error_stays_bounded():
 
 def test_gps_reset_interval_controls_resets():
     # with an enormous reset interval the drift runs free and grows larger
-    base = make_run_config(
+    base = RunConfig(
         algorithm=Algorithm.EKF,
         scenario=ScenarioConfig(kind="circuit", duration=400, n_parked=0),
         policy=PolicyConfig(gps_reset_interval=10),
@@ -173,21 +172,21 @@ def test_gps_reset_interval_controls_resets():
 
 
 def test_ekf_defaults_follow_world_noise_and_scenario():
-    cfg = make_run_config(
+    cfg = RunConfig(
         algorithm=Algorithm.EKF,
         scenario=ScenarioConfig(step_seconds=0.5),
         noise=NoiseModel(range_std=0.2, velocity_std=2.0),
     )
     assert (cfg.ekf.range_std, cfg.ekf.velocity_std, cfg.ekf.step_seconds) == (0.2, 2.0, 0.5)
-    noiseless = make_run_config(noise=NoiseModel(range_std=0.0, velocity_std=0.0))
+    noiseless = RunConfig(noise=NoiseModel(range_std=0.0, velocity_std=0.0))
     assert (noiseless.ekf.range_std, noiseless.ekf.velocity_std) == (1e-3, 1e-3)
 
 
 def test_ekf_step_must_equal_the_scenario_step():
     # an EKF that predicts over another step than the trace's drifts silently
     with pytest.raises(ConfigError, match=r"ekf.step_seconds 1.0 .*scenario.step_seconds 0.5"):
-        make_run_config(scenario=ScenarioConfig(step_seconds=0.5), ekf=EkfParams(range_std=4.0))
-    cfg = make_run_config(scenario=ScenarioConfig(step_seconds=0.5))
+        RunConfig(scenario=ScenarioConfig(step_seconds=0.5), ekf=EkfParams(range_std=4.0))
+    cfg = RunConfig(scenario=ScenarioConfig(step_seconds=0.5))
     with pytest.raises(ConfigError, match="step_seconds"):
         replace(cfg, ekf=replace(cfg.ekf, step_seconds=1.0))
     with pytest.raises(ConfigError, match="step_seconds"):
@@ -199,12 +198,18 @@ def test_a_run_seed_outside_64_bits_is_rejected(seed, end):
     # substream keys on the seed mod 2**64, so the seed would print the
     # results of the end of the range that it aliases, which stays valid
     with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\*\*64\), got "):
-        make_run_config(seed=seed)
-    assert make_run_config(seed=end).seed == end
+        RunConfig(seed=seed)
+    assert RunConfig(seed=end).seed == end
+
+
+@pytest.mark.parametrize("n_runs", [0, -1])
+def test_fewer_than_one_run_is_rejected(n_runs):
+    with pytest.raises(ConfigError, match="n_runs must be >= 1"):
+        RunConfig(n_runs=n_runs)
 
 
 def test_run_config_holds_every_run_default():
-    assert make_run_config is RunConfig
+    assert harness.make_run_config is RunConfig
     cfg = RunConfig()
     assert (cfg.algorithm, cfg.zone, cfg.n_runs, cfg.seed) == (
         Algorithm.GCPSO, CommZone(15.0), 40, 0)
@@ -338,7 +343,7 @@ def test_traditional_mode_never_uses_anchors():
     # ever consumes an anchor-class candidate
     from parkcp.scenario import ChokePoint
 
-    cfg = make_run_config(
+    cfg = RunConfig(
         algorithm=Algorithm.EKF,
         scenario=ScenarioConfig(
             kind="town", duration=40, n_moving=5, n_parked=10, seed=2,
@@ -394,7 +399,7 @@ def test_queued_vehicle_becomes_anchor_while_halted():
         [Position2D(5.0 + 0.1 * t, 5.0) for t in range(duration)],
         [Velocity2D(0.1, 0.0)] * duration,
     )
-    cfg = make_run_config(
+    cfg = RunConfig(
         algorithm=Algorithm.EKF,
         scenario=ScenarioConfig(kind="circuit", duration=duration),
         noise=NoiseModel(range_std=0.0, gps_std=0.0, velocity_std=0.0),
@@ -424,7 +429,7 @@ def test_ensemble_single_run_equals_episode():
 
 
 def test_ensemble_without_parked_cars_gives_zero_improvement():
-    cfg = make_run_config(
+    cfg = RunConfig(
         algorithm=Algorithm.EKF,
         scenario=ScenarioConfig(kind="circuit", duration=50, n_parked=0),
         n_runs=3, seed=9,
@@ -517,7 +522,7 @@ def _halted_scene(kind, n_anchors, duration=12):
 def _bootstrap_cfg(drop_probability=0.0):
     """EKF bootstrap episodes with exact ranges, 5 m GNSS noise, a 20 m zone
     and a GNSS window of ``GNSS_WINDOW`` steps."""
-    return make_run_config(
+    return RunConfig(
         algorithm=Algorithm.EKF,
         scenario=ScenarioConfig(kind="circuit", duration=12),
         noise=NoiseModel(range_std=0.0, gps_std=5.0, velocity_std=0.0),
@@ -702,7 +707,7 @@ def test_a_halted_car_draws_for_every_broadcast_it_may_lose(monkeypatch, kind, n
 def test_a_gcpso_step_without_a_neighbor_runs_no_swarm(monkeypatch, fitness_stop):
     # a lone car hears no one; at fitness_stop >= 0 the swarm would return its
     # prior without a draw, so the step opens no pso stream and calls nothing
-    cfg = make_run_config(
+    cfg = RunConfig(
         algorithm=Algorithm.GCPSO,
         scenario=ScenarioConfig(kind="circuit", duration=30, n_parked=0),
         policy=PolicyConfig(gps_reset_interval=100_000),
@@ -879,7 +884,7 @@ def golden_town_cfg(algorithm):
         n_moving=4, n_entering=2, n_parked=16, entry_interval=10,
         choke_points=(ChokePoint(70.0, 60.0, 8.0, 15), ChokePoint(140.0, 100.0, 8.0, 15)),
     )
-    return make_run_config(
+    return RunConfig(
         algorithm=algorithm, scenario=town, zone=CommZone(15.0),
         noise=NoiseModel(range_std=4.0), policy=PolicyConfig(anchors_preloaded=False),
         n_runs=2, seed=1,
@@ -1246,7 +1251,7 @@ def golden_circuit_cfg(algorithm):
     """The circuit of tests/test_golden.py at sigma_r = 4 and a 15 m zone."""
     circuit = ScenarioConfig(kind="circuit", duration=240, n_parked=20,
                              parked_spacing=24.0, seed=1)
-    return make_run_config(algorithm=algorithm, scenario=circuit, zone=CommZone(15.0),
+    return RunConfig(algorithm=algorithm, scenario=circuit, zone=CommZone(15.0),
                            noise=NoiseModel(range_std=4.0), n_runs=1, seed=1)
 
 
@@ -1302,7 +1307,7 @@ def test_an_ekf_town_keeps_every_car_within_three_gps_sigmas(range_std):
         choke_points=(ChokePoint(143.6844366435097, 158.79852357247069, 5.0, 20),
                       ChokePoint(181.648654536762, 82.2580936137618, 5.0, 20)),
     )
-    cfg = make_run_config(Algorithm.EKF, scenario, CommZone(15.0),
+    cfg = RunConfig(Algorithm.EKF, scenario, CommZone(15.0),
                           NoiseModel(range_std=range_std),
                           PolicyConfig(anchors_preloaded=False), n_runs=1, seed=1)
     bound = 3 * cfg.noise.gps_std

@@ -610,6 +610,21 @@ def test_ekf_update_converges_to_trilateration():
     assert distance(state, oracle) < 0.3
 
 
+def test_ekf_update_adds_the_neighbors_covariance_along_the_row_to_the_range_variance():
+    # one row along x: u P_j u^T is P_j's (0, 0) entry, so a neighbor with
+    # variance 3 on x and anything on y weighs like an exact one at r2 + 3
+    state, cov = Position2D(10.0, 0.0), (4.0, 0.0, 4.0)
+    row = Candidate(1, NodeClass.BLIND, Position2D(0.0, 0.0), 11.0, (3.0, 0.0, 50.0))
+    exact = row._replace(shared_cov=(0.0, 0.0, 0.0))
+    got = ekf_update(state, cov, [row], EkfParams(range_std=1.0))
+    want = ekf_update(state, cov, [exact], EkfParams(range_std=2.0))
+    assert got[0] == pytest.approx(want[0], abs=1e-12)
+    assert got[1] == pytest.approx(want[1], abs=1e-12)
+    # the gain shrinks: the estimate moves 4/8 of the innovation, not 4/5
+    assert got[0].x == pytest.approx(10.5)
+    assert ekf_update(state, cov, [exact], EkfParams(range_std=1.0))[0].x == pytest.approx(10.8)
+
+
 def test_ekf_update_never_increases_trace():
     rng = np.random.default_rng(8)
     params = EkfParams(range_std=1.0)
@@ -758,6 +773,13 @@ def test_trilaterate_collinear_rejected():
         trilaterate(anchors, [5.0, 5.0, 5.0])
 
 
+@pytest.mark.parametrize("n_anchors, n_ranges", [(2, 2), (4, 4), (3, 2), (2, 3)])
+def test_trilaterate_needs_exactly_three_anchors_and_ranges(n_anchors, n_ranges):
+    anchors = [Position2D(0, 0), Position2D(4, 0), Position2D(0, 3), Position2D(4, 3)]
+    with pytest.raises(ValueError, match="trilaterate needs exactly 3 anchors and ranges"):
+        trilaterate(anchors[:n_anchors], [5.0] * n_ranges)
+
+
 def test_trilaterate_translation_equivariant():
     anchors = [Position2D(0, 0), Position2D(40, 0), Position2D(0, 30)]
     truth = Position2D(12.0, 9.0)
@@ -875,6 +897,22 @@ def test_gcpso_params_reject_non_integer_counts(field, value):
 def test_gcpso_params_reject_non_finite_values(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         GcpsoParams(**{field: value})
+
+
+@pytest.mark.parametrize("values, match", [
+    ({"particles": 0}, "particles and iterations must be >= 1"),
+    ({"iterations": -1}, "particles and iterations must be >= 1"),
+    ({"success_limit": 0}, "success_limit and failure_limit must be >= 1"),
+    ({"failure_limit": -2}, "success_limit and failure_limit must be >= 1"),
+    ({"initial_radius": 0.0}, "initial_radius must be > 0"),
+    ({"initial_radius": -1.0}, "initial_radius must be > 0"),
+    ({"inertia_start": 0.1, "inertia_end": 0.5}, "inertia must decrease to a non-negative"),
+    ({"inertia_end": -0.1}, "inertia must decrease to a non-negative"),
+], ids=["particles", "iterations", "success", "failure", "radius-0", "radius-neg",
+        "inertia-up", "inertia-neg"])
+def test_gcpso_params_reject_out_of_range_values(values, match):
+    with pytest.raises(ValueError, match=match):
+        GcpsoParams(**values)
 
 
 def test_gcpso_params_reject_nan_fitness_stop():

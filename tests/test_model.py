@@ -138,6 +138,18 @@ def test_validate_accepts_an_infinite_tolerance():
     _jump().validate(1.0, math.inf)
 
 
+@pytest.mark.parametrize("n_positions, n_velocities, match", [
+    (2, 1, "vehicle 1: positions/velocities length mismatch"),
+    (1, 2, "vehicle 1: positions/velocities length mismatch"),
+    (0, 0, "vehicle 1: empty trajectory"),
+])
+def test_validate_rejects_unpaired_or_missing_samples(n_positions, n_velocities, match):
+    rec = _record(MotionKind.PARKED, [Position2D(2, 3)] * n_positions,
+                  [ZERO_VELOCITY] * n_velocities)
+    with pytest.raises(ValueError, match=match):
+        rec.validate(1.0)
+
+
 @pytest.mark.parametrize("field", ["positions", "velocities"])
 def test_validate_finds_a_non_finite_middle_sample_of_a_long_parked_record(field):
     rec = _record(MotionKind.PARKED, [Position2D(2, 3)] * 200, [ZERO_VELOCITY] * 200)

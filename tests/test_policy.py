@@ -44,8 +44,9 @@ def test_candidate_rejects_inactive(make_candidate):
 
 def test_candidate_fields_equality_and_immutability():
     c = Candidate(4, NodeClass.PSEUDO_ANCHOR, Position2D(1.0, 2.0), 7.5)
-    assert (c.vehicle_id, c.node_class, c.shared_position, c.measured_range) == (
-        4, NodeClass.PSEUDO_ANCHOR, Position2D(1.0, 2.0), 7.5)
+    assert (c.vehicle_id, c.node_class, c.shared_position, c.measured_range, c.shared_cov) == (
+        4, NodeClass.PSEUDO_ANCHOR, Position2D(1.0, 2.0), 7.5, (0.0, 0.0, 0.0))
+    assert c != Candidate(4, NodeClass.PSEUDO_ANCHOR, Position2D(1.0, 2.0), 7.5, (1.0, 0.0, 1.0))
     same = Candidate(vehicle_id=4, node_class=NodeClass.PSEUDO_ANCHOR,
                      shared_position=Position2D(1.0, 2.0), measured_range=7.5)
     assert c == same and hash(c) == hash(same)
