@@ -863,10 +863,6 @@ def test_localizers_agree_with_trilateration_on_random_instances():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        GcpsoParams(particles=0)
-    with pytest.raises(ValueError):
-        GcpsoParams(inertia_start=0.1, inertia_end=0.5)
-    with pytest.raises(ValueError):
         EkfParams(range_std=0.0)
 
 
