@@ -38,7 +38,6 @@ from .localize import (
     bilaterate_with_prior,
     ekf_predict,
     ekf_update,
-    gcpso_keeps_prior,
     gcpso_localize,
     trilaterate,
 )
@@ -454,16 +453,15 @@ def run_episode(
             vel_meas = tuple.__new__(Velocity2D, (vel_true.vx + (0.0 + vel_std * zx),
                                                   vel_true.vy + (0.0 + vel_std * zy)))
             if use_ekf:  # its predicted state is dead_reckon(node.est, vel_meas, dt)
-                prior, p_cov = ekf_predict(node.est, node.cov, vel_meas, ekf_params)
+                prior, node.cov = ekf_predict(node.est, node.cov, vel_meas, ekf_params)
             else:
                 prior = dead_reckon(node.est, vel_meas, dt)
 
             selected, _ = ranked(row, vid, t, prior)
-            if use_ekf:  # empty: ekf_update would give (prior, p_cov); ekf_predict checks p_cov
-                new_est, node.cov = (ekf_update(prior, p_cov, selected, ekf_params)
-                                     if selected else (prior, p_cov))
-            elif gcpso_keeps_prior(selected, prior, cfg.gcpso):
-                new_est = prior  # what the swarm would return, with no pso stream
+            if not selected:  # either localizer keeps its prior; a swarm at cost 0 draws nothing
+                new_est = prior
+            elif use_ekf:
+                new_est, node.cov = ekf_update(prior, node.cov, selected, ekf_params)
             else:
                 problem = LocalizationProblem(tuple(selected), prior)
                 new_est = gcpso_localize(problem, cfg.gcpso, stream(vid, t, "pso")).position

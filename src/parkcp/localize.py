@@ -47,6 +47,8 @@ class GcpsoParams:
     The best particle resamples a box of half-width ``radius`` around the
     global best; the radius doubles after ``success_limit`` consecutive
     improvements and halves after ``failure_limit`` consecutive failures.
+    A swarm runs ``iterations`` iterations, or stops once its best cost
+    reaches 0, the least a sum of squares can take.
     """
 
     particles: int = 4
@@ -58,7 +60,6 @@ class GcpsoParams:
     social: float = 2.0
     inertia_start: float = 0.9
     inertia_end: float = 0.2
-    fitness_stop: float = 0.0
 
     def __post_init__(self):
         for name in ("particles", "iterations", "success_limit", "failure_limit"):
@@ -76,8 +77,6 @@ class GcpsoParams:
             raise ValueError("initial_radius must be > 0")
         if not self.inertia_start >= self.inertia_end >= 0:
             raise ValueError("inertia must decrease to a non-negative value")
-        if math.isnan(self.fitness_stop):  # -inf never stops early, +inf at once
-            raise ValueError("fitness_stop must not be nan")
 
 
 @dataclass(frozen=True)
@@ -156,17 +155,6 @@ class GcpsoResult:
     history: np.ndarray = field(repr=False)  # global-best fitness per iteration
 
 
-def gcpso_keeps_prior(
-    selected: tuple[Candidate, ...] | list[Candidate], prior: Position2D, params: GcpsoParams
-) -> bool:
-    """Whether a GCPSO step can keep ``prior`` without running a swarm: with
-    no neighbor the cost at a finite prior is exactly 0, where a swarm with
-    ``fitness_stop >= 0`` stops before its first iteration, so
-    ``gcpso_localize`` would return a position equal to the prior, fitness 0
-    and no draw. ``run_episode`` makes no call where this holds."""
-    return not selected and params.fitness_stop >= 0.0 and prior.is_finite()
-
-
 def gcpso_localize(
     problem: LocalizationProblem, params: GcpsoParams, rng: np.random.Generator
 ) -> GcpsoResult:
@@ -177,9 +165,9 @@ def gcpso_localize(
     there is no neighbor), with zero initial velocities. Inertia decreases
     linearly across iterations; the globally best particle performs the
     box-resampling update instead of the standard velocity rule. A swarm
-    that starts at or below ``fitness_stop`` draws nothing and returns its
-    start; ``run_episode`` skips the call where ``gcpso_keeps_prior`` says
-    that start is the prior.
+    stops once its best cost is 0, so one that starts there (a finite prior
+    and no neighbor) draws nothing and returns the prior; ``run_episode``
+    makes no call without a neighbor.
 
     Each particle is one tuple (x, y, vx, vy, best x, best y, best f), read
     once and replaced once per update; ``best_f`` mirrors the best f of each,
@@ -202,16 +190,16 @@ def gcpso_localize(
     history = [gf]
 
     radius = RadiusAdaptation(params.initial_radius, params.success_limit, params.failure_limit)
-    iterations, stop = params.iterations, params.fitness_stop
+    iterations = params.iterations
     w_start, w_end = params.inertia_start, params.inertia_end
     c1, c2 = params.cognitive, params.social
     span = max(iterations - 1, 1)
     # one block holds exactly what one (n, 4) draw per iteration would; a
-    # swarm that starts at fitness_stop needs none, and one whose fitness is
-    # nan runs the loop, so it draws the block
-    draws = iter(rng.random((iterations * n, 4)).tolist() if not gf <= stop else ())
+    # swarm that starts at cost 0 needs none, and one whose fitness is nan
+    # runs the loop, so it draws the block
+    draws = iter(rng.random((iterations * n, 4)).tolist() if not gf <= 0.0 else ())
     for it in range(iterations):
-        if gf <= stop:
+        if gf <= 0.0:
             break
         w = w_start + (w_end - w_start) * (it / span)
         rho = radius.radius

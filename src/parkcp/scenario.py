@@ -518,11 +518,6 @@ def _random_waypoint_walk(
         xs.append(cx)
         ys.append(cy)
     positions, velocities = _exact_trajectory(xs, ys, config.step_seconds)
-    if queued:
-        # halted steps must carry exact zeros for the queued-row invariant
-        velocities = [
-            ZERO_VELOCITY if (v.vx == 0.0 and v.vy == 0.0) else v for v in velocities
-        ]
     return positions, velocities, queued
 
 

@@ -169,8 +169,9 @@ def test_sim_zone_section_without_radius_defaults_to_15m(tmp_path, monkeypatch):
     ("scenario", {"circuit": 5}),
     ("policy", {"mode": "bogus"}),
     ("zone", {"radius": -1.0}),
+    ("gcpso", {"fitness_stop": 0.0}),
 ], ids=["str-int", "float-int", "int-bool", "str-duration", "int-circuit", "bad-mode",
-        "negative-radius"])
+        "negative-radius", "fitness-stop"])
 def test_sim_bad_section_value_is_a_config_error(tmp_path, capsys, section, values):
     config = json.loads(json.dumps(CIRCUIT_CONFIG))
     config.setdefault(section, {}).update(values)

@@ -703,15 +703,13 @@ def test_a_halted_car_draws_for_every_broadcast_it_may_lose(monkeypatch, kind, n
         assert {step for step, purpose, _ in opened if purpose == "range"} < set(halted)
 
 
-@pytest.mark.parametrize("fitness_stop", [0.0, -1.0])
-def test_a_gcpso_step_without_a_neighbor_runs_no_swarm(monkeypatch, fitness_stop):
-    # a lone car hears no one; at fitness_stop >= 0 the swarm would return its
-    # prior without a draw, so the step opens no pso stream and calls nothing
+def test_a_gcpso_step_without_a_neighbor_runs_no_swarm(monkeypatch):
+    # a lone car hears no one; the swarm would return its prior without a
+    # draw, so the step opens no pso stream and calls nothing
     cfg = RunConfig(
         algorithm=Algorithm.GCPSO,
         scenario=ScenarioConfig(kind="circuit", duration=30, n_parked=0),
-        policy=PolicyConfig(gps_reset_interval=100_000),
-        gcpso=GcpsoParams(fitness_stop=fitness_stop), n_runs=1, seed=5,
+        policy=PolicyConfig(gps_reset_interval=100_000), n_runs=1, seed=5,
     )
     purposes, swarms, priors = [], [], []
     real_stream, real_swarm, real_reckon = (harness.substream, harness.gcpso_localize,
@@ -734,10 +732,6 @@ def test_a_gcpso_step_without_a_neighbor_runs_no_swarm(monkeypatch, fitness_stop
     monkeypatch.setattr(harness, "dead_reckon", reckon_spy)
     errors = run_episode(cfg, 0).errors[0]
     assert len(priors) == len(errors) - 1 > 0  # every step after the first drives
-    if fitness_stop < 0.0:  # the prior's cost 0 is above the stop: the swarm runs
-        assert swarms == [()] * len(priors)
-        assert purposes.count("pso") == len(priors)
-        return
     assert swarms == [] and "pso" not in purposes
     truth = generate(cfg.scenario)[0].positions
     assert errors[1:].tolist() == [math.hypot(p.x - q.x, p.y - q.y)
@@ -1294,25 +1288,106 @@ def test_localizers_receive_python_floats(monkeypatch, make_cfg, algorithm, mode
     assert {type(v) for values in received for v in values} == {float}
 
 
-@pytest.mark.parametrize("range_std", [0.2, 1.0])
-def test_an_ekf_town_keeps_every_car_within_three_gps_sigmas(range_std):
-    """The benchmark's bootstrapped town (seed 1, 20/10/80 cars on
-    360 x 280 m, a 15 m zone) keeps every tracked car's mean RMSE within
-    3 * gps_std in both modes. An EKF that ranged to a neighbor's
-    broadcast estimate as if it were exact fed each car's error back into
-    the others, and every Traditional car exceeded the bound."""
+def ekf_town_cfg(range_std, n_runs=1):
+    """The benchmark's bootstrapped town with the EKF: seed 1, 20/10/80 cars
+    on 360 x 280 m, a 15 m zone."""
     scenario = ScenarioConfig(
         seed=1, kind="town", area=(0.0, 0.0, 360.0, 280.0),
         n_moving=20, n_entering=10, n_parked=80,
         choke_points=(ChokePoint(143.6844366435097, 158.79852357247069, 5.0, 20),
                       ChokePoint(181.648654536762, 82.2580936137618, 5.0, 20)),
     )
-    cfg = RunConfig(Algorithm.EKF, scenario, CommZone(15.0),
-                          NoiseModel(range_std=range_std),
-                          PolicyConfig(anchors_preloaded=False), n_runs=1, seed=1)
+    return RunConfig(Algorithm.EKF, scenario, CommZone(15.0), NoiseModel(range_std=range_std),
+                     PolicyConfig(anchors_preloaded=False), n_runs=n_runs, seed=1)
+
+
+@pytest.mark.parametrize("range_std", [0.2, 1.0])
+def test_an_ekf_town_keeps_every_car_within_three_gps_sigmas(range_std):
+    """The benchmark's bootstrapped town keeps every tracked car's mean RMSE
+    within 3 * gps_std in both modes. An EKF that ranged to a neighbor's
+    broadcast estimate as if it were exact fed each car's error back into
+    the others, and every Traditional car exceeded the bound."""
+    cfg = ekf_town_cfg(range_std)
     bound = 3 * cfg.noise.gps_std
     over = [(v.vehicle_id, mode, rmse_mean) for v in ensemble(cfg).vehicles
             for mode, rmse_mean in (("traditional", v.traditional_mean),
                                     ("proposed", v.proposed_mean))
             if not rmse_mean <= bound]
     assert over == []
+
+
+def _tracked_nees(monkeypatch, cfg, mode):
+    """The NEES e' P^-1 e of every tracked car's EKF posterior at each step
+    t - 1 against its truth then, over ``cfg.n_runs`` episodes of ``mode``.
+    That posterior is the (state, cov) handed to the ``ekf_predict`` that
+    follows the car's "vel" stream at step t."""
+    records = generate(cfg.scenario)
+    trace = harness._Trace(records, cfg.scenario.step_seconds, cfg.zone.radius)
+    tracked = {r.vehicle_id: r for r in records if r.kind is MotionKind.MOVING}
+    pending, nees = [], []
+    real_stream, real_predict = harness.substream, harness.ekf_predict
+
+    def stream_spy(*args):
+        if args[4] == "vel":
+            pending.append(args[2:4])
+        return real_stream(*args)
+
+    def predict_spy(state, cov, vel, params):
+        (vid, t), = pending
+        pending.clear()
+        if vid in tracked:
+            rec = tracked[vid]
+            truth = rec.positions[t - 1 - rec.start_step]
+            ex, ey = state.x - truth.x, state.y - truth.y
+            a, b, d = cov
+            nees.append((d * ex * ex - 2.0 * b * ex * ey + a * ey * ey) / (a * d - b * b))
+        return real_predict(state, cov, vel, params)
+
+    monkeypatch.setattr(harness, "substream", stream_spy)
+    monkeypatch.setattr(harness, "ekf_predict", predict_spy)
+    for run in range(cfg.n_runs):
+        run_episode(cfg, run, trace, mode)
+    return nees
+
+
+def _ekf_circuit_cfg(zone):
+    """The golden circuit with the EKF at sigma_r = 0.2, 10 runs."""
+    return RunConfig(Algorithm.EKF, golden_circuit_cfg(Algorithm.EKF).scenario, CommZone(zone),
+                     NoiseModel(range_std=0.2), n_runs=10, seed=1)
+
+
+# mean NEES and share above 5.99 today: town 4.92, 15.4% Traditional and
+# 163.95, 22.5% Proposed at sigma_r 0.2; 4.23, 13.5% and 5.70, 13.4% at 1;
+# 2.29, 7.4% and 1.78, 4.8% at 4. Circuit at 15 m 1.39, 1.5% and 14.25, 4.1%;
+# at 100 m 1.39, 1.5% and 3.46, 5.4%.
+_OVERCONFIDENT = pytest.mark.xfail(
+    raises=AssertionError, reason="the EKF is overconfident at accurate ranging (ROADMAP item 2)")
+
+
+@pytest.mark.parametrize("make_cfg, mode", [
+    pytest.param(lambda: ekf_town_cfg(0.2, 4), Mode.TRADITIONAL, marks=_OVERCONFIDENT,
+                 id="town-0.2-traditional"),
+    pytest.param(lambda: ekf_town_cfg(0.2, 4), Mode.PROPOSED, marks=_OVERCONFIDENT,
+                 id="town-0.2-proposed"),
+    pytest.param(lambda: ekf_town_cfg(1.0, 4), Mode.TRADITIONAL, marks=_OVERCONFIDENT,
+                 id="town-1-traditional"),
+    pytest.param(lambda: ekf_town_cfg(1.0, 4), Mode.PROPOSED, marks=_OVERCONFIDENT,
+                 id="town-1-proposed"),
+    pytest.param(lambda: ekf_town_cfg(4.0, 4), Mode.TRADITIONAL, id="town-4-traditional"),
+    pytest.param(lambda: ekf_town_cfg(4.0, 4), Mode.PROPOSED, id="town-4-proposed"),
+    pytest.param(lambda: _ekf_circuit_cfg(15.0), Mode.TRADITIONAL, id="circuit-15m-traditional"),
+    pytest.param(lambda: _ekf_circuit_cfg(15.0), Mode.PROPOSED, marks=_OVERCONFIDENT,
+                 id="circuit-15m-proposed"),
+    pytest.param(lambda: _ekf_circuit_cfg(100.0), Mode.TRADITIONAL, id="circuit-100m-traditional"),
+    pytest.param(lambda: _ekf_circuit_cfg(100.0), Mode.PROPOSED, marks=_OVERCONFIDENT,
+                 id="circuit-100m-proposed"),
+])
+def test_the_ekf_covariance_is_consistent_with_its_errors(monkeypatch, make_cfg, mode):
+    """A consistent 2-D filter has NEES distributed as chi-square with 2
+    degrees of freedom: a mean of 2, and 5% of car-steps above 5.99, its 95%
+    point (Bar-Shalom, Li & Kirubarajan, 2001). The band allows a mean in
+    [1, 3] and at most 10% above 5.99."""
+    nees = _tracked_nees(monkeypatch, make_cfg(), mode)
+    assert nees
+    assert 1.0 <= sum(nees) / len(nees) <= 3.0
+    assert sum(v > 5.99 for v in nees) <= 0.10 * len(nees)

@@ -17,7 +17,6 @@ from parkcp.localize import (
     cost,
     ekf_predict,
     ekf_update,
-    gcpso_keeps_prior,
     gcpso_localize,
     trilaterate,
     _COINCIDENT,
@@ -160,49 +159,13 @@ class _UntouchableRng:
         raise AssertionError(f"rng.{name} used")
 
 
-@pytest.mark.parametrize("fitness_stop", [0.0, 0.5])
-def test_gcpso_without_neighbors_returns_the_prior_without_a_swarm(fitness_stop):
+def test_gcpso_without_neighbors_returns_the_prior_without_a_swarm():
     prior = Position2D(0.1 + 0.2, -0.0)
-    params = GcpsoParams(fitness_stop=fitness_stop)
-    assert gcpso_keeps_prior((), prior, params)
-    res = gcpso_localize(LocalizationProblem((), prior), params, _UntouchableRng())
+    res = gcpso_localize(LocalizationProblem((), prior), GcpsoParams(), _UntouchableRng())
     assert (res.position.x, res.position.y) == (prior.x, prior.y)
     assert math.copysign(1.0, res.position.y) == -1.0
     assert res.fitness == 0.0
     assert res.history.tolist() == [0.0]
-
-
-def test_gcpso_without_neighbors_runs_the_swarm_below_a_negative_fitness_stop():
-    params = GcpsoParams(fitness_stop=-1.0)
-    used = []
-
-    class CountingRng:
-        def __getattr__(self, name):
-            used.append(name)
-            return getattr(np.random.default_rng(3), name)
-
-    res = gcpso_localize(LocalizationProblem((), Position2D(4.5, -2.25)), params, CountingRng())
-    assert used
-    assert len(res.history) == params.iterations + 1
-
-
-@pytest.mark.parametrize("prior", [(1.5, -2.0), (math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
-@pytest.mark.parametrize("fitness_stop", [-math.inf, -1.0, 0.0, 1e-3, math.inf])
-@pytest.mark.parametrize("rows", [0, 1])
-def test_gcpso_keeps_prior_exactly_where_the_swarm_draws_nothing_and_returns_the_prior(
-        prior, fitness_stop, rows):
-    problem = anchored_problem([(10.0, 0.0)][:rows], [3.0][:rows], prior)
-    params = GcpsoParams(fitness_stop=fitness_stop)
-    used = []
-
-    class CountingRng:
-        def __getattr__(self, name):
-            used.append(name)
-            return getattr(np.random.default_rng(3), name)
-
-    res = gcpso_localize(problem, params, CountingRng())
-    kept = not used and res.fitness == 0.0 and res.position == problem.prior
-    assert gcpso_keeps_prior(problem.selected, problem.prior, params) == kept
 
 
 def test_gcpso_runs_a_swarm_whose_fitness_is_nan():
@@ -262,8 +225,7 @@ def test_gcpso_translation_equivariance():
     st.lists(st.tuples(_coordinate, _coordinate, st.floats(0.0, 200.0)), max_size=3),
     st.tuples(_coordinate, _coordinate),
     st.integers(0, 2**32 - 1),
-    st.sampled_from([GcpsoParams(), GcpsoParams(particles=3, iterations=7),
-                     GcpsoParams(fitness_stop=0.5), GcpsoParams(fitness_stop=-1.0)]),
+    st.sampled_from([GcpsoParams(), GcpsoParams(particles=3, iterations=7)]),
 )
 def test_gcpso_fitness_is_the_cost_of_its_position_bit_for_bit(rows, prior, seed, params):
     # the swarm evaluates cost() inline; this pins that copy to cost()
@@ -280,7 +242,7 @@ def test_gcpso_fitness_is_the_cost_of_its_position_bit_for_bit(rows, prior, seed
 def _reference_gcpso_localize(problem, params, rng):
     """The swarm as it was before each particle became one tuple, kept
     verbatim as the oracle of ``gcpso_localize``."""
-    if not problem.selected and params.fitness_stop >= 0.0 and problem.prior.is_finite():
+    if not problem.selected and problem.prior.is_finite():
         return GcpsoResult(problem.prior, 0.0, np.zeros(1))
     n = params.particles
     rows = tuple((*c.shared_position, c.measured_range) for c in problem.selected)
@@ -303,13 +265,13 @@ def _reference_gcpso_localize(problem, params, rng):
     history = [gf]
 
     radius = RadiusAdaptation(params.initial_radius, params.success_limit, params.failure_limit)
-    iterations, stop = params.iterations, params.fitness_stop
+    iterations, stop = params.iterations, 0.0
     w_start, w_end = params.inertia_start, params.inertia_end
     c1, c2 = params.cognitive, params.social
     sqrt = math.sqrt
     span = max(iterations - 1, 1)
     # one block holds exactly what one (n, 4) draw per iteration would; a
-    # swarm that starts at fitness_stop needs none, and one whose fitness is
+    # swarm that starts at the stop needs none, and one whose fitness is
     # nan runs the loop, so it draws the block
     draws = rng.random((iterations, n, 4)).tolist() if not gf <= stop else []
     for it in range(iterations):
@@ -363,11 +325,10 @@ _prior = st.one_of(
     st.integers(1, 30),
     st.integers(1, 4),
     st.integers(1, 4),
-    st.sampled_from([-math.inf, 0.0, 1e-3, math.inf]),
     st.integers(0, 2**32 - 1),
 )
 def test_gcpso_equals_the_reference_swarm_bit_for_bit(
-        rows, prior, particles, iterations, success_limit, failure_limit, fitness_stop, seed):
+        rows, prior, particles, iterations, success_limit, failure_limit, seed):
     # same position, fitness and history bits, and the same draws consumed
     problem = LocalizationProblem(
         tuple(Candidate(j + 1, NodeClass.ANCHOR, Position2D(*(prior if at_prior else (x, y))), r)
@@ -375,8 +336,7 @@ def test_gcpso_equals_the_reference_swarm_bit_for_bit(
         Position2D(*prior),
     )
     params = GcpsoParams(particles=particles, iterations=iterations,
-                         success_limit=success_limit, failure_limit=failure_limit,
-                         fitness_stop=fitness_stop)
+                         success_limit=success_limit, failure_limit=failure_limit)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = gcpso_localize(problem, params, rng)
     want = _reference_gcpso_localize(problem, params, ref_rng)
@@ -909,9 +869,3 @@ def test_gcpso_params_reject_non_finite_values(field, value):
 def test_gcpso_params_reject_out_of_range_values(values, match):
     with pytest.raises(ValueError, match=match):
         GcpsoParams(**values)
-
-
-def test_gcpso_params_reject_nan_fitness_stop():
-    # no fitness is <= a nan stop, so it could never stop a swarm early
-    with pytest.raises(ValueError, match="fitness_stop must not be nan"):
-        GcpsoParams(fitness_stop=math.nan)

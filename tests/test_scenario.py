@@ -27,6 +27,7 @@ from parkcp.scenario import (
     gen_circuit,
     gen_town,
     parse_trace,
+    point_on_circuit,
     serialize_trace,
 )
 
@@ -563,6 +564,17 @@ def test_circuit_target_speed_and_exact_consistency():
 
 def test_circuit_length_helper():
     assert circuit_length(SQUARE) == pytest.approx(400.0)
+
+
+def test_point_on_circuit_past_its_last_segment_returns_the_loop_start():
+    # a tiny negative arc wraps to the full length, and the segment
+    # subtractions leave just over the last segment's length: no segment
+    # holds it, so the point is the last segment's end
+    loop = [Position2D(0.0, 0.0), Position2D(0.0, 1.0), Position2D(3.0, 0.0)]
+    assert -1e-300 % circuit_length(loop) == circuit_length(loop)
+    pos, tangent = point_on_circuit(loop, -1e-300)
+    assert pos == Position2D(0.0, 0.0)
+    assert tangent == Velocity2D(-1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
