@@ -739,6 +739,50 @@ def test_a_gcpso_step_without_a_neighbor_runs_no_swarm(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_a_step_without_a_neighbor_keeps_its_prior_for_either_localizer(
+        monkeypatch, algorithm, mode):
+    # one rule for both localizers: a lone car's estimate is its prior, no
+    # localizer runs, and the EKF carries its predicted covariance forward
+    cfg = RunConfig(
+        algorithm=algorithm,
+        scenario=ScenarioConfig(kind="circuit", duration=30, n_parked=0),
+        policy=PolicyConfig(gps_reset_interval=100_000), n_runs=1, seed=5,
+    )
+    predicted, reckoned = [], []
+    real_predict, real_reckon = harness.ekf_predict, harness.dead_reckon
+
+    def predict_spy(state, cov, vel, params):
+        predicted.append((state, cov, *real_predict(state, cov, vel, params)))
+        return predicted[-1][2:]
+
+    def reckon_spy(*args):
+        reckoned.append(real_reckon(*args))
+        return reckoned[-1]
+
+    def no_localizer(*args):
+        raise AssertionError("a localizer ran without a neighbor")
+
+    monkeypatch.setattr(harness, "ekf_predict", predict_spy)
+    monkeypatch.setattr(harness, "dead_reckon", reckon_spy)
+    monkeypatch.setattr(harness, "ekf_update", no_localizer)
+    monkeypatch.setattr(harness, "gcpso_localize", no_localizer)
+    errors = run_episode(cfg, 0, mode=mode).errors[0]
+    if algorithm is Algorithm.EKF:
+        assert reckoned == []
+        priors = [prior for _, _, prior, _ in predicted]
+        # each predict starts from the last one's state and covariance
+        assert [(s, c) for s, c, _, _ in predicted[1:]] == [(p, c) for _, _, p, c in predicted[:-1]]
+    else:
+        assert predicted == []
+        priors = reckoned
+    assert len(priors) == len(errors) - 1 > 0  # every step after the first drives
+    truth = generate(cfg.scenario)[0].positions
+    assert errors[1:].tolist() == [math.hypot(p.x - q.x, p.y - q.y)
+                                   for p, q in zip(priors, truth[1:])]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
 def test_no_drop_draw_for_a_silent_neighbor(monkeypatch, mode):
     # parked cars are silent in traditional mode, and the neighbor table
     # lists them anyway; no stream is opened for a broadcast never sent

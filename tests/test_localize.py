@@ -178,6 +178,32 @@ def test_gcpso_runs_a_swarm_whose_fitness_is_nan():
     assert len(res.history) == params.iterations + 1
 
 
+@pytest.mark.parametrize("prior", [(1.5, -2.0), (math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
+@pytest.mark.parametrize("params", [GcpsoParams(), GcpsoParams(particles=1),
+                                    GcpsoParams(particles=3, iterations=7)],
+                         ids=["default", "one-particle", "3x7"])
+@pytest.mark.parametrize("rows", ["none", "off-circle", "on-circle"])
+def test_gcpso_draws_nothing_exactly_where_its_prior_costs_zero_and_returns_the_prior(
+        prior, params, rows):
+    # the stop is fixed at cost 0, whatever the swarm's size: a finite prior
+    # with no neighbor, or on its one neighbor's range circle, costs 0
+    px, py = prior
+    anchors = {"none": [], "off-circle": [(10.0, 0.0)], "on-circle": [(px + 3.0, py)]}[rows]
+    problem = anchored_problem(anchors, [3.0] * len(anchors), prior)
+    used = []
+
+    class CountingRng:
+        def __getattr__(self, name):
+            used.append(name)
+            return getattr(np.random.default_rng(3), name)
+
+    res = gcpso_localize(problem, params, CountingRng())
+    kept = not used and res.fitness == 0.0 and res.position == problem.prior
+    assert kept == (cost(problem.prior, problem) == 0.0)
+    assert kept == (rows != "off-circle" and math.isfinite(px) and math.isfinite(py))
+    assert len(res.history) == (1 if kept else params.iterations + 1)
+
+
 def test_gcpso_history_monotone_nonincreasing():
     rng_master = np.random.default_rng(12)
     for _ in range(200):
