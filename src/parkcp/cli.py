@@ -341,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--zone", type=_finite_float, help="communication radius in meters")
     p_sim.add_argument("--n-runs", type=int)
     p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--jobs", type=int, default=1)
+    p_sim.add_argument("--jobs", type=int, default=1,
+                       help="worker processes, at most one per run")
     p_sim.add_argument("--dump-steps", action="store_true",
                        help="also write a per-step error CSV")
     p_sim.set_defaults(func=cmd_sim)

@@ -10,8 +10,10 @@ Every random draw comes from a Philox substream keyed on (config seed, run
 seed) with the counter (purpose, vehicle, step, neighbor or 0). Paired
 Traditional and Proposed episodes thus draw identical noise for shared
 events, which keeps their comparison tight, and no draw depends on the
-worker count. Draws are read as Python floats, so no numpy scalar, whose
-every operation costs more, reaches an estimate, a filter or a swarm.
+worker count. A run's two episodes share their measured velocities: each
+is drawn once per run, by whichever episode needs it first, and read by the
+other. Draws are read as Python floats, so no numpy scalar, whose every
+operation costs more, reaches an estimate, a filter or a swarm.
 """
 from __future__ import annotations
 
@@ -268,6 +270,14 @@ def _self_pairs(x, y, key, car, radius):
     return zip(q[keep].tolist(), car[e[keep]].tolist(), d[keep].tolist())
 
 
+def _no_velocities(trace: _Trace) -> list[list[Velocity2D | None]]:
+    """A run's measured velocities before any is drawn: item [k][i] is record
+    k's at its i-th active step, None until an episode of the run draws it.
+    A draw is keyed by (car, step) and its arithmetic is fixed, so it is the
+    same bits whichever of the run's episodes draws it."""
+    return [[None] * len(r.positions) for r in trace.records]
+
+
 @dataclass(slots=True, eq=False)
 class _Node:
     """One vehicle's episode state from its first active step. ``errors``
@@ -288,12 +298,16 @@ def run_episode(
     run_seed: int,
     records: Sequence[VehicleRecord] | _Trace | None = None,
     mode: Mode = Mode.PROPOSED,
+    measured_vel: list[list[Velocity2D | None]] | None = None,
 ) -> EpisodeResult:
     """Run one episode of ``mode``; deterministic given (cfg, run_seed,
     mode). Parked cars take no part in a traditional episode. ``records``
     is a ``_Trace`` for the scenario's step and the zone radius, as
     ``ensemble`` passes, or records to check as one; None generates the
-    configured scenario's trace."""
+    configured scenario's trace. ``measured_vel`` holds the velocities that
+    the run's other episode drew, as ``ensemble`` passes, and receives this
+    episode's; None starts from ``_no_velocities``, so a standalone call
+    opens the same streams, in the same order, whatever ran before it."""
     scn = cfg.scenario
     trace = records if isinstance(records, _Trace) else _Trace(
         records if records is not None else generate(scn), scn.step_seconds, cfg.zone.radius)
@@ -315,6 +329,8 @@ def run_episode(
     gps_cov = (gps_var, 0.0, gps_var)
     vel_std = noise.velocity_std
     records, ids, still_parked = trace.records, trace.ids, trace.still_parked
+    if measured_vel is None:
+        measured_vel = _no_velocities(trace)
     nodes: list[_Node | None] = [None] * len(ids)
     # each car's latest broadcast (role, shared position, priority, covariance)
     # from its second active step; None while it is inactive, which is silent
@@ -447,11 +463,14 @@ def run_episode(
 
             # driving (or halted in traditional mode, where nothing is promoted)
             node.gnss_n = 0
-            vel_true = rec.velocities[i - 1]  # motion from t-1 to t
-            # normal(0.0, velocity_std, 2), as in channel.measure_gps
-            zx, zy = stream(vid, t, "vel").standard_normal(2).tolist()
-            vel_meas = tuple.__new__(Velocity2D, (vel_true.vx + (0.0 + vel_std * zx),
-                                                  vel_true.vy + (0.0 + vel_std * zy)))
+            car_vel = measured_vel[k]
+            vel_meas = car_vel[i]
+            if vel_meas is None:  # not yet drawn in this run
+                vel_true = rec.velocities[i - 1]  # motion from t-1 to t
+                # normal(0.0, velocity_std, 2), as in channel.measure_gps
+                zx, zy = stream(vid, t, "vel").standard_normal(2).tolist()
+                vel_meas = car_vel[i] = tuple.__new__(Velocity2D, (
+                    vel_true.vx + (0.0 + vel_std * zx), vel_true.vy + (0.0 + vel_std * zy)))
             if use_ekf:  # its predicted state is dead_reckon(node.est, vel_meas, dt)
                 prior, node.cov = ekf_predict(node.est, node.cov, vel_meas, ekf_params)
             else:
@@ -584,9 +603,17 @@ def _share_trace(trace: _Trace) -> None:
     _TRACE = trace
 
 
-def _episode_task(args) -> EpisodeResult:
-    cfg, mode, run_seed = args
-    return run_episode(cfg, run_seed, _TRACE, mode)
+_MODES = (Mode.TRADITIONAL, Mode.PROPOSED)
+
+
+def _paired_episodes(
+    cfg: RunConfig, run_seed: int, trace: _Trace | None = None
+) -> list[EpisodeResult]:
+    """The (Traditional, Proposed) episodes of one run, which share their
+    measured velocities; a pool worker passes no trace and runs on its own."""
+    trace = _TRACE if trace is None else trace
+    measured_vel = _no_velocities(trace)
+    return [run_episode(cfg, run_seed, trace, mode, measured_vel) for mode in _MODES]
 
 
 def ensemble(
@@ -596,25 +623,24 @@ def ensemble(
     keep_episodes: bool = False,
 ) -> EnsembleSummary:
     """Run n_runs paired episodes (identical run seeds for Traditional and
-    Proposed) and summarise per-vehicle RMSE and improvement. ``jobs`` > 1
-    runs the episodes in a pool of at most ``jobs`` workers and no more
-    workers than episodes; below 1 it raises. Results are identical for any
-    ``jobs`` value."""
+    Proposed) and summarise per-vehicle RMSE and improvement. A run's two
+    episodes are one task and share their measured velocities. ``jobs`` > 1
+    runs the runs in a pool of at most ``jobs`` workers and no more workers
+    than runs, so a 1-run ensemble runs in-process at any ``jobs``; below 1
+    it raises. Results are identical for any ``jobs`` value."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs!r}")
-    modes = (Mode.TRADITIONAL, Mode.PROPOSED)
     trace = _Trace(records if records is not None else generate(cfg.scenario),
                    cfg.scenario.step_seconds, cfg.zone.radius)
-    tasks = [(cfg, mode, run) for run in range(cfg.n_runs) for mode in modes]
-    workers = min(jobs, len(tasks))
+    runs = range(cfg.n_runs)
+    workers = min(jobs, cfg.n_runs)
     if workers <= 1:
-        results = [run_episode(cfg, run, trace, mode) for _, mode, run in tasks]
+        by_run = [_paired_episodes(cfg, run, trace) for run in runs]
     else:
         # each worker receives the trace once, not with every task
         with ProcessPoolExecutor(workers, initializer=_share_trace, initargs=(trace,)) as pool:
-            results = list(pool.map(_episode_task, tasks, chunksize=1))
+            by_run = list(pool.map(_paired_episodes, [cfg] * cfg.n_runs, runs, chunksize=1))
 
-    by_run = list(zip(results[0::2], results[1::2]))  # (traditional, proposed)
     per_trace = trace_metrics(trace)
     vehicles = []
     for vid in sorted(per_trace):
@@ -632,7 +658,8 @@ def ensemble(
                 travelled_km=km,
             )
         )
-    episodes = [(run, mode, ep) for (_, mode, run), ep in zip(tasks, results)]
+    episodes = [(run, mode, ep) for run, pair in enumerate(by_run)
+                for mode, ep in zip(_MODES, pair)]
     return EnsembleSummary(cfg, vehicles, episodes if keep_episodes else [])
 
 

@@ -825,13 +825,69 @@ def test_ensemble_starts_no_more_workers_than_tasks(monkeypatch):
         return pool(max_workers, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", recording_pool)
-    cfg = circuit_cfg(n_runs=1, seed=3)
-    serial = ensemble(cfg, jobs=1)
-    pooled = ensemble(cfg, jobs=6)
-    assert started == [2]  # one run is two episodes
-    assert format_results_csv(summary_rows(pooled)) == format_results_csv(
-        summary_rows(serial)
-    )
+    for n_runs, workers in ((1, []), (3, [3])):  # a task is a run: its two episodes
+        started.clear()
+        cfg = circuit_cfg(n_runs=n_runs, seed=3)
+        serial = ensemble(cfg, jobs=1)
+        pooled = ensemble(cfg, jobs=6)
+        assert started == workers  # a 1-run ensemble runs in-process
+        assert format_results_csv(summary_rows(pooled)) == format_results_csv(
+            summary_rows(serial)
+        )
+
+
+def _paired_cfg(scenario, algorithm, preloaded, drop):
+    """A small town (the golden one) or circuit with the given anchors and
+    broadcast drops, 2 runs."""
+    cfg = golden_town_cfg(algorithm) if scenario == "town" else circuit_cfg(algorithm, seed=5)
+    return replace(cfg, zone=CommZone(15.0, drop_probability=drop),
+                   policy=replace(cfg.policy, anchors_preloaded=preloaded))
+
+
+@pytest.mark.parametrize("drop", [0.0, 0.3])
+@pytest.mark.parametrize("preloaded", [True, False])
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+@pytest.mark.parametrize("scenario", ["town", "circuit"])
+def test_an_ensemble_keeps_the_episodes_of_separate_calls(scenario, algorithm, preloaded, drop):
+    # a run's episodes share their measured velocities, and no bit moves
+    cfg = _paired_cfg(scenario, algorithm, preloaded, drop)
+    records = generate(cfg.scenario)
+    alone = [(run, mode, run_episode(cfg, run, records, mode))
+             for run in range(cfg.n_runs) for mode in (Mode.TRADITIONAL, Mode.PROPOSED)]
+    for jobs in (1, 2):
+        kept = ensemble(cfg, records, jobs=jobs, keep_episodes=True).episodes
+        assert [(run, mode) for run, mode, _ in kept] == [(run, mode) for run, mode, _ in alone]
+        for (_, _, ep), (_, _, own) in zip(kept, alone):
+            assert ep.first_step == own.first_step and ep.anchors_used == own.anchors_used
+            assert {v: e.tobytes() for v, e in ep.errors.items()} == {
+                v: e.tobytes() for v, e in own.errors.items()}
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+@pytest.mark.parametrize("scenario", ["town", "circuit"])
+def test_a_proposed_episode_opens_no_velocity_stream_of_its_pair(monkeypatch, scenario, algorithm):
+    cfg = replace(_paired_cfg(scenario, algorithm, False, 0.3), n_runs=1)
+    real_episode, real_stream = harness.run_episode, harness.substream
+    opened = []  # per episode, its streams in order
+
+    def episode_spy(*args):
+        opened.append([])
+        return real_episode(*args)
+
+    def stream_spy(*args):
+        opened[-1].append(args)
+        return real_stream(*args)
+
+    monkeypatch.setattr(harness, "run_episode", episode_spy)
+    monkeypatch.setattr(harness, "substream", stream_spy)
+    ensemble(cfg)
+    harness.run_episode(cfg, 0, None, Mode.PROPOSED)
+    traditional, proposed, alone = opened
+    drawn = {s for s in traditional if s[4] == "vel"}
+    assert drawn.intersection(alone)  # a standalone Proposed episode draws its own
+    assert not drawn.intersection(proposed)
+    # and otherwise opens the same streams in the same order
+    assert proposed == [s for s in alone if s not in drawn]
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
