@@ -41,6 +41,8 @@ class CommZone:
     drop_probability: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.radius):
+            raise ValueError(f"communication radius must be finite, got {self.radius!r}")
         if not self.radius > 0:
             raise ValueError("communication radius must be > 0")
         if not 0.0 <= self.drop_probability < 1.0:

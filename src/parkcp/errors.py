@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the whole-number rule
+that the config classes check with them."""
+
+import numbers
 
 
 class ParkCPError(Exception):
@@ -24,3 +27,12 @@ class TraceValidationError(ParkCPError):
 
 class DegenerateGeometryError(ParkCPError):
     """The measurement geometry does not determine a position."""
+
+
+def require_ints(config, names, error: type[Exception] = ConfigError) -> None:
+    """Raise ``error`` naming the first of the fields ``names`` of ``config``
+    that is not an int; a bool is not one."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise error(f"{name} must be an int, got {value!r}")

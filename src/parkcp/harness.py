@@ -31,7 +31,7 @@ import numpy as np
 
 from . import channel
 from .channel import CommZone, NoiseModel
-from .errors import ConfigError, DegenerateGeometryError, TraceValidationError
+from .errors import ConfigError, DegenerateGeometryError, TraceValidationError, require_ints
 from .localize import (
     Covariance,
     EkfParams,
@@ -94,6 +94,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(self, ("n_runs", "seed"))
         if self.ekf is None:
             object.__setattr__(self, "ekf", EkfParams(
                 range_std=max(self.noise.range_std, 1e-3),

@@ -26,13 +26,12 @@ exact, and an anchor's, with zero covariance, is.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, require_ints
 from .model import Position2D, Velocity2D
 from .policy import Candidate, dead_reckon
 
@@ -62,10 +61,8 @@ class GcpsoParams:
     inertia_end: float = 0.2
 
     def __post_init__(self):
-        for name in ("particles", "iterations", "success_limit", "failure_limit"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        require_ints(self, ("particles", "iterations", "success_limit", "failure_limit"),
+                     ValueError)
         if self.particles < 1 or self.iterations < 1:
             raise ValueError("particles and iterations must be >= 1")
         if self.success_limit < 1 or self.failure_limit < 1:

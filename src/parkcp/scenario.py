@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, TraceParseError, TraceValidationError
+from .errors import ConfigError, TraceParseError, TraceValidationError, require_ints
 from .model import (
     MotionKind,
     Position2D,
@@ -112,6 +112,8 @@ class ScenarioConfig:
     choke_points: tuple[ChokePoint, ...] = ()
 
     def __post_init__(self):
+        require_ints(self, ("seed", "duration", "n_moving", "n_parked", "n_entering",
+                            "entry_interval"))
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         for name in ("step_seconds", "parked_spacing", "speed"):

@@ -441,5 +441,8 @@ def test_noise_model_rejects_inf(field):
 def test_comm_zone_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         CommZone(0.0)
-    with pytest.raises(ValueError):
-        CommZone(math.nan)
+    # an infinite radius used to fail each trace build with "disk_join needs
+    # finite coordinates"
+    for radius in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="communication radius must be finite"):
+            CommZone(radius)

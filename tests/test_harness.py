@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,15 @@ def test_a_run_seed_outside_64_bits_is_rejected(seed, end):
 def test_fewer_than_one_run_is_rejected(n_runs):
     with pytest.raises(ConfigError, match="n_runs must be >= 1"):
         RunConfig(n_runs=n_runs)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_runs", 2.0), ("n_runs", True), ("n_runs", "2"), ("seed", 1.5), ("seed", 1.0), ("seed", False),
+])
+def test_run_config_rejects_a_non_integer_count(field, value):
+    # n_runs=2.0 used to fail in ensemble's range, seed=1.5 at substream's &
+    with pytest.raises(ConfigError, match=re.escape(f"{field} must be an int, got {value!r}")):
+        RunConfig(**{field: value})
 
 
 def test_run_config_holds_every_run_default():

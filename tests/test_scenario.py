@@ -693,6 +693,16 @@ def test_scenario_config_rejects_non_finite_choke_points(x, y):
         ScenarioConfig(kind="town", choke_points=(ChokePoint(x, y, 5.0, 3),))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("duration", 240.0), ("n_moving", 2.0), ("n_parked", 2.5),
+    ("n_parked", True), ("n_entering", 1.0), ("entry_interval", 0.5), ("entry_interval", "4"),
+])
+def test_scenario_config_rejects_a_non_integer_count(field, value):
+    # each used to fail deep inside generate with a bare TypeError
+    with pytest.raises(ConfigError, match=re.escape(f"{field} must be an int, got {value!r}")):
+        ScenarioConfig(**{"kind": "town", field: value})
+
+
 @pytest.mark.parametrize("fields, message", [
     (dict(step_seconds=0.0), "step_seconds must be > 0"),
     (dict(duration=0), "duration must be > 0"),
