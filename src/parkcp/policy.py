@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
+from .errors import require_ints
 from .model import MotionKind, NodeClass, Position2D, Velocity2D
 
 
@@ -30,6 +31,7 @@ class PolicyConfig:
     anchors_preloaded: bool = True          # parked vehicles are anchors from t=0
 
     def __post_init__(self):
+        require_ints(self, ("gnss_window", "gps_reset_interval"), ValueError)
         if not self.anchor_accuracy_threshold > 0:
             raise ValueError("anchor_accuracy_threshold must be > 0")
         if self.gnss_window <= 0 or self.gps_reset_interval <= 0:

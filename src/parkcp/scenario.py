@@ -7,12 +7,24 @@ is skipped). Generated trajectories are *exactly* consistent
 validated within a 0.5 m tolerance to absorb discretization slack from
 external mobility tools.
 
-``parse_trace`` splits each data row at its first comma and parses each
-distinct rest of a row (``id,x,y,vx,vy,kind``) once: a parked car repeats
-one rest at every step, and parked cars hold most rows of a town trace (80%
-on the benchmark's 80/320 town, about 19 000 distinct rests in 96 000 rows).
-Rows with equal text share one position and one velocity object. A
-malformed trace is re-read line by line to report the first bad line.
+Trace I/O converts each distinct token once, since tokens repeat:
+- ``parse_trace`` splits each data row at its first comma and parses each
+  distinct rest of a row (``id,x,y,vx,vy,kind``) once: a parked car repeats
+  one rest at every step, and parked cars hold most rows of a town trace
+  (80% on the benchmark's 80/320 town, about 19 000 distinct rests in
+  96 000 rows). Rows with equal text share one position and one velocity
+  object.
+- It converts each distinct ``t`` token once (240 in those 96 000 rows), and
+  each distinct ``id``, ``vx`` and ``vy`` token of the distinct rests once
+  (400, 1 866 and 2 033 in 19 000).
+- ``serialize_trace`` formats each distinct velocity of a vehicle once,
+  except velocities with a zero component: ``0.0 == -0.0``, but they print
+  differently.
+
+``parse_trace`` checks the (t, id) order and groups rows by vehicle in
+numpy, on the ranks of t and id among their distinct values, so ints of any
+size parse. A malformed trace is re-read line by line to report the first
+bad line.
 
 ``generate`` and ``parse_trace`` build a trace with the cyclic garbage
 collector paused (``_collector_paused``), and ``_exact_trajectory`` builds
@@ -29,7 +41,7 @@ from __future__ import annotations
 import gc
 import math
 import operator
-from collections import Counter, defaultdict
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, count, islice, product, repeat
@@ -152,8 +164,10 @@ class ScenarioConfig:
             raise ConfigError("circuit needs finite vertices")
         if not all(math.isfinite(ck.x) and math.isfinite(ck.y) for ck in self.choke_points):
             raise ConfigError("choke_points need finite x and y")
-        if not all(ck.radius > 0 and ck.hold_steps >= 1 for ck in self.choke_points):
-            raise ConfigError("choke_points need radius > 0 and hold_steps >= 1")
+        for ck in self.choke_points:  # a named tuple cannot check itself
+            require_ints(ck, ("hold_steps",))
+            if not (ck.radius > 0 and ck.hold_steps >= 1):
+                raise ConfigError("choke_points need radius > 0 and hold_steps >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +212,50 @@ def parse_fields(line_no: int, fields: Sequence[str], n_ints: int) -> list:
 
 _N_TRACE_FIELDS = TRACE_HEADER.count(",") + 1
 _STATIONARY_KINDS = frozenset({"parked", "queued"})
+_KIND_BIT = {"parked": 1, "queued": 2, "moving": 4}
+# a vehicle's kind by the bits of its rows' kinds; parked with another is an error
+_KIND_OF_BITS = {1: MotionKind.PARKED, 2: MotionKind.QUEUED, 6: MotionKind.QUEUED,
+                 4: MotionKind.MOVING}
 
 
-def _trace_rows(text: str) -> tuple[list, list, list, list, list, list]:
-    """(t of each row, index of each row's rest) and (id, position, velocity,
-    kind name) of each distinct rest, the text after a row's ``t,``: a parked
-    car's rows repeat one rest at every step, so each rest is parsed once.
-    Raises ValueError, without a line number, if any row is malformed."""
+class _FirstSeen(dict):
+    """Each key's index in order of first lookup: looking up an unseen key
+    adds it with the next index."""
+
+    def __missing__(self, key):
+        self[key] = index = len(self)
+        return index
+
+
+def _distinct(tokens: Iterable[str], n: int) -> tuple[np.ndarray, list[str]]:
+    """Each of the ``n`` tokens' index among the distinct tokens, and the
+    distinct tokens in order of first appearance. Only the distinct tokens
+    stay alive: with a list of all 96 000 rests of the benchmark's 80/320
+    town, a parse peaked at 22.6 traced MiB instead of 16.8."""
+    index_of = _FirstSeen()
+    return np.fromiter(map(index_of.__getitem__, tokens), np.intp, n), list(index_of)
+
+
+def _converted_once(convert, tokens: list[str]) -> list:
+    """``convert`` of each token, called once per distinct token."""
+    distinct = dict.fromkeys(tokens)
+    return list(map(dict(zip(distinct, map(convert, distinct))).__getitem__, tokens))
+
+
+def _ranks(values: list[int]) -> tuple[np.ndarray, list[int]]:
+    """Each value's rank among the distinct values, and the distinct values
+    in increasing order. Values are ints of any size; only ranks reach numpy."""
+    distinct = sorted(set(values))
+    rank_of = dict(zip(distinct, count()))
+    return np.fromiter(map(rank_of.__getitem__, values), np.int64, len(values)), distinct
+
+
+def _trace_rows(text: str) -> tuple[np.ndarray, list, np.ndarray, list, list, list, list]:
+    """Each row's (rank of t, index of its rest) as arrays, the distinct t in
+    increasing order, and (id, position, velocity, kind name) of each
+    distinct rest, the text after a row's ``t,``: a parked car's rows repeat
+    one rest at every step, so each rest is parsed once. Raises ValueError,
+    without a line number, if any row is malformed."""
     lines = [
         line for line in map(str.strip, text.removeprefix("\ufeff").splitlines())
         if line and line[0] != "#"
@@ -212,26 +263,27 @@ def _trace_rows(text: str) -> tuple[list, list, list, list, list, list]:
     if not lines or lines[0] != TRACE_HEADER:
         raise ValueError("no header")
     del lines[0]
-    # partitioning twice keeps no tuple per row alive, which would make the
-    # garbage collector traverse the heap again and again
-    ts = list(map(int, map(operator.itemgetter(0), map(str.partition, lines, repeat(",")))))
-    rests = list(map(operator.itemgetter(2), map(str.partition, lines, repeat(","))))
+    # partitioning twice keeps no tuple per row alive: one pass into
+    # zip(*...) raised the peak RSS of a trace-coverage loop by 16 MiB
+    t_tokens, t_distinct = _distinct(
+        map(operator.itemgetter(0), map(str.partition, lines, repeat(","))), len(lines))
+    rows, rests = _distinct(
+        map(operator.itemgetter(2), map(str.partition, lines, repeat(","))), len(lines))
     del lines
-    index_of = dict(zip(dict.fromkeys(rests), count()))
-    rows = list(map(index_of.__getitem__, rests))
-    del rests
     n = _N_TRACE_FIELDS - 1  # fields of a rest
-    if not set(map(str.count, index_of, repeat(","))) <= {n - 1}:
+    if not set(map(str.count, rests, repeat(","))) <= {n - 1}:
         raise ValueError("wrong field count")
-    fields = ",".join(index_of).split(",") if index_of else []
+    t_ranks, steps = _ranks(list(map(int, t_distinct)))
+    fields = ",".join(rests).split(",") if rests else []
     kinds = list(map(str.strip, fields[5::n]))
     if not _KIND_BY_NAME.keys() >= set(kinds):
         raise ValueError("unknown kind")
-    xs, ys, vxs, vys = (list(map(float, fields[k::n])) for k in range(1, 5))
+    xs, ys = (list(map(float, fields[k::n])) for k in (1, 2))
+    vxs, vys = (_converted_once(float, fields[k::n]) for k in (3, 4))
     if not all(map(math.isfinite, chain(xs, ys, vxs, vys))):
         raise ValueError("non-finite value")
     return (
-        ts, rows, list(map(int, fields[0::n])),
+        t_ranks[t_tokens], steps, rows, _converted_once(int, fields[0::n]),
         list(map(tuple.__new__, repeat(Position2D), zip(xs, ys))),
         list(map(tuple.__new__, repeat(Velocity2D), zip(vxs, vys))), kinds,
     )
@@ -248,7 +300,7 @@ def parse_trace(text: str | bytes) -> list[VehicleRecord]:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
         try:
-            ts, rows, ids, positions, velocities, kinds = _trace_rows(text)
+            t_ranks, steps, rows, ids, positions, velocities, kinds = _trace_rows(text)
         except ValueError:
             # the line reader raises the error of the first malformed line
             for line_no, parts in csv_rows(text, TRACE_HEADER):
@@ -258,63 +310,60 @@ def parse_trace(text: str | bytes) -> list[VehicleRecord]:
                     raise TraceParseError(line_no, f"unknown kind {kind_name!r}")
             raise AssertionError("the per-rest reader rejected a trace the line reader accepts")
 
-        row_ids = list(map(ids.__getitem__, rows))
-        # (t, id) strictly increasing, again with no tuple per row
-        if not (
-            all(map(operator.le, ts, islice(ts, 1, None)))
-            and all(map(operator.or_, map(operator.lt, ts, islice(ts, 1, None)),
-                        map(operator.lt, row_ids, islice(row_ids, 1, None))))
-        ):
-            keys = list(zip(ts, row_ids))
-            i = next(i for i in range(1, len(keys)) if not keys[i - 1] < keys[i])
-            if keys[i] in set(keys[:i]):
-                raise TraceValidationError(f"duplicate row for (t={ts[i]}, id={row_ids[i]})")
+        id_ranks, vids = _ranks(ids)
+        id_ranks = id_ranks[rows]
+        # (t, id) strictly increasing; both ranks are below the row count,
+        # so one int64 key orders them
+        keys = t_ranks * len(vids) + id_ranks
+        unordered = np.flatnonzero(keys[1:] <= keys[:-1])
+        if unordered.size:
+            i = unordered[0] + 1
+            if (keys[:i] == keys[i]).any():
+                raise TraceValidationError(
+                    f"duplicate row for (t={steps[t_ranks[i]]}, id={vids[id_ranks[i]]})"
+                )
             raise TraceValidationError("rows not sorted by (t, id)")
 
         # a stable sort on id keeps each vehicle's rows in step order
-        order = sorted(range(len(rows)), key=row_ids.__getitem__)
-        ts, rows = (list(map(column.__getitem__, order)) for column in (ts, rows))
-        del order
-        n_rows = Counter(row_ids)
-        moving_while_stationary = {
-            rest for rest, (kind_name, v) in enumerate(zip(kinds, velocities))
-            if kind_name in _STATIONARY_KINDS and (v.vx != 0.0 or v.vy != 0.0)
-        }
+        order = np.argsort(id_ranks, kind="stable")
+        rows, t_ranks = rows[order], t_ranks[order].tolist()
+        ends = np.bincount(id_ranks, minlength=len(vids)).cumsum().tolist()
+        starts = [0, *ends][:-1]
+        del order, id_ranks, keys
+        # the kinds of each vehicle's rows as bits, and the stationary rows
+        # that move, in vehicle order
+        kind_bits = np.fromiter(map(_KIND_BIT.__getitem__, kinds), np.uint8, len(kinds))
+        kinds_of = np.bitwise_or.reduceat(kind_bits[rows], starts).tolist() if starts else []
+        moving_while_stationary = np.flatnonzero(np.fromiter(
+            (kind_name in _STATIONARY_KINDS and (v.vx != 0.0 or v.vy != 0.0)
+             for kind_name, v in zip(kinds, velocities)), bool, len(kinds),
+        )[rows]).tolist()
+        # each row's position and velocity objects, in vehicle order
+        positions, velocities = (
+            np.fromiter(column, object, len(column))[rows] for column in (positions, velocities)
+        )
 
         records = []
-        end = 0
-        for vid in sorted(n_rows):
-            start_row, end = end, end + n_rows[vid]
-            vehicle_rows = rows[start_row:end]
-            vehicle_rests = set(vehicle_rows)
-            vehicle_kinds = set(map(kinds.__getitem__, vehicle_rests))
-            if "parked" in vehicle_kinds:
-                if vehicle_kinds != {"parked"}:
-                    raise TraceValidationError(f"vehicle {vid}: mixes parked and driven rows")
-                kind = MotionKind.PARKED
-            elif "queued" in vehicle_kinds:
-                kind = MotionKind.QUEUED
-            else:
-                kind = MotionKind.MOVING
-            if not moving_while_stationary.isdisjoint(vehicle_rests):
-                t, rest = next(
-                    (t, rest) for t, rest in zip(ts[start_row:end], vehicle_rows)
-                    if rest in moving_while_stationary
-                )
-                raise TraceValidationError(
-                    f"vehicle {vid}: {kinds[rest]} row at t={t} with nonzero velocity"
-                )
-            start = ts[start_row]
+        for vid, start_row, end, bits in zip(vids, starts, ends, kinds_of):
+            kind = _KIND_OF_BITS.get(bits)
+            if kind is None:
+                raise TraceValidationError(f"vehicle {vid}: mixes parked and driven rows")
+            if moving_while_stationary and moving_while_stationary[0] < end:
+                row = moving_while_stationary[0]
+                raise TraceValidationError(f"vehicle {vid}: {kinds[rows[row]]} row at "
+                                           f"t={steps[t_ranks[row]]} with nonzero velocity")
+            start = steps[t_ranks[start_row]]
             # rows are strictly increasing in t, so no gap iff the span fits the count
-            if ts[end - 1] - start != end - start_row - 1:
-                t = next(t for i, t in enumerate(ts[start_row:end]) if t != start + i)
+            if steps[t_ranks[end - 1]] - start != end - start_row - 1:
+                t = next(t for i, t in enumerate(map(steps.__getitem__, t_ranks[start_row:end]))
+                         if t != start + i)
                 raise TraceValidationError(f"vehicle {vid}: gap in trajectory at t={t}")
             records.append(VehicleRecord(
                 vehicle_id=vid,
                 kind=kind,
                 start_step=start,
-                positions=list(map(positions.__getitem__, vehicle_rows)),
-                velocities=list(map(velocities.__getitem__, vehicle_rows)),
+                positions=positions[start_row:end].tolist(),
+                velocities=velocities[start_row:end].tolist(),
             ))
         return records
 
@@ -352,12 +401,22 @@ def serialize_trace(records: Sequence[VehicleRecord]) -> str:
         vid = record.vehicle_id
         if len(record.positions) != len(record.velocities):
             raise ValueError(f"vehicle {vid}: positions/velocities length mismatch")
+        # ",vx,vy,kind" of each velocity with no zero component: equal nonzero
+        # floats print the same text, but 0.0 == -0.0 do not
+        tail_of: dict[Velocity2D, str] = {}
         last_p = last_v = text = None
         for t, p, v in zip(count(record.start_step), record.positions, record.velocities):
             # the same objects print the same text; equal values may not (-0.0)
             if p is not last_p or v is not last_v:
                 last_p, last_v = p, v
-                text = f",{vid},{p.x!r},{p.y!r},{v.vx!r},{v.vy!r},{_row_kind(record, v)}"
+                vx, vy = v
+                if vx and vy:
+                    tail = tail_of.get(v)
+                    if tail is None:
+                        tail = tail_of[v] = f",{vx!r},{vy!r},{_row_kind(record, v)}"
+                else:
+                    tail = f",{vx!r},{vy!r},{_row_kind(record, v)}"
+                text = f",{vid},{p.x!r},{p.y!r}{tail}"
             rows_at[t].append(text)
     out = [TRACE_HEADER]
     for t in sorted(rows_at):

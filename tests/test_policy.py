@@ -201,6 +201,13 @@ def test_policy_config_rejects_nan_threshold():
         PolicyConfig(anchor_accuracy_threshold=math.nan)
 
 
+@pytest.mark.parametrize("field, value", [("gnss_window", 2.5), ("gps_reset_interval", 1.5)])
+def test_policy_config_rejects_a_non_integer_window(field, value):
+    # each used to run an episode to the end without an error
+    with pytest.raises(ValueError, match=f"{field} must be an int, got {value!r}"):
+        PolicyConfig(**{field: value})
+
+
 def test_policy_config_validation():
     with pytest.raises(ValueError):
         PolicyConfig(anchor_accuracy_threshold=0.0)

@@ -373,6 +373,26 @@ def test_parse_trace_reads_laid_out_valid_traces_bit_exactly(case):
     + "".join(f"{t},4,5.0,5.0,0.0,0.0,parked\n" for t in range(3))
     + "3,4,5.0,5.0,0.0,0.5,parked\n"
     + "".join(f"{t},4,5.0,5.0,0.0,0.0,parked\n" for t in range(4, 7)),
+    # moving rows whose velocities differ only in the sign of a zero
+    "t,id,x,y,vx,vy,kind\n0,1,0.0,0.0,-0.0,1.5,moving\n1,1,0.0,1.5,0.0,1.5,moving\n"
+    "2,1,0.0,3.0,-0.0,1.5,moving\n2,2,1.0,1.0,1.5,-0.0,moving\n",
+    # one value spelled three ways, in t, id and every float column
+    "t,id,x,y,vx,vy,kind\n1,3,1.5,1.50,1.5,15e-1,moving\n01,4,15e-1,1.5,1.50,1.5,moving\n"
+    "2,03,3.0,3.0,1.50,15e-1,moving\n002,4,3.0,3.0,15e-1,1.50,moving\n",
+    # ids and steps at and above 2**63, and negative steps
+    f"t,id,x,y,vx,vy,kind\n{2**63 - 1},{2**63},0.0,0.0,0.0,0.0,parked\n"
+    f"{2**63 - 1},{2**64},1.0,1.0,0.0,0.0,parked\n{2**63},{2**63},0.0,0.0,0.0,0.0,parked\n"
+    f"{2**63},{2**64},1.0,1.0,0.0,0.0,parked\n",
+    "t,id,x,y,vx,vy,kind\n-3,-1,0.0,0.0,1.0,0.0,moving\n-3,7,0.0,0.0,0.0,0.0,parked\n"
+    "-2,-1,1.0,0.0,1.0,0.0,moving\n-2,7,0.0,0.0,0.0,0.0,parked\n",
+    # duplicate and unsorted rows among ints of any size, equal values spelled apart
+    f"t,id,x,y,vx,vy,kind\n{2**63},{2**64},0.0,0.0,0.0,0.0,moving\n"
+    f"{2**63},{2**64},1.0,0.0,0.0,0.0,moving\n",
+    "t,id,x,y,vx,vy,kind\n1,5,0.0,0.0,0.0,0.0,moving\n01,05,1.0,0.0,0.0,0.0,moving\n",
+    f"t,id,x,y,vx,vy,kind\n{2**63 + 1},1,0.0,0.0,0.0,0.0,moving\n"
+    f"{2**63},1,0.0,0.0,0.0,0.0,moving\n",
+    "t,id,x,y,vx,vy,kind\n-1,1,0.0,0.0,0.0,0.0,moving\n-2,1,0.0,0.0,0.0,0.0,moving\n",
+    f"t,id,x,y,vx,vy,kind\n0,{2**64},0.0,0.0,0.0,0.0,moving\n0,{2**63},0.0,0.0,0.0,0.0,moving\n",
 ])
 def test_parse_trace_edge_texts_match_the_line_reader(text):
     assert _outcome(parse_trace, text) == _outcome(_oracle_parse_trace, text)
@@ -415,12 +435,37 @@ def test_roundtrip_keeps_negative_zero_next_to_zero():
         VehicleRecord(2, MotionKind.PARKED, 0,
                       [Position2D(-0.0, -0.0)] * 3 + [Position2D(0.0, 0.0)] * 2,
                       [still_negative] * 2 + [still] * 3),
+        # equal velocities that print differently, in one moving vehicle
+        VehicleRecord(3, MotionKind.MOVING, 0, [Position2D(0.0, 1.5 * t) for t in range(4)],
+                      [Velocity2D(-0.0, 1.5), Velocity2D(0.0, 1.5), Velocity2D(-0.0, 1.5),
+                       Velocity2D(1.5, -0.0)]),
     ]
     text = serialize_trace(records)
     assert "0,1,0.0,0.0,0.0,0.0,moving" in text.splitlines()
     assert "1,1,-0.0,0.0,0.0,0.0,moving" in text.splitlines()
     assert "0,2,-0.0,-0.0,0.0,-0.0,parked" in text.splitlines()
-    assert _bits(parse_trace(text)) == _bits(records)
+    assert [line for line in text.splitlines() if line.split(",")[1] == "3"] == [
+        "0,3,0.0,0.0,-0.0,1.5,moving", "1,3,0.0,1.5,0.0,1.5,moving",
+        "2,3,0.0,3.0,-0.0,1.5,moving", "3,3,0.0,4.5,1.5,-0.0,moving",
+    ]
+    assert text == _oracle_serialize_trace(records)
+    assert _bits(parse_trace(text)) == _bits(records) == _bits(_oracle_parse_trace(text))
+
+
+@pytest.mark.parametrize("vid, start", [
+    (2**63 - 1, 2**63 - 1), (2**63, 2**63), (2**64 + 5, -3), (-(2**63) - 1, -(2**63) - 1),
+])
+def test_roundtrip_keeps_ids_and_steps_of_any_size(vid, start):
+    # ids and steps are ints of any size; only their ranks reach numpy
+    records = [
+        VehicleRecord(vid, MotionKind.MOVING, start,
+                      [Position2D(float(i), 0.0) for i in range(3)], [Velocity2D(1.0, 0.0)] * 3),
+        VehicleRecord(vid + 1, MotionKind.PARKED, start + 1,
+                      [Position2D(2.0, 2.0)] * 2, [ZERO_VELOCITY] * 2),
+    ]
+    text = serialize_trace(records)
+    assert text == _oracle_serialize_trace(records)
+    assert _bits(parse_trace(text)) == _bits(records) == _bits(_oracle_parse_trace(text))
 
 
 def _oracle_serialize_trace(records):
@@ -445,6 +490,12 @@ _coordinate = st.sampled_from([0.0, -0.0, 1.5, -2.25, 1e-300, 123456.789])
 
 
 @settings(max_examples=200, deadline=None)
+# velocities equal but for the sign of a zero, and ids and steps beyond int64
+@example([(2**63, MotionKind.MOVING, -2, [(0.0, 0.0, -0.0, 1.5, False),
+                                          (0.0, 1.5, 0.0, 1.5, False),
+                                          (0.0, 3.0, -0.0, 1.5, False)]),
+          (-(2**64), MotionKind.QUEUED, 2**63 - 1, [(1.5, 1.5, 1.5, -0.0, False),
+                                                    (1.5, 1.5, 1.5, 0.0, False)])])
 @given(st.lists(
     st.tuples(
         st.integers(-3, 3), st.sampled_from(list(MotionKind)), st.integers(-2, 4),
@@ -691,6 +742,12 @@ def test_scenario_config_rejects_a_non_finite_area(area):
 def test_scenario_config_rejects_non_finite_choke_points(x, y):
     with pytest.raises(ConfigError, match="choke_points"):
         ScenarioConfig(kind="town", choke_points=(ChokePoint(x, y, 5.0, 3),))
+
+
+def test_scenario_config_rejects_a_non_integer_hold():
+    # a named tuple cannot check itself: a hold of 2.5 steps used to generate a town
+    with pytest.raises(ConfigError, match=re.escape("hold_steps must be an int, got 2.5")):
+        ScenarioConfig(kind="town", choke_points=(ChokePoint(250.0, 200.0, 50.0, 2.5),))
 
 
 @pytest.mark.parametrize("field, value", [
