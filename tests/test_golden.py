@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from parkcp import harness
 from parkcp.channel import CommZone, NoiseModel
 from parkcp.coverage import TransitArea, coverage_report, dsrc_radius
 from parkcp.harness import (
@@ -107,7 +108,20 @@ def render_io() -> str:
 
 @pytest.fixture(scope="module")
 def rendered():
-    return render()
+    """render(), and the purposes of the streams it opened."""
+    opened, real = set(), harness.substream
+
+    def spy(*args):
+        opened.add(args[4])
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "substream", spy)
+        return (*render(), opened)
+
+
+def test_every_stream_purpose_feeds_the_pinned_numbers(rendered):
+    assert rendered[2] == set(harness._PURPOSES)
 
 
 def test_results_csv_matches_golden(rendered):
