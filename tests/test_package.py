@@ -1,4 +1,6 @@
-"""The package root exports nothing, and each module imports on its own."""
+"""The package root exports nothing, each module imports on its own, and
+every source file parses as the oldest Python that pyproject.toml allows."""
+import ast
 import os
 import pkgutil
 import subprocess
@@ -28,3 +30,12 @@ def test_the_package_root_exports_nothing():
     done = _python("import parkcp; print(sorted(n for n in vars(parkcp) if n[0] != '_'))")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # requires-python >= 3.10, though the suite may run on a later Python only
+    root = Path(__file__).resolve().parents[1]
+    files = [p for d in ("src", "tests", "scripts") for p in sorted((root / d).rglob("*.py"))]
+    assert files
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
