@@ -1,19 +1,18 @@
 """Episode execution, paired ensembles, and RMSE/improvement reporting.
 
-An episode advances a synchronous time loop over a trace: every participating
+An episode runs over a trace in three stages. ``_Measured`` draws what the
+cars measure, each value from a keyed stream that no worker count moves; a
+run's Traditional and Proposed episodes share one, so they see identical
+noise for shared events, which keeps their comparison tight. ``_believe``
+advances the cars' beliefs in a synchronous time loop: every participating
 vehicle discovers neighbors, selects up to three by priority and proximity,
 measures ranges to them, and runs the configured localizer against its
 dead-reckoned prior. All reads of other vehicles go through the previous
-step's broadcast snapshot, so per-step updates are order-independent.
-
-Every random draw comes from a Philox substream keyed on (config seed, run
-seed) with the counter (purpose, vehicle, step, neighbor or 0). Paired
-Traditional and Proposed episodes thus draw identical noise for shared
-events, which keeps their comparison tight, and no draw depends on the
-worker count. A run's two episodes share their measured velocities: each
-is drawn once per run, by whichever episode needs it first, and read by the
-other. Draws are read as Python floats, so no numpy scalar, whose every
-operation costs more, reaches an estimate, a filter or a swarm.
+step's broadcast snapshot, so per-step updates are order-independent, and
+truth reaches it only through its ``oracle`` argument. ``_score`` takes
+each tracked car's error from truth after each step. Draws are read as
+Python floats, so no numpy scalar, whose every operation costs more,
+reaches an estimate, a filter or a swarm.
 """
 from __future__ import annotations
 
@@ -44,6 +43,7 @@ from .localize import (
     trilaterate,
 )
 from .model import (
+    ZERO_VELOCITY,
     MotionKind,
     NodeClass,
     Position2D,
@@ -262,6 +262,10 @@ class _Trace:
             for t, mine in own.items():
                 self.near[t] = mine, parked[bisect_right(sets, t) - 1]
 
+    def position(self, k: int, t: int) -> Position2D:
+        """Record k's true position at step t, one of its active steps."""
+        return self.records[k].positions[t - self.records[k].start_step]
+
 
 def _self_pairs(x, y, key, car, radius):
     """``channel.disk_join`` of points with themselves, less each point's pair
@@ -271,18 +275,51 @@ def _self_pairs(x, y, key, car, radius):
     return zip(q[keep].tolist(), car[e[keep]].tolist(), d[keep].tolist())
 
 
-def _no_velocities(trace: _Trace) -> list[list[Velocity2D | None]]:
-    """A run's measured velocities before any is drawn: item [k][i] is record
-    k's at its i-th active step, None until an episode of the run draws it.
-    A draw is keyed by (car, step) and its arithmetic is fixed, so it is the
-    same bits whichever of the run's episodes draws it."""
-    return [[None] * len(r.positions) for r in trace.records]
+class _Measured:
+    """What the cars of one run measure, drawn when read; a car is its
+    record's index. A draw comes from the Philox substream keyed on (config
+    seed, run seed) with the counter (purpose, car id, step, neighbor id or
+    0), so it is the same bits whichever episode of the run reads it; a
+    velocity is kept once drawn. Fixes are taken at true positions,
+    velocities from true motion, ranges from true distances."""
+
+    def __init__(self, cfg: RunConfig, run_seed: int, trace: _Trace):
+        self.seed, self.run_seed, self.noise = cfg.seed, run_seed, cfg.noise
+        self.drop, self.records, self.ids = cfg.zone.drop_probability, trace.records, trace.ids
+        self.truth, self.velocities = trace.position, [{} for _ in trace.records]  # by step
+
+    def stream(self, k: int, t: int, purpose: str, extra: int = 0) -> np.random.Generator:
+        return substream(self.seed, self.run_seed, self.ids[k], t, purpose, extra)
+
+    def fix(self, k: int, t: int, purpose: str = "gps") -> Position2D:
+        """Car k's fix at step t: "gps" at its first step or a reset, "gnss" while halted."""
+        return channel.measure_gps(self.truth(k, t), self.noise, self.stream(k, t, purpose))
+
+    def velocity(self, k: int, t: int) -> Velocity2D:
+        """Car k's measured velocity over steps t - 1 to t."""
+        vel = self.velocities[k].get(t)
+        if vel is None:  # normal(0.0, velocity_std, 2), as in channel.measure_gps
+            rec, std = self.records[k], self.noise.velocity_std
+            vx, vy = rec.velocities[t - 1 - rec.start_step]
+            zx, zy = self.stream(k, t, "vel").standard_normal(2).tolist()
+            vel = self.velocities[k][t] = tuple.__new__(
+                Velocity2D, (vx + (0.0 + std * zx), vy + (0.0 + std * zy)))
+        return vel
+
+    def lost(self, k: int, t: int, j: int) -> bool:
+        """Whether car j's broadcast to car k is lost at step t."""
+        return self.stream(k, t, "drop", self.ids[j]).random() < self.drop
+
+    def range(self, k: int, t: int, j: int, true_d: float) -> float:
+        """Car k's range to car j at step t."""
+        stream = substream(self.seed, self.run_seed, self.ids[k], t, "range", self.ids[j])
+        return channel.measure_range(true_d, self.noise, stream)
 
 
 @dataclass(slots=True, eq=False)
 class _Node:
-    """One vehicle's episode state from its first active step. ``errors``
-    and ``anchors`` (anchors selected) are read for tracked vehicles only."""
+    """One vehicle's episode state from its first active step. ``anchors``
+    (anchors selected) is read for tracked vehicles only."""
 
     role: NodeClass
     est: Position2D | None
@@ -290,7 +327,6 @@ class _Node:
     iso: int = 0  # steps since a neighbor was last selected
     gnss_n: int = 0  # GNSS fixes in gnss_sum, drawn while halted; 0 restarts the sum
     gnss_sum: tuple[float, float] = (0.0, 0.0)
-    errors: list[float] = field(default_factory=list)
     anchors: int = 0
 
 
@@ -299,16 +335,15 @@ def run_episode(
     run_seed: int,
     records: Sequence[VehicleRecord] | _Trace | None = None,
     mode: Mode = Mode.PROPOSED,
-    measured_vel: list[list[Velocity2D | None]] | None = None,
+    measured: _Measured | None = None,
 ) -> EpisodeResult:
     """Run one episode of ``mode``; deterministic given (cfg, run_seed,
     mode). Parked cars take no part in a traditional episode. ``records``
     is a ``_Trace`` for the scenario's step and the zone radius, as
     ``ensemble`` passes, or records to check as one; None generates the
-    configured scenario's trace. ``measured_vel`` holds the velocities that
-    the run's other episode drew, as ``ensemble`` passes, and receives this
-    episode's; None starts from ``_no_velocities``, so a standalone call
-    opens the same streams, in the same order, whatever ran before it."""
+    configured scenario's trace. ``measured`` is the run's ``_Measured``, as
+    ``ensemble`` passes; None makes one, so a standalone call opens the same
+    streams, in the same order, whatever ran before it."""
     scn = cfg.scenario
     trace = records if isinstance(records, _Trace) else _Trace(
         records if records is not None else generate(scn), scn.step_seconds, cfg.zone.radius)
@@ -316,22 +351,24 @@ def run_episode(
         raise ConfigError(f"trace neighbors are at step {trace.step_seconds!r} for radius "
                           f"{trace.radius!r}, not the zone radius {cfg.zone.radius!r} "
                           f"at the scenario step {scn.step_seconds!r}")
+    if measured is None:
+        measured = _Measured(cfg, run_seed, trace)
+    return _score(trace, _believe(cfg, trace, mode, measured, trace.position))
 
+
+def _believe(cfg: RunConfig, trace: _Trace, mode: Mode, measured: _Measured, oracle):
+    """The cars' beliefs in an episode of ``mode``: yields (t, nodes) after
+    each step t, ``nodes[k]`` being car k's ``_Node`` (None before its first
+    step), changed in place. ``oracle(k, t)``, car k's true position at step
+    t, is read for an anchor's broadcast, a preloaded anchor's surveyed
+    position, and a promoted car's estimate and its 1 m promotion gate."""
     proposed = mode is Mode.PROPOSED
     use_ekf = cfg.algorithm is Algorithm.EKF
-    dt = scn.step_seconds
-    pol = cfg.policy
-
-    def stream(vid, step, purpose, extra=0):
-        return substream(cfg.seed, run_seed, vid, step, purpose, extra)
-
-    drop, noise, ekf_params = cfg.zone.drop_probability, cfg.noise, cfg.ekf
-    gps_var = noise.gps_std**2
+    dt, pol, ekf_params = cfg.scenario.step_seconds, cfg.policy, cfg.ekf
+    lossy, gps_var = cfg.zone.drop_probability > 0.0, cfg.noise.gps_std**2
     gps_cov = (gps_var, 0.0, gps_var)
-    vel_std = noise.velocity_std
+    fix, velocity, lost, ranging = measured.fix, measured.velocity, measured.lost, measured.range
     records, ids, still_parked = trace.records, trace.ids, trace.still_parked
-    if measured_vel is None:
-        measured_vel = _no_velocities(trace)
     nodes: list[_Node | None] = [None] * len(ids)
     # each car's latest broadcast (role, shared position, priority, covariance)
     # from its second active step; None while it is inactive, which is silent
@@ -340,10 +377,10 @@ def run_episode(
     # its broadcast never changes: it settles, and is skipped from then on.
     settled = [False] * len(ids)
 
-    def ranked(row, vid, t, reference, min_anchors=0):
+    def ranked(row, k, t, reference, min_anchors=0):
         """Broadcast-data pre-ranking and ranging of the neighbors in ``row``,
-        the car's (index j, true distance) row of ``_Trace.near``, heard
-        through ``heard[j]``; draws, ties and candidates use the id ``ids[j]``.
+        car k's (index j, true distance) row of ``_Trace.near``, heard
+        through ``heard[j]``; a true distance reaches only ``measured.range``.
         A silent neighbor is skipped before its drop draw. Ranges are only
         measured for the top three neighbors under (priority, distance from
         ``reference`` to the shared position, id); select_neighbors then
@@ -359,22 +396,20 @@ def run_episode(
             sent = heard[j]
             if sent is None:
                 continue  # silent: inactive, in its first active step, or parked in traditional
-            nid = ids[j]
-            if drop > 0.0 and stream(vid, t, "drop", nid).random() < drop:
+            if lossy and lost(k, t, j):
                 continue  # broadcast lost this step
             ncls, shared, prio, cov = sent
             if ncls is _ANCHOR:
                 anchors_in_range += 1
             sx, sy = shared
-            found.append((prio, math.hypot(rx - sx, ry - sy), nid, true_d, ncls, shared, cov))
+            found.append((prio, math.hypot(rx - sx, ry - sy), ids[j], j, true_d, ncls, shared, cov))
         if not found or anchors_in_range < min_anchors:
             return [], anchors_in_range
         found.sort()  # ids are unique in a row, so no comparison goes past the id
-        candidates = []
-        for _, _, nid, true_d, ncls, shared, cov in found[:3]:
-            measured = channel.measure_range(true_d, noise, stream(vid, t, "range", nid))
-            candidates.append(Candidate(nid, ncls, shared, measured, cov))
-        return select_neighbors(candidates), anchors_in_range
+        return select_neighbors([
+            Candidate(nid, ncls, shared, ranging(k, t, j, true_d), cov)
+            for _, _, nid, j, true_d, ncls, shared, cov in found[:3]
+        ]), anchors_in_range
 
     others: list[int] = []  # active, not settled, and not parked in traditional mode
     for t in trace.steps:
@@ -390,8 +425,7 @@ def run_episode(
                 if role is _INACTIVE:
                     heard[k] = None
                 elif role is _ANCHOR:
-                    rec = records[k]
-                    heard[k] = (role, rec.positions[t - rec.start_step], priority(role), _EXACT)
+                    heard[k] = (role, oracle(k, t), priority(role), _EXACT)
                     if k in still_parked:
                         settled[k] = True
                 else:
@@ -400,25 +434,18 @@ def run_episode(
 
         for k in others:
             rec = records[k]
-            vid, kind = ids[k], rec.kind
+            kind = rec.kind
             i = t - rec.start_step
-            truth = rec.positions[i]
             node = nodes[k]
             if node is None:  # first active step: initialise only
                 if kind is not _PARKED:
-                    fix = channel.measure_gps(truth, noise, stream(vid, t, "gps"))
-                    node = nodes[k] = _Node(NodeClass.BLIND, fix, gps_cov)
-                    if kind is _MOVING:
-                        node.errors.append(distance(fix, truth))
+                    nodes[k] = _Node(NodeClass.BLIND, fix(k, t), gps_cov)
                 elif pol.anchors_preloaded:
-                    nodes[k] = _Node(_ANCHOR, truth)
+                    nodes[k] = _Node(_ANCHOR, oracle(k, t))  # surveyed
                 else:  # dormant: it draws its fixes when a step reads their mean
                     nodes[k] = _Node(_INACTIVE, None)
                 continue
-            vel_now = rec.velocities[i]
-            halted = kind is _PARKED or (
-                kind is _QUEUED and vel_now.vx == 0.0 and vel_now.vy == 0.0
-            )
+            halted = kind is _PARKED or (kind is _QUEUED and rec.velocities[i] == ZERO_VELOCITY)
             if node.role is _ANCHOR:
                 if halted:
                     continue  # keeps serving its precisely known position
@@ -439,59 +466,51 @@ def run_episode(
                     if anchors < 2:  # it cannot rank, and no error is read
                         node.role = classify_stationary(kind, anchors, n, math.inf, pol)
                         if node.role is _ANCHOR:
-                            node.est = truth
+                            node.est = oracle(k, t)
                         continue
                 else:  # a queued car broadcasts its estimate, so it averages every step
                     n = node.gnss_n + 1
                 # draw and sum, in step order, the fixes not yet in gnss_sum
                 sx, sy = node.gnss_sum if node.gnss_n else (0.0, 0.0)
-                positions, start = rec.positions, rec.start_step
                 for s in range(t + 1 - n + node.gnss_n, t + 1):
-                    fix = channel.measure_gps(positions[s - start], noise, stream(vid, s, "gnss"))
-                    sx, sy = sx + fix.x, sy + fix.y
+                    x, y = fix(k, s, "gnss")
+                    sx, sy = sx + x, sy + y
                 node.gnss_n, node.gnss_sum = n, (sx, sy)
                 gnss_mean = Position2D(sx / n, sy / n)
 
                 # below two anchors _anchor_fix gives gnss_mean whatever is ranged
-                selected, anchors_in_range = ranked(row, vid, t, gnss_mean, min_anchors=2)
+                selected, anchors_in_range = ranked(row, k, t, gnss_mean, min_anchors=2)
                 new_est = _anchor_fix([c for c in selected if c.node_class is _ANCHOR], gnss_mean)
                 node.role = classify_stationary(
-                    kind, anchors_in_range, n, distance(new_est, truth), pol
+                    kind, anchors_in_range, n, distance(new_est, oracle(k, t)), pol
                 )
-                node.est = truth if node.role is _ANCHOR else new_est
+                node.est = oracle(k, t) if node.role is _ANCHOR else new_est
                 node.cov = (gps_var / n, 0.0, gps_var / n)
                 continue
 
             # driving (or halted in traditional mode, where nothing is promoted)
             node.gnss_n = 0
-            car_vel = measured_vel[k]
-            vel_meas = car_vel[i]
-            if vel_meas is None:  # not yet drawn in this run
-                vel_true = rec.velocities[i - 1]  # motion from t-1 to t
-                # normal(0.0, velocity_std, 2), as in channel.measure_gps
-                zx, zy = stream(vid, t, "vel").standard_normal(2).tolist()
-                vel_meas = car_vel[i] = tuple.__new__(Velocity2D, (
-                    vel_true.vx + (0.0 + vel_std * zx), vel_true.vy + (0.0 + vel_std * zy)))
+            vel_meas = velocity(k, t)
             if use_ekf:  # its predicted state is dead_reckon(node.est, vel_meas, dt)
                 prior, node.cov = ekf_predict(node.est, node.cov, vel_meas, ekf_params)
             else:
                 prior = dead_reckon(node.est, vel_meas, dt)
 
-            selected, _ = ranked(row, vid, t, prior)
+            selected, _ = ranked(row, k, t, prior)
             if not selected:  # either localizer keeps its prior; a swarm at cost 0 draws nothing
                 new_est = prior
             elif use_ekf:
                 new_est, node.cov = ekf_update(prior, node.cov, selected, ekf_params)
             else:
                 problem = LocalizationProblem(tuple(selected), prior)
-                new_est = gcpso_localize(problem, cfg.gcpso, stream(vid, t, "pso")).position
+                new_est = gcpso_localize(problem, cfg.gcpso, measured.stream(k, t, "pso")).position
 
             if selected:
                 node.iso = 0
             else:
                 node.iso += 1
                 if node.iso >= pol.gps_reset_interval:
-                    new_est = channel.measure_gps(truth, noise, stream(vid, t, "gps"))
+                    new_est = fix(k, t)
                     node.cov = gps_cov
                     node.iso = 0
 
@@ -503,14 +522,22 @@ def run_episode(
             node.est = new_est
             if kind is _MOVING:
                 node.anchors += n_anch
-                node.errors.append(math.hypot(new_est.x - truth.x, new_est.y - truth.y))
+        yield t, nodes
 
-    tracked = [k for k, r in enumerate(records) if r.kind is MotionKind.MOVING]
-    return EpisodeResult(
-        errors={ids[k]: np.asarray(nodes[k].errors) for k in tracked},
-        first_step={ids[k]: records[k].start_step for k in tracked},
-        anchors_used={ids[k]: nodes[k].anchors for k in tracked},
-    )
+
+def _score(trace: _Trace, steps) -> EpisodeResult:
+    """Each tracked (moving-kind) car's error from its true position after
+    each of its active ``steps`` of belief, and the anchors it selected."""
+    tracked = [(k, r.start_step, r.end_step, r.positions, []) for k, r in enumerate(trace.records)
+               if r.kind is _MOVING]
+    for t, nodes in steps:
+        for k, start, end, positions, errors in tracked:
+            if start <= t < end:
+                (x, y), (tx, ty) = nodes[k].est, positions[t - start]
+                errors.append(math.hypot(x - tx, y - ty))
+    return EpisodeResult({trace.ids[k]: np.asarray(errors) for k, *_, errors in tracked},
+                         {trace.ids[k]: start for k, start, *_ in tracked},
+                         {trace.ids[k]: nodes[k].anchors for k, *_ in tracked})
 
 
 def trace_metrics(trace: _Trace) -> dict[int, tuple[int, float]]:
@@ -610,11 +637,11 @@ _MODES = (Mode.TRADITIONAL, Mode.PROPOSED)
 def _paired_episodes(
     cfg: RunConfig, run_seed: int, trace: _Trace | None = None
 ) -> list[EpisodeResult]:
-    """The (Traditional, Proposed) episodes of one run, which share their
-    measured velocities; a pool worker passes no trace and runs on its own."""
+    """The (Traditional, Proposed) episodes of one run, which share its
+    ``_Measured``; a pool worker passes no trace and runs on its own."""
     trace = _TRACE if trace is None else trace
-    measured_vel = _no_velocities(trace)
-    return [run_episode(cfg, run_seed, trace, mode, measured_vel) for mode in _MODES]
+    measured = _Measured(cfg, run_seed, trace)
+    return [run_episode(cfg, run_seed, trace, mode, measured) for mode in _MODES]
 
 
 def ensemble(

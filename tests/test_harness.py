@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import re
@@ -1501,3 +1502,49 @@ def test_the_ekf_covariance_is_consistent_with_its_errors(monkeypatch, make_cfg,
     assert nees
     assert 1.0 <= sum(nees) / len(nees) <= 3.0
     assert sum(v > 5.99 for v in nees) <= 0.10 * len(nees)
+
+
+class _Unreadable:
+    """A record's positions whose length may be read, and nothing else."""
+
+    def __init__(self, n):
+        self._n = n
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, i):
+        raise AssertionError("a true position was read")
+
+
+@pytest.mark.parametrize("preloaded", [True, False])
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_the_belief_stage_reads_truth_only_through_its_oracle(algorithm, mode, preloaded):
+    """Beliefs over a trace whose positions raise on any read, given the
+    measurements, oracle and scorer of the real trace, are the real ones."""
+    cfg, records = _staggered_town(algorithm, 0.3)
+    cfg = replace(cfg, policy=replace(cfg.policy, anchors_preloaded=preloaded))
+    trace = harness._Trace(records, cfg.scenario.step_seconds, cfg.zone.radius)
+    blind = copy.copy(trace)
+    blind.records = [replace(r, positions=_Unreadable(len(r.positions))) for r in records]
+
+    def believe(on):
+        seen = []
+
+        def steps():
+            measured = harness._Measured(cfg, 1, trace)
+            for t, nodes in harness._believe(cfg, on, mode, measured, trace.position):
+                seen.append([n and (n.role, n.est, n.cov) for n in nodes])
+                yield t, nodes
+
+        return seen, harness._score(trace, steps())
+
+    (real, scored), (fenced, fenced_scored) = believe(trace), believe(blind)
+    assert fenced == real
+    assert any(n and n[0] is NodeClass.ANCHOR for n in real[-1]) is (mode is Mode.PROPOSED)
+    expected = run_episode(cfg, 1, trace, mode)
+    for result in (scored, fenced_scored):
+        assert result.anchors_used == expected.anchors_used
+        assert {v: e.tobytes() for v, e in result.errors.items()} == {
+            v: e.tobytes() for v, e in expected.errors.items()}
