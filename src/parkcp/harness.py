@@ -43,6 +43,8 @@ from .localize import (
     trilaterate,
 )
 from .model import (
+    STEPS,
+    VEHICLE_IDS,
     ZERO_VELOCITY,
     MotionKind,
     NodeClass,
@@ -148,9 +150,11 @@ def substream(
     """Independent, reproducible generator for one (vehicle, step, purpose).
 
     Re-keys the module's one Philox to key (base_seed, run_seed) and counter
-    (purpose code << 56, vehicle_id, step, extra), all mod 2**64: it draws as
-    a fresh ``Generator(Philox(key=..., counter=...))``, with 2**56 blocks per
-    stream. Valid only until the next call; per-process, not thread-safe.
+    (purpose code << 56, vehicle_id, step, extra), all mod 2**64, which is
+    one-to-one on ``RunConfig`` seeds and on a ``_Trace``'s int64 ids and
+    steps: it draws as a fresh ``Generator(Philox(key=..., counter=...))``,
+    with 2**56 blocks per stream. Valid only until the next call;
+    per-process, not thread-safe.
     """
     _KEYED["counter"] = (_PURPOSES[purpose] << 56, vehicle_id & _MASK, step & _MASK, extra & _MASK)
     _KEYED["key"] = (base_seed & _MASK, run_seed & _MASK)
@@ -177,16 +181,17 @@ _BLOCK = 1024  # query points per disk join: its temporaries grow with them
 
 
 class _Trace:
-    """Trace records, checked against ``step_seconds`` and for vehicles and
-    unique ids, numbered 0..V-1 in trace order (``ids[k]`` is record k's id),
-    with the indices of the records active from each step at which the
-    active set changes, ascending, the indices of the still-parked cars (one
-    position over their whole window), and ``near[t]``, a pair (own, shared)
-    of maps from the index of each car active at step t to its row: the
-    (index, ``model.distance``) of every other car within ``radius``. A
-    still-parked car's row is in ``shared``, one map per active set, unless
-    a car that is not still parked is in range; every other row is in
-    ``own``. Shared by an ensemble's episodes."""
+    """Trace records, checked against ``step_seconds``, for vehicles, and for
+    unique ids in ``VEHICLE_IDS`` and steps in ``STEPS``, numbered 0..V-1 in
+    trace order (``ids[k]`` is record k's id), with the indices of the
+    records active from each step at which the active set changes, the
+    ``steps`` at which some record is active, both ascending, the indices
+    of the still-parked cars (one position over their whole window), and
+    ``near[t]``, a pair (own, shared) of maps from the index of each car
+    active at step t to its row: the (index, ``model.distance``) of every
+    other car within ``radius``. A still-parked car's row is in ``shared``,
+    one map per active set, unless a car that is not still parked is in
+    range; every other row is in ``own``. Shared by an ensemble's episodes."""
 
     def __init__(self, records: Sequence[VehicleRecord], step_seconds: float, radius: float):
         try:
@@ -202,19 +207,25 @@ class _Trace:
         starts: dict[int, list[int]] = defaultdict(list)
         ends: dict[int, set[int]] = defaultdict(set)
         for k, r in enumerate(records):
+            # compared, not looked up: ``in`` a range iterates it for a non-int
+            if not (VEHICLE_IDS.start <= r.vehicle_id < VEHICLE_IDS.stop
+                    and STEPS.start <= r.start_step and r.end_step <= STEPS.stop):
+                raise ConfigError(f"vehicle {r.vehicle_id}: ids must lie in [-2**63, 2**63) "
+                                  f"and steps in [-2**63, 2**63 - 1), not {r.start_step} to "
+                                  f"{r.end_step - 1}")
             starts[r.start_step].append(k)
             ends[r.end_step].add(k)
         self.active_from: dict[int, list[int]] = {}
         live: list[int] = []
-        for t in sorted(starts.keys() | ends.keys()):
+        sets = sorted(starts.keys() | ends.keys())  # the steps at which the active set changes
+        for t in sets:
             live = self.active_from[t] = sorted({*live, *starts[t]} - ends[t])
-        self.steps = range(min(starts), max(ends))
+        self.steps = [t for s, e in zip(sets, sets[1:]) if self.active_from[s] for t in range(s, e)]
         self.still_parked = {
             k for k, r in enumerate(records)
             if r.kind is MotionKind.PARKED and r.positions.count(r.positions[0]) == len(r.positions)
         }
         self.step_seconds, self.radius = step_seconds, radius
-        sets = sorted(self.active_from)  # the steps at which the active set changes
         # still-parked cars are paired once per active set, keyed by its index
         still = [(s, k) for s, t in enumerate(sets) for k in self.active_from[t]
                  if k in self.still_parked]
@@ -238,10 +249,11 @@ class _Trace:
 
         self.near: dict[int, tuple[dict, dict]] = {}
         span = max(1, _BLOCK * len(self.steps) // max(len(step), 1))  # steps per join
-        for b in range(self.steps.start, self.steps.stop, span):
-            a, z = np.searchsorted(step, [b, b + span]).tolist()
+        for b in range(0, len(self.steps), span):
+            block = self.steps[b:b + span]
+            a, z = np.searchsorted(step, block[0]), np.searchsorted(step, block[-1], "right")
             ts, cars = step[a:z].tolist(), owner[a:z].tolist()
-            own = {t: {} for t in range(b, min(b + span, self.steps.stop))}
+            own = {t: {} for t in block}
             rows = [[] for _ in ts]
             for t, k, row in zip(ts, cars, rows):
                 own[t][k] = row
@@ -249,7 +261,7 @@ class _Trace:
             for i, k, d in _self_pairs(qx, qy, step[a:z], owner[a:z], radius):
                 rows[i].append((k, d))
             # the still-parked cars of the active sets of the block's steps
-            first, last = (bisect_right(sets, t) - 1 for t in (b, b + span - 1))
+            first, last = (bisect_right(sets, t) - 1 for t in (block[0], block[-1]))
             c, e = np.searchsorted(key, [first, last + 1]).tolist()
             found = channel.disk_join(qx, qy, step_set[a:z], sx[c:e], sy[c:e], key[c:e], radius)
             for i, j, d in zip(*(v.tolist() for v in found)):

@@ -1,7 +1,7 @@
 """Domain types and planar geometry shared by all simulator modules.
 
 Coordinates are 2D, in meters, in a local tangent frame. Velocities are in
-meters/second. Time is a non-negative step index; the step duration lives in
+meters/second. Time is a step index in ``STEPS``; the step duration lives in
 the scenario/localizer configs.
 """
 from __future__ import annotations
@@ -27,6 +27,11 @@ class Velocity2D(NamedTuple):
 
 
 ZERO_VELOCITY = Velocity2D(0.0, 0.0)
+
+# A trace's ids and steps are int64, as the arrays and stream keys built on them
+# are; steps stop one short, so that a window's end step (last step + 1) fits.
+VEHICLE_IDS = range(-(2**63), 2**63)
+STEPS = range(-(2**63), 2**63 - 1)
 
 
 def distance(a: Position2D, b: Position2D) -> float:

@@ -642,6 +642,17 @@ def test_sim_header_only_trace_is_a_config_error(tmp_path, config_path, capsys):
     assert "error: trace has no vehicles" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", [f"{2**63},0,1.0,0.0,0.0,0.0,moving",
+                                 f"0,{2**63},1.0,0.0,0.0,0.0,moving"])
+def test_sim_rejects_a_trace_int_outside_int64_by_its_line(tmp_path, config_path, capsys, row):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"t,id,x,y,vx,vy,kind\n0,0,0.0,0.0,0.0,0.0,moving\n{row}\n")
+    code = main(["sim", "--config", config_path, "--trace", str(trace),
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: line 3: t=")
+
+
 def test_coverage_accepts_trace_with_byte_order_mark_as_parked_source(tmp_path, config_path):
     trace = tmp_path / "trace.csv"
     assert main(["gen", "--config", config_path, "--out", str(trace)]) == 0

@@ -27,7 +27,14 @@ from parkcp.harness import (
 from parkcp.localize import EkfParams, GcpsoParams
 from parkcp.model import MotionKind, NodeClass, Position2D, VehicleRecord, Velocity2D, distance
 from parkcp.policy import Mode, PolicyConfig
-from parkcp.scenario import ChokePoint, ScenarioConfig, gen_circuit, generate
+from parkcp.scenario import (
+    ChokePoint,
+    ScenarioConfig,
+    gen_circuit,
+    generate,
+    parse_trace,
+    serialize_trace,
+)
 from dataclasses import replace
 
 
@@ -1129,6 +1136,43 @@ def test_a_vehicle_id_with_two_records_is_rejected(jobs):
         ensemble(cfg, records, jobs=jobs)
     with pytest.raises(ConfigError, match="more than one record for a vehicle id"):
         run_episode(cfg, 0, records)
+
+
+def _two_cars(starts, vids=(5, 6)):
+    """Two 5-step cars 2 m apart, driving at 1 m/s from the steps ``starts``."""
+    return [VehicleRecord(vid, MotionKind.MOVING, start,
+                          [Position2D(float(i), 2.0 * n) for i in range(5)],
+                          [Velocity2D(1.0, 0.0)] * 5)
+            for n, (vid, start) in enumerate(zip(vids, starts))]
+
+
+@pytest.mark.parametrize("starts, vids", [
+    ((0, 0), (5, 5 + 2**64)), ((0, 0), (5, -(2**63) - 1)),
+    ((0, 2**63 - 5), (5, 6)), ((-(2**63) - 1, 0), (5, 6)),
+])
+def test_ensemble_rejects_ids_and_steps_outside_int64(starts, vids):
+    # ids 5 and 5 + 2**64 would key the same streams, mod 2**64
+    with pytest.raises(ConfigError, match=r"ids must lie in \[-2\*\*63, 2\*\*63\) and steps"):
+        ensemble(circuit_cfg(n_runs=1), _two_cars(starts, vids))
+
+
+@pytest.mark.parametrize("start", [-(2**63), 2**63 - 6])
+def test_a_parsed_trace_runs_at_the_int64_step_extremes(start):
+    # from 2**63 - 6, the window's end step, 2**63 - 1, is the largest int64
+    records = parse_trace(serialize_trace(_two_cars((start, start))))
+    summary = ensemble(circuit_cfg(n_runs=1), records, keep_episodes=True)
+    for _, _, episode in summary.episodes:
+        assert {vid: len(errors) for vid, errors in episode.errors.items()} == {5: 5, 6: 5}
+
+
+def test_a_trace_visits_only_the_steps_at_which_some_car_is_active():
+    records = _two_cars((0, 10**5))
+    cfg = circuit_cfg(n_runs=1)
+    trace = harness._Trace(records, 1.0, cfg.zone.radius)
+    assert trace.steps == [*range(5), *range(10**5, 10**5 + 5)] == sorted(trace.near)
+    summary = ensemble(cfg, records, keep_episodes=True)
+    for _, _, episode in summary.episodes:
+        assert {vid: len(errors) for vid, errors in episode.errors.items()} == {5: 5, 6: 5}
 
 
 def test_ensemble_of_parked_cars_only_has_no_rows():

@@ -156,6 +156,10 @@ def _oracle_parse_trace(text):
             raise TraceParseError(line_no, str(exc)) from None
         if not all(map(math.isfinite, values[2:])):
             raise TraceParseError(line_no, "non-finite value")
+        t, vid = values[:2]
+        if not (-(2**63) <= t < 2**63 - 1 and -(2**63) <= vid < 2**63):
+            raise TraceParseError(line_no, f"t={t}, id={vid}: t must lie in [-2**63, "
+                                  "2**63 - 1) and id in [-2**63, 2**63)")
         kind_name = parts[6].strip()
         if kind_name not in kind_names:
             raise TraceParseError(line_no, f"unknown kind {kind_name!r}")
@@ -260,6 +264,12 @@ def _fault_non_finite(draw, rows):
     _set_field(draw, rows, [2, 3, 4, 5], ["inf", "-inf", "nan", "NaN", "1e999", "-Infinity"])
 
 
+def _fault_int_out_of_range(draw, rows):
+    # id 2**63 - 1 is in range, so as an id it may give another fault
+    _set_field(draw, rows, [0, 1], [str(2**63 - 1), str(2**63), str(-(2**63) - 1),
+                                    str(2**64 + 5)])
+
+
 def _fault_unknown_kind(draw, rows):
     _set_field(draw, rows, [6], ["parkd", "Moving", "", "queue d", "stopped"])
 
@@ -301,8 +311,8 @@ def _fault_mixed_kinds(draw, rows):
 
 
 FAULTS = [
-    _fault_bad_int, _fault_bad_float, _fault_non_finite, _fault_unknown_kind,
-    _fault_field_count, _fault_duplicate, _fault_unsorted, _fault_gap,
+    _fault_bad_int, _fault_bad_float, _fault_non_finite, _fault_int_out_of_range,
+    _fault_unknown_kind, _fault_field_count, _fault_duplicate, _fault_unsorted, _fault_gap,
     _fault_stationary_velocity, _fault_mixed_kinds,
 ]
 
@@ -379,13 +389,20 @@ def test_parse_trace_reads_laid_out_valid_traces_bit_exactly(case):
     # one value spelled three ways, in t, id and every float column
     "t,id,x,y,vx,vy,kind\n1,3,1.5,1.50,1.5,15e-1,moving\n01,4,15e-1,1.5,1.50,1.5,moving\n"
     "2,03,3.0,3.0,1.50,15e-1,moving\n002,4,3.0,3.0,15e-1,1.50,moving\n",
-    # ids and steps at and above 2**63, and negative steps
+    # ids and steps at and past their int64 bounds, and negative steps
+    f"t,id,x,y,vx,vy,kind\n{-(2**63)},{-(2**63)},0.0,0.0,0.0,0.0,parked\n"
+    f"{-(2**63)},{2**63 - 1},1.0,1.0,0.0,0.0,moving\n{2**63 - 2},{2**63 - 1},1.0,1.0,0.0,0.0,"
+    "parked\n",
+    f"t,id,x,y,vx,vy,kind\n{2**63 - 2},1,0.0,0.0,0.0,0.0,parked\n"
+    f"{2**63 - 1},1,0.0,0.0,0.0,0.0,parked\n",
+    f"t,id,x,y,vx,vy,kind\n0,{-(2**63)},0.0,0.0,0.0,0.0,parked\n"
+    f"0,{-(2**63) - 1},0.0,0.0,0.0,0.0,parked\n",
     f"t,id,x,y,vx,vy,kind\n{2**63 - 1},{2**63},0.0,0.0,0.0,0.0,parked\n"
     f"{2**63 - 1},{2**64},1.0,1.0,0.0,0.0,parked\n{2**63},{2**63},0.0,0.0,0.0,0.0,parked\n"
     f"{2**63},{2**64},1.0,1.0,0.0,0.0,parked\n",
     "t,id,x,y,vx,vy,kind\n-3,-1,0.0,0.0,1.0,0.0,moving\n-3,7,0.0,0.0,0.0,0.0,parked\n"
     "-2,-1,1.0,0.0,1.0,0.0,moving\n-2,7,0.0,0.0,0.0,0.0,parked\n",
-    # duplicate and unsorted rows among ints of any size, equal values spelled apart
+    # duplicate and unsorted rows, equal values spelled apart, ints past int64 first
     f"t,id,x,y,vx,vy,kind\n{2**63},{2**64},0.0,0.0,0.0,0.0,moving\n"
     f"{2**63},{2**64},1.0,0.0,0.0,0.0,moving\n",
     "t,id,x,y,vx,vy,kind\n1,5,0.0,0.0,0.0,0.0,moving\n01,05,1.0,0.0,0.0,0.0,moving\n",
@@ -452,20 +469,37 @@ def test_roundtrip_keeps_negative_zero_next_to_zero():
     assert _bits(parse_trace(text)) == _bits(records) == _bits(_oracle_parse_trace(text))
 
 
-@pytest.mark.parametrize("vid, start", [
-    (2**63 - 1, 2**63 - 1), (2**63, 2**63), (2**64 + 5, -3), (-(2**63) - 1, -(2**63) - 1),
-])
-def test_roundtrip_keeps_ids_and_steps_of_any_size(vid, start):
-    # ids and steps are ints of any size; only their ranks reach numpy
-    records = [
+def _two_records(vid, start):
+    """A 3-step moving car with id ``vid`` from ``start``, and a 2-step
+    parked car with the next id from the next step."""
+    return [
         VehicleRecord(vid, MotionKind.MOVING, start,
                       [Position2D(float(i), 0.0) for i in range(3)], [Velocity2D(1.0, 0.0)] * 3),
         VehicleRecord(vid + 1, MotionKind.PARKED, start + 1,
                       [Position2D(2.0, 2.0)] * 2, [ZERO_VELOCITY] * 2),
     ]
+
+
+@pytest.mark.parametrize("vid, start", [
+    (2**63 - 2, 2**63 - 4), (-(2**63), -(2**63)), (-(2**63), 2**63 - 4), (2**63 - 2, -(2**63)),
+])
+def test_roundtrip_keeps_ids_and_steps_at_their_int64_extremes(vid, start):
+    # a last step is at most 2**63 - 2, so that the window's end step is an int64
+    records = _two_records(vid, start)
     text = serialize_trace(records)
     assert text == _oracle_serialize_trace(records)
     assert _bits(parse_trace(text)) == _bits(records) == _bits(_oracle_parse_trace(text))
+
+
+@pytest.mark.parametrize("vid, start, line_no", [
+    (2**63 - 1, 0, 4), (-(2**63) - 1, 0, 2), (0, 2**63 - 3, 5), (0, -(2**63) - 1, 2),
+])
+def test_parse_trace_rejects_ids_and_steps_one_past_their_int64_bounds(vid, start, line_no):
+    # rows: the moving car at start, then both cars at each of the next two steps
+    text = serialize_trace(_two_records(vid, start))
+    with pytest.raises(TraceParseError, match=rf"^line {line_no}: t=.* must lie in "):
+        parse_trace(text)
+    assert _outcome(parse_trace, text) == _outcome(_oracle_parse_trace, text)
 
 
 def _oracle_serialize_trace(records):
