@@ -1,12 +1,15 @@
 """Exact work counts of the benchmark's simulation workloads at their tiny
-sizes: the keyed streams an ensemble opens, by purpose, and its calls of the
-policy and the localizers. A count is exact, where a time needs many runs to
-resolve, so a change that does more or less work fails here by name.
+sizes: the keyed streams an ensemble opens, by purpose, its calls of the
+policy and the localizers, its swarm iterations, and its disk joins and the
+pairs they find. A count is exact, where a time needs many runs to resolve,
+so a change that does more or less work fails here by name.
 
 The cases are ``perfbench/workloads.py``'s ``circuit-gcpso``,
 ``circuit-ekf-pool`` and ``town-bootstrap`` at its tiny sizes and seed 1,
-rebuilt here and run at ``jobs=1``, so the counts are seen in-process.
-``golden/work.json`` holds them.
+rebuilt here and run at ``jobs=1``, so the counts are seen in-process, and
+a fourth, ``circuit-drop``, the EKF circuit with broadcasts lost at
+probability 0.3, since no workload draws drops. ``golden/work.json`` holds
+them.
 
 Regenerate only for an intended change of the work, and give the reason in
 CHANGES.md:
@@ -22,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from parkcp import harness
+from parkcp import channel, harness
 from parkcp.channel import CommZone, NoiseModel
 from parkcp.harness import Algorithm, RunConfig
 from parkcp.policy import PolicyConfig
@@ -54,12 +57,17 @@ def cases() -> dict[str, RunConfig]:
                                  n_runs=2, seed=SEED),
         "town-bootstrap": RunConfig(Algorithm.EKF, _tiny_town(), CommZone(15.0), noise,
                                     PolicyConfig(anchors_preloaded=False), n_runs=1, seed=SEED),
+        "circuit-drop": RunConfig(Algorithm.EKF, circuit, CommZone(100.0, drop_probability=0.3),
+                                  noise, n_runs=1, seed=SEED),
     }
 
 
 def count(cfg: RunConfig, monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
-    """The streams opened by purpose ("substream.<purpose>") and the calls
-    of each ``COUNTED`` function in one ``ensemble`` of ``cfg`` at jobs=1."""
+    """The streams opened by purpose ("substream.<purpose>"), the calls of
+    each ``COUNTED`` function, the iterations of the swarms
+    ("gcpso_localize.iterations"), and the calls of ``channel.disk_join``
+    and the pairs they return ("disk_join", "disk_join.pairs") in one
+    ``ensemble`` of ``cfg`` at jobs=1."""
     counts: Counter = Counter()
     real_stream = harness.substream
 
@@ -70,16 +78,23 @@ def count(cfg: RunConfig, monkeypatch: pytest.MonkeyPatch) -> dict[str, int]:
     def counting(name, real):
         def spy(*args, **kwargs):
             counts[name] += 1
-            return real(*args, **kwargs)
+            result = real(*args, **kwargs)
+            if name == "gcpso_localize":  # its history holds the start and each iteration
+                counts[name + ".iterations"] += len(result.history) - 1
+            elif name == "disk_join":
+                counts[name + ".pairs"] += len(result[0])
+            return result
         return spy
 
     monkeypatch.setattr(harness, "substream", stream_spy)
     for name in COUNTED:
         monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    monkeypatch.setattr(channel, "disk_join", counting("disk_join", channel.disk_join))
     records = generate(cfg.scenario)
     harness.ensemble(cfg, records, jobs=1)
     return {name: counts[name] for name in
-            [f"substream.{p}" for p in harness._PURPOSES] + list(COUNTED)}
+            [f"substream.{p}" for p in harness._PURPOSES] + list(COUNTED)
+            + ["gcpso_localize.iterations", "disk_join", "disk_join.pairs"]}
 
 
 @pytest.fixture(scope="module")
